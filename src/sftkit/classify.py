@@ -53,26 +53,6 @@ class ConditionDVerdict:
         }
 
 
-def _graph_period(g):
-    """gcd of all cycle lengths of a strongly connected digraph."""
-    root = g.vertices[0]
-    succ = g.succ_map()
-    level = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    p = 0
-    for u, v in g.edges:
-        p = gcd(p, level[u] + 1 - level[v])
-    return abs(p) if p else 0  # 0 cannot happen on a graph with edges
-
-
 def scc_types(component):
     """Exact type flags of one strongly connected component.
 
@@ -87,7 +67,6 @@ def scc_types(component):
     reflexive = all(g.has_edge(v, v) for v in g.vertices)
     symmetric = all(g.has_edge(v, u) for (u, v) in g.edges if u != v)
 
-    period = _graph_period(g)
     succ = g.succ_map()
     root = g.vertices[0]
     level = {root: 0}
@@ -100,6 +79,9 @@ def scc_types(component):
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
+    period = 0  # gcd of all cycle lengths
+    for u, v in g.edges:
+        period = gcd(period, level[u] + 1 - level[v])
 
     partition = None
     for p in sorted((d for d in range(1, period + 1) if period % d == 0), reverse=True):

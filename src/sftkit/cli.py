@@ -1,7 +1,8 @@
 """Command-line surface: reproducible JSON in, JSON out.
 
-Exit codes: 0 on a decisive answer, 1 on Unknown/SearchExhausted, 2 on bad
-input or usage.  All outputs are deterministic given the inputs and --seed.
+Exit codes: 0 on a decisive answer, 1 on Unknown/SearchExhausted or an
+internal failure such as a witness that fails replay, 2 on bad input or
+usage.  All outputs are deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def _constraint_from_args(args):
     return None
 
 
+def _check_witness(sft, constraint, wit):
+    if not validate_torus(sft, constraint, wit.pattern):
+        raise RuntimeError("the torus witness fails replay validation")
+
+
 def _cmd_solve(args):
     sft = _load_sft(args.h)
     constraint = _constraint_from_args(args)
@@ -167,7 +173,7 @@ def _cmd_solve(args):
         if wit is None:
             _emit({"found": False, "bound": args.bound}, args.out)
             return 1
-        assert validate_torus(sft, constraint, wit.pattern)
+        _check_witness(sft, constraint, wit)
         _emit({"found": True, **wit.to_json()}, args.out)
         return 0
     if args.action == "empty":
@@ -177,7 +183,7 @@ def _cmd_solve(args):
             constraint = ()
         out = decide_with_certificate(sft, constraint, args.budget or 200000)
     if out.witness is not None:
-        assert validate_torus(sft, constraint if isinstance(constraint, Sft1D) else None, out.witness.pattern)
+        _check_witness(sft, constraint if isinstance(constraint, Sft1D) else None, out.witness)
     _emit(out.to_json(), args.out)
     return 0 if out.status != "unknown" else 1
 
@@ -277,7 +283,6 @@ def _cmd_decode(args):
 
 def _parser():
     p = argparse.ArgumentParser(prog="sftkit", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("rauzy", help="pruned word graph of a 1D SFT")
@@ -366,7 +371,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SearchExhausted as e:
+    except (SearchExhausted, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (SftError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:

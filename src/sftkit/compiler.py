@@ -327,25 +327,6 @@ class VerticalPresentation:
         rec(set(self._nfa_states), [])
         return out
 
-    def cyclic_words(self, h):
-        """Words of length h readable as a cycle (period-h columns)."""
-        out = set()
-        for s in self._nfa_states:
-            stack = [(s, ())]
-            while stack:
-                q, word = stack.pop()
-                if len(word) == h:
-                    continue
-                lab, targets = self._nfa_next[q]
-                w2 = word + (lab,)
-                for t in targets:
-                    if len(w2) == h:
-                        if t == s:
-                            out.add(w2)
-                    else:
-                        stack.append((t, w2))
-        return sorted(out)
-
     def is_cyclic(self, word):
         """Is ``word`` readable as a cycle (a legal period-|word| column)?"""
         pairs = {(s, s) for s in self._nfa_states}

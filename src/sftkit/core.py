@@ -171,7 +171,12 @@ class Sft1D:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(Alphabet(tuple(obj["alphabet"])), frozenset(tuple(w) for w in obj.get("forbidden", [])))
+        alphabet, forbidden = obj["alphabet"], obj.get("forbidden", [])
+        if not (isinstance(alphabet, list) and all(isinstance(s, str) for s in alphabet)):
+            raise ValueError("alphabet must be a list of strings")
+        if not (isinstance(forbidden, list) and all(isinstance(w, list) for w in forbidden)):
+            raise ValueError("forbidden must be a list of lists of symbols")
+        return cls(Alphabet(tuple(alphabet)), frozenset(tuple(w) for w in forbidden))
 
     @classmethod
     def load(cls, path):

@@ -55,6 +55,7 @@ def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
     best = 0.0
     best_res = 0.0
     iters = 0
+    succ = g.succ_map()
     for comp in g.sccs():
         if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
             continue  # transient vertex contributes nothing
@@ -62,7 +63,7 @@ def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
         n = len(comp)
         a = np.zeros((n, n))
         for u in comp:
-            for v in g.successors(u):
+            for v in succ[u]:
                 if v in idx:
                     a[idx[u], idx[v]] = 1.0
         b = a + np.eye(n)
@@ -284,19 +285,7 @@ def ntilde_count(H, u, w1, n):
     v0 = g.path_exists(start, w1[m:])
     if v0 is None:
         return 0
-    # KMP failure table for the marker word
-    fail = [0] * len(u)
-    for i in range(1, len(u)):
-        j = fail[i - 1]
-        while j and u[i] != u[j]:
-            j = fail[j - 1]
-        fail[i] = j + 1 if u[i] == u[j] else 0
-
-    def kmp_step(state, a):
-        while state and (state == len(u) or u[state] != a):
-            state = fail[state - 1]
-        return state + 1 if u[state] == a else 0
-
+    kmp = _KMP(u)
     # DP over (graph vertex, kmp state), excluding a completed marker
     cur = {(v0, 0): 1}
     for _ in range(n):
@@ -304,7 +293,7 @@ def ntilde_count(H, u, w1, n):
         for (v, ks), cnt in cur.items():
             for w in g.successors(v):
                 a = w[-1]
-                k2 = kmp_step(ks, a)
+                k2 = kmp.step(ks, a)
                 if k2 == len(u):
                     continue
                 key = (w, k2)

@@ -6,6 +6,12 @@ under the column constraint: nothing, a 1D SFT, or a vertical presentation
 from the compiler.  2D global admissibility is undecidable and is *not*
 enforced; only the 1D structure per row/column is.  All counts are exact
 Python integers.
+
+One strip transfer engine, ``StripAutomaton``, counts for a horizontal SFT of
+any order: its states are windows of legal columns as wide as the order, and
+its transitions are found by walking a trie of the columns one row at a time
+along the Rauzy graph.  One check, ``_cyclic_ok``, decides whether a row or
+column repeats periodically, for torus search, replay and decisions alike.
 """
 
 from __future__ import annotations
@@ -45,14 +51,17 @@ def _columns_for(constraint, h, alphabet, budget=None):
 
 
 def _global_words(sft, n):
-    """All globally admissible n-words, via pruned Rauzy paths."""
+    """All globally admissible n-words in canonical alphabet order, via
+    pruned Rauzy paths."""
     try:
         g = build_rauzy(sft)
     except EmptyLanguage:
         return []
     m = g.order
     if n <= m:
-        return sorted({v[i : i + n] for v in g.vertices for i in range(m - n + 1)})
+        # every pruned vertex has a successor, so a factor of a vertex is a
+        # prefix of a later one; the vertices are already in canonical order
+        return list(dict.fromkeys(v[:n] for v in g.vertices))
     out = []
     succ = g.graph.succ_map()
 
@@ -67,23 +76,7 @@ def _global_words(sft, n):
 
     for v in g.vertices:
         rec(v, list(v))
-    return sorted(set(out))
-
-
-def _cyclic_columns(constraint, h, alphabet):
-    """Columns that repeat with period h into a legal bi-infinite column."""
-    if constraint is None:
-        return [tuple(c) for c in product(alphabet, repeat=h)]
-    if isinstance(constraint, Sft1D):
-        reps = 2 + (constraint.order + 1) // h
-        return [
-            c
-            for c in product(alphabet, repeat=h)
-            if constraint.word_locally_admissible(tuple(c) * reps)
-        ]
-    if isinstance(constraint, VerticalPresentation):
-        return constraint.cyclic_words(h)
-    raise TypeError(f"unsupported column constraint {constraint!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +85,77 @@ def _cyclic_columns(constraint, h, alphabet):
 
 @dataclass
 class StripAutomaton:
-    """Transfer structure on valid columns of one height.
+    """Transfer structure on windows of legal columns of one height.
 
-    States are the legal columns; a transition s -> s' exists when every row
-    pair (s_r, s'_r) can be horizontally adjacent.  Only usable when the
-    horizontal SFT is nearest-neighbor.
+    For a horizontal SFT of order m, a state is a window of m legal columns
+    whose every row is a Rauzy vertex, its cells listed column by column
+    (for m = 1, the column itself).  A transition appends a column that moves
+    every row along a Rauzy edge and drops the window's first column.
+    ``narrow[k - 1]`` is the number of k-column windows for k < m: windows
+    whose every row is a prefix of a vertex.
     """
 
     height: int
     states: tuple
     successors: tuple  # tuple of tuples of state indices
+    narrow: tuple = ()
 
     @classmethod
     def build(cls, H, constraint, h, budget=None):
+        if h < 1:
+            raise ValueError("h must be >= 1")
         g = build_rauzy(H)
-        if g.order != 1:
-            raise ValueError("strip automaton needs a nearest-neighbor horizontal SFT")
-        cols = [
-            c
-            for c in _columns_for(constraint, h, H.alphabet.symbols, budget)
-            if all((x,) in set(g.vertices) for x in c)
-        ]
-        if budget is not None and len(cols) ** 2 > budget:
-            raise BudgetExceeded(f"{len(cols)}^2 transitions exceed the budget")
-        edge = g.graph.edges
-        ok_pair = {(a[0], b[0]) for (a, b) in edge}
-        succs = []
-        for c1 in cols:
-            row = []
-            for j, c2 in enumerate(cols):
-                if all((x, y) in ok_pair for x, y in zip(c1, c2)):
-                    row.append(j)
-            succs.append(tuple(row))
-        return cls(h, tuple(cols), tuple(succs))
+        m = g.order
+        cols = _columns_for(constraint, h, H.alphabet.symbols, budget)
+        if budget is not None and len(cols) > budget:
+            raise BudgetExceeded(f"{len(cols)} columns exceed the budget")
+        # symbols allowed after a row word: a proper prefix of a vertex, or a
+        # vertex itself (the labels of its out-edges)
+        after = {}
+        for v in g.vertices:
+            for k in range(m):
+                after.setdefault(v[:k], set()).add(v[k])
+        for u, v in g.edges:
+            after.setdefault(u, set()).add(v[-1])
+        trie = {}  # column prefix trie; a leaf is the column's index
+        for i, c in enumerate(cols):
+            node = trie
+            for s in c[:-1]:
+                node = node.setdefault(s, {})
+            node[c[-1]] = i
+        built = 0
+
+        def extensions(window):
+            """Ascending indices of the columns that extend every row."""
+            nonlocal built
+            nodes = [trie]
+            for r in range(h):
+                ok = after[tuple(cols[j][r] for j in window)]
+                nodes = [child for node in nodes for s, child in node.items() if s in ok]
+            built += len(nodes)
+            if budget is not None and built > budget:
+                raise BudgetExceeded(f"more than {budget} strip transitions")
+            return nodes
+
+        windows = [()]
+        narrow = []
+        for k in range(m):
+            if k:
+                narrow.append(len(windows))
+            windows = [w + (c,) for w in windows for c in extensions(w)]
+        index = {w: i for i, w in enumerate(windows)}
+        succs = tuple(tuple(index[w[1:] + (c,)] for c in extensions(w)) for w in windows)
+        states = tuple(sum((cols[j] for j in w), ()) for w in windows)
+        return cls(h, states, succs, tuple(narrow))
 
     def count_width(self, w):
         """Number of valid w-column strips (exact)."""
         if w < 1:
             raise ValueError("w must be >= 1")
+        if w <= len(self.narrow):
+            return self.narrow[w - 1]
         vec = [1] * len(self.states)
-        for _ in range(w - 1):
+        for _ in range(w - len(self.narrow) - 1):
             nxt = [0] * len(self.states)
             for i, ss in enumerate(self.successors):
                 vi = vec[i]
@@ -159,49 +183,10 @@ def count_rectangles(H, column_constraint, w, h, budget=None):
     if w < 1 or h < 1:
         raise ValueError("dimensions must be >= 1")
     try:
-        g = build_rauzy(H)
+        strip = StripAutomaton.build(H, column_constraint, h, budget)
     except EmptyLanguage:
         return 0
-    lh = g.order
-    if lh == 1:
-        strip = StripAutomaton.build(H, column_constraint, h, budget)
-        return strip.count_width(w)
-    # higher-order horizontal SFT: transfer on (order)-column windows
-    if w <= lh:
-        # swap roles: rows of the transpose are the columns
-        if column_constraint is None:
-            return count_rectangles(Sft1D(H.alphabet, frozenset()), H, h, w, budget)
-        if isinstance(column_constraint, Sft1D):
-            return count_rectangles(column_constraint, H, h, w, budget)
-        raise ValueError("window narrower than the horizontal order needs an SFT constraint")
-    cols = _columns_for(column_constraint, h, H.alphabet.symbols, budget)
-    vset = set(g.vertices)
-    edges = g.graph.edges
-    states = {}
-    for combo in product(range(len(cols)), repeat=lh):
-        block = [cols[i] for i in combo]
-        if all(tuple(block[t][r] for t in range(lh)) in vset for r in range(h)):
-            states[combo] = 1
-    if budget is not None and len(states) * len(cols) > budget:
-        raise BudgetExceeded("higher-order transfer exceeds the budget")
-    vec = dict(states)
-    for _ in range(w - lh):
-        nxt = {}
-        for combo, val in vec.items():
-            block = [cols[i] for i in combo]
-            for j, c in enumerate(cols):
-                ok = True
-                for r in range(h):
-                    u = tuple(block[t][r] for t in range(lh))
-                    v = u[1:] + (c[r],)
-                    if (u, v) not in edges:
-                        ok = False
-                        break
-                if ok:
-                    key = combo[1:] + (j,)
-                    nxt[key] = nxt.get(key, 0) + val
-        vec = nxt
-    return sum(vec.values())
+    return strip.count_width(w)
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +203,25 @@ class TorusWitness:
         return {"width": self.width, "height": self.height, "pattern": self.pattern.to_json()}
 
 
-def _row_cyclic_ok(H, row):
-    reps = 2 + (H.order + 1) // max(1, len(row))
-    return H.word_locally_admissible(tuple(row) * reps)
-
-
-def _col_cyclic_ok(constraint, col):
+def _cyclic_ok(constraint, word):
+    """Does ``word`` repeat periodically into a legal bi-infinite word?"""
     if constraint is None:
         return True
     if isinstance(constraint, Sft1D):
-        reps = 2 + (constraint.order + 1) // max(1, len(col))
-        return constraint.word_locally_admissible(tuple(col) * reps)
+        reps = 2 + (constraint.order + 1) // max(1, len(word))
+        return constraint.word_locally_admissible(tuple(word) * reps)
     if isinstance(constraint, VerticalPresentation):
-        return constraint.is_cyclic(tuple(col))
+        return constraint.is_cyclic(tuple(word))
     raise TypeError(f"unsupported column constraint {constraint!r}")
 
 
 def validate_torus(H, column_constraint, pattern, forbidden2d=()):
     """Independent window checker: does the pattern tile the plane legally?"""
     for j in range(pattern.height):
-        if not _row_cyclic_ok(H, pattern.row(j)):
+        if not _cyclic_ok(H, pattern.row(j)):
             return False
     for i in range(pattern.width):
-        if not _col_cyclic_ok(column_constraint, pattern.column(i)):
+        if not _cyclic_ok(column_constraint, pattern.column(i)):
             return False
     for p in forbidden2d:
         if p.occurs_in(pattern, wrap=True):
@@ -261,8 +242,15 @@ def find_torus(H, column_constraint, max_w, max_h, forbidden2d=()):
         ((w, h) for w in range(1, max_w + 1) for h in range(1, max_h + 1)),
         key=lambda s: (s[0] * s[1], s[0], s[1]),
     )
+    cyclic = {}  # height -> cyclic columns, shared by every width
     for (w, h) in sizes:
-        cols = _cyclic_columns(column_constraint, h, H.alphabet.symbols)
+        if h not in cyclic:
+            cyclic[h] = [
+                c
+                for c in _columns_for(column_constraint, h, H.alphabet.symbols)
+                if _cyclic_ok(column_constraint, c)
+            ]
+        cols = cyclic[h]
         if not cols:
             continue
         pat = _search_torus(H, cols, w, h, forbidden2d)
@@ -285,7 +273,7 @@ def _search_torus(H, cols, w, h, forbidden2d):
     def full_check():
         pat = Pattern2D.from_columns(chosen)
         for j in range(h):
-            if not _row_cyclic_ok(H, pat.row(j)):
+            if not _cyclic_ok(H, pat.row(j)):
                 return None
         for p in forbidden2d:
             if p.occurs_in(pat, wrap=True):
@@ -351,38 +339,6 @@ def semi_decide_emptiness(H, column_constraint, bound, budget=None):
     return DecisionOutcome("unknown", rationale=f"no decision up to bound {bound}")
 
 
-def _cyclic_rows(H, width, vertices):
-    """Width-long words over the given pruned vertices that close cyclically."""
-    g = build_rauzy(H)
-    vset = set(vertices)
-    syms = [v[0] for v in vertices] if g.order == 1 else None
-    out = []
-    if g.order == 1:
-        edge_ok = {(a[0], b[0]) for (a, b) in g.graph.edges if a in vset and b in vset}
-
-        def rec(row):
-            if len(row) == width:
-                if (row[-1], row[0]) in edge_ok:
-                    out.append(tuple(row))
-                return
-            for s in syms:
-                if not row or (row[-1], s) in edge_ok:
-                    row.append(s)
-                    rec(row)
-                    row.pop()
-
-        rec([])
-        return out
-    # higher-order horizontal SFT: check on the doubled word
-    symbols = sorted({v[-1] for v in vertices})
-    for combo in product(symbols, repeat=width):
-        word = tuple(combo)
-        reps = 2 + (H.order + 1) // width
-        if H.word_locally_admissible(word * reps):
-            out.append(word)
-    return out
-
-
 def decide_with_certificate(H, constraint, budget=200000):
     """Certificate-complete emptiness decision in the decidable regimes.
 
@@ -395,7 +351,6 @@ def decide_with_certificate(H, constraint, budget=200000):
     """
     is_vertical = isinstance(constraint, Sft1D)
     g = build_rauzy(H)
-    alphabet = H.alphabet.symbols
 
     if is_vertical:
         verdict = check_condition_d(g)
@@ -414,8 +369,6 @@ def decide_with_certificate(H, constraint, budget=200000):
                 width = lcm(width, len(t.state_split_partition))
         mv = max([len(wd) for wd in constraint.forbidden], default=1)
         mv = max(mv, 1)
-        vertices = [v for v in g.vertices if v not in transient]
-        rows = _cyclic_rows(H, width, vertices)
         col_ok = lambda word: constraint.word_locally_admissible(word)
         bound_desc = f"{width} x {mv}*(|A|^{width * mv}+1)"
         forbidden2d = ()
@@ -428,11 +381,11 @@ def decide_with_certificate(H, constraint, budget=200000):
         maxw = max([q.width for q in patterns], default=1)
         mv = max([q.height for q in patterns], default=1)
         width = p * max(1, -(-maxw // p))
-        rows = _cyclic_rows(H, width, g.vertices)
         col_ok = None
         bound_desc = f"{width} x {mv}*(|A|^{width * mv}+1)"
         forbidden2d = patterns
 
+    rows = [r for r in _global_words(H, width) if _cyclic_ok(H, r)]
     if not rows:
         return DecisionOutcome("empty", rationale=f"no cyclically valid row of width {width}")
 
@@ -539,10 +492,11 @@ def decide_with_certificate(H, constraint, budget=200000):
                     torus = Pattern2D.from_rows(cyc_rows)
                     wit = TorusWitness(width, len(cyc_rows), torus)
                     hcons = constraint if is_vertical else None
-                    if validate_torus(H, hcons, torus, forbidden2d):
-                        return DecisionOutcome(
-                            "nonempty", wit, f"pigeonhole block repeat at height <= {bound_desc}"
-                        )
+                    if not validate_torus(H, hcons, torus, forbidden2d):
+                        raise RuntimeError("a block-graph cycle gave a torus that fails replay")
+                    return DecisionOutcome(
+                        "nonempty", wit, f"pigeonhole block repeat at height <= {bound_desc}"
+                    )
                 if color.get(nxt) is None:
                     color[nxt] = 1
                     parent[nxt] = (node, r)

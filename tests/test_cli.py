@@ -65,6 +65,20 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["count"] == "7"
 
+    def test_count_two_higher_order_sfts(self, capsys, tmp_path):
+        hpath, vpath = tmp_path / "no111.json", tmp_path / "no000.json"
+        hpath.write_text(json.dumps({"alphabet": ["0", "1"], "forbidden": [["1", "1", "1"]]}))
+        vpath.write_text(json.dumps({"alphabet": ["0", "1"], "forbidden": [["0", "0", "0"]]}))
+        code, out, _ = run(
+            capsys,
+            "solve", "count",
+            "--h", str(hpath),
+            "--v", str(vpath),
+            "--width", "2", "--height", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == "16"
+
     def test_torus(self, capsys):
         code, out, _ = run(
             capsys, "solve", "torus", "--h", path("golden.json"), "--v", path("golden.json"),
@@ -89,6 +103,23 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "nope.json")
         assert code == 2
+
+    def test_malformed_sft_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for obj in ({"alphabet": ["0", "1"], "forbidden": "11"}, {"alphabet": 5}):
+            bad.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "rauzy", "--input", str(bad))
+            assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_unreplayable_witness_is_not_an_answer(self, capsys, monkeypatch):
+        import sftkit.cli
+
+        monkeypatch.setattr(sftkit.cli, "validate_torus", lambda *args: False)
+        for action in ("torus", "decide"):
+            code, out, err = run(
+                capsys, "solve", action, "--h", path("golden.json"), "--v", path("golden.json"),
+            )
+            assert code == 1 and out == "" and "replay" in err
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2 or main(["solve"]) == 2

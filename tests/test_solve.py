@@ -1,14 +1,18 @@
+import functools
 import random
 from itertools import product
 
 import pytest
 
 from sftkit.core import (
+    BudgetExceeded,
+    EmptyLanguage,
     PreconditionUnmet,
     Sft1D,
     build_rauzy,
     full_shift,
     language_count,
+    free_tile_set,
     monotile_set,
     sft_from_edges,
     word_in_language,
@@ -96,6 +100,21 @@ def random_pair(rng):
     return random_sft(1, 3, False), random_sft(1, 3, True)
 
 
+def random_sft(rng, symbols, order):
+    """Nonempty SFT over ``symbols`` with at least one forbidden word of
+    length order + 1."""
+    while True:
+        words = {tuple(rng.choice(symbols) for _ in range(order + 1))}
+        for _ in range(rng.randint(0, 2)):
+            words.add(tuple(rng.choice(symbols) for _ in range(rng.randint(2, order + 1))))
+        sft = Sft1D(tuple(symbols), frozenset(words))
+        try:
+            build_rauzy(sft)
+            return sft
+        except EmptyLanguage:
+            continue
+
+
 class TestCountRectangles:
     def test_golden_square(self, golden):
         assert count_rectangles(golden, golden, 2, 2) == 7
@@ -116,9 +135,9 @@ class TestCountRectangles:
 
     def test_higher_order_horizontal(self):
         H = Sft1D.from_words("01", "111")
-        V = Sft1D.from_words("01", "00")
-        for w, h in product(range(1, 5), range(1, 4)):
-            assert count_rectangles(H, V, w, h) == brute_count(H, V, w, h)
+        for V in (Sft1D.from_words("01", "00"), Sft1D.from_words("01", "000")):
+            for w, h in product(range(1, 5), range(1, 4)):
+                assert count_rectangles(H, V, w, h) == brute_count(H, V, w, h)
 
     def test_randomized_oracle(self):
         rng = random.Random(424242)
@@ -131,6 +150,43 @@ class TestCountRectangles:
                     w,
                     h,
                 )
+
+    def test_randomized_higher_order_oracle(self):
+        rng = random.Random(20261018)
+        for order, symbols, heights in ((2, "012", (1, 2)), (3, "01", (1, 2, 3))):
+            for _ in range(4):
+                H = random_sft(rng, symbols, order)
+                V = rng.choice([None, random_sft(rng, symbols, rng.randint(1, 2))])
+                for w in range(1, order + 3):
+                    for h in heights:
+                        assert count_rectangles(H, V, w, h) == brute_count(H, V, w, h), (
+                            H.forbidden,
+                            V and V.forbidden,
+                            w,
+                            h,
+                        )
+
+    def test_presentation_columns_under_order_two_rows(self, coding_sft):
+        pair, _ = find_cycle_pair(build_rauzy(coding_sft))
+        pres, _ = compile_wang(coding_sft, free_tile_set(2), pair)
+        H = Sft1D.from_words("abc", "aa", "bcb", "cab")
+        assert H.order == 2
+        row_ok = functools.cache(lambda row: word_in_language(H, row))
+        for h in range(1, 5):
+            words = pres.words(h)
+            for w in (1, 2):
+                want = sum(
+                    all(row_ok(row) for row in zip(*cols)) for cols in product(words, repeat=w)
+                )
+                assert count_rectangles(H, pres, w, h) == want
+
+    def test_budget_exceeded(self, golden):
+        with pytest.raises(BudgetExceeded):
+            StripAutomaton.build(golden, golden, 10, budget=100)  # 144 columns
+        with pytest.raises(BudgetExceeded):
+            StripAutomaton.build(golden, golden, 4, budget=20)  # 8 columns, 41 transitions
+        sa = StripAutomaton.build(golden, golden, 4, budget=49)  # 8 + 41 built
+        assert sa.count_width(4) == count_rectangles(golden, golden, 4, 4)
 
     def test_monotonicity_of_emptiness(self):
         H = Sft1D.from_words("01", "00", "11")
@@ -236,6 +292,14 @@ class TestDecide:
             cyc, (Pattern2D(1, 2, ("x", "x")), Pattern2D(1, 2, ("x", "y")))
         )
         assert out2.empty
+
+    def test_failed_replay_is_an_error_not_empty(self, monkeypatch):
+        import sftkit.solve
+
+        monkeypatch.setattr(sftkit.solve, "validate_torus", lambda *args: False)
+        cyc = sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
+        with pytest.raises(RuntimeError):
+            decide_with_certificate(cyc, ())
 
     def test_precondition_checked(self, coding_sft, golden):
         with pytest.raises(PreconditionUnmet):
