@@ -150,10 +150,18 @@ def _cmd_compile_horizontal(args):
     return 0
 
 
-def _constraint_from_args(args):
-    if getattr(args, "v", None):
-        return Sft1D.load(args.v)
-    return None
+def _constraint_from_args(args, sft):
+    """The column SFT named by ``--v`` (None without one); it must have the
+    same symbols as the row SFT ``sft``."""
+    if not args.v:
+        return None
+    v = Sft1D.load(args.v)
+    if set(v.alphabet) != set(sft.alphabet):
+        raise ValueError(
+            f"--h and --v have different alphabets: {', '.join(sft.alphabet)} "
+            f"and {', '.join(v.alphabet)}"
+        )
+    return v
 
 
 def _check_witness(sft, constraint, wit):
@@ -163,7 +171,7 @@ def _check_witness(sft, constraint, wit):
 
 def _cmd_solve(args):
     sft = _load_sft(args.h)
-    constraint = _constraint_from_args(args)
+    constraint = _constraint_from_args(args, sft)
     if args.action == "count":
         n = count_rectangles(sft, constraint, args.width, args.height, args.budget)
         _emit({"width": args.width, "height": args.height, "count": str(n)}, args.out)
@@ -209,13 +217,13 @@ def _cmd_entropy(args):
         return 0
     if args.what == "2d":
         sft = _load_sft(args.h)
-        constraint = _constraint_from_args(args)
+        constraint = _constraint_from_args(args, sft)
         b = _entropy.entropy_bounds_2d(sft, constraint, args.bound, args.bound, args.budget)
         _emit(b.to_json(), args.out)
         return 0
     if args.what == "statesplit":
         sft = _load_sft(args.h)
-        v = Sft1D.load(args.v)
+        v = _constraint_from_args(args, sft)
         rep = _entropy.statesplit_entropy(sft, v, args.bound)
         _emit(
             {
@@ -340,7 +348,7 @@ def _parser():
             qa.add_argument("--input", required=True)
         if name in ("2d", "statesplit"):
             qa.add_argument("--h", required=True)
-            qa.add_argument("--v")
+            qa.add_argument("--v", required=name == "statesplit")
         qa.add_argument("--bound", type=int, default=4)
         qa.add_argument("--budget", type=int)
         qa.add_argument("--tol", type=float, default=1e-10)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 WILDCARD = "·"  # "·" in 2D forbidden patterns: matches any symbol
 
@@ -150,16 +151,61 @@ class Sft1D:
         return all(len(w) <= 2 for w in self.forbidden)
 
     def word_locally_admissible(self, word):
-        """True iff ``word`` contains no forbidden factor."""
-        word = tuple(word)
-        for w in self.forbidden:
-            k = len(w)
-            if k > len(word):
-                continue
-            for i in range(len(word) - k + 1):
-                if word[i : i + k] == w:
-                    return False
+        """True iff ``word`` contains no forbidden factor.
+
+        One pass of the forbidden-factor automaton: O(len(word)) steps,
+        whatever the number of forbidden words.  A symbol outside the
+        alphabet sends the automaton back to its root, so such a symbol
+        never completes a forbidden word and is itself accepted.
+        """
+        delta = self._factor_automaton
+        q = 0
+        for s in word:
+            q = delta[q].get(s, 0)
+            if q < 0:
+                return False
         return True
+
+    @cached_property
+    def _factor_automaton(self):
+        """Aho-Corasick automaton over the forbidden words, built on first use.
+
+        A state is a trie prefix of some forbidden word; ``delta[q][s]`` is
+        the state of the longest trie prefix that ends the text read so far
+        followed by ``s``, or -1 when that text ends with a forbidden word
+        (the state is dead).  State 0 is the root; dead states get no row.
+        """
+        symbols = self.alphabet.symbols
+        children = [{}]
+        final = [False]
+        for w in sorted(self.forbidden):
+            q = 0
+            for s in w:
+                if s not in children[q]:
+                    children[q][s] = len(children)
+                    children.append({})
+                    final.append(False)
+                q = children[q][s]
+            final[q] = True
+        # breadth first, so a state's failure link (a shorter suffix) is
+        # finished before the state; the children of a dead state are dead
+        # and are never reached
+        live = {0: 0}
+        rows = [{s: children[0].get(s, 0) for s in symbols}]
+        queue = list(children[0].values())
+        fail = dict.fromkeys(queue, 0)
+        for q in queue:
+            if final[q] or fail[q] not in live:
+                continue
+            live[q] = len(rows)
+            back = rows[live[fail[q]]]
+            row = dict(back)
+            for s, c in children[q].items():
+                fail[c] = back[s]
+                row[s] = c
+                queue.append(c)
+            rows.append(row)
+        return tuple({s: live.get(t, -1) for s, t in row.items()} for row in rows)
 
     # -- serialization ------------------------------------------------------
 
@@ -437,29 +483,24 @@ class RauzyGraph:
 
 
 def _locally_admissible_words(sft, n):
-    """All n-words over the alphabet containing no forbidden factor."""
+    """All n-words over the alphabet containing no forbidden factor, in
+    canonical order: a depth-first walk of the forbidden-factor automaton."""
     out = []
     alphabet = sft.alphabet.symbols
-    suffix_check = max((len(w) for w in sft.forbidden), default=1)
+    delta = sft._factor_automaton
 
-    def extend(word):
+    def extend(word, q):
         if len(word) == n:
             out.append(tuple(word))
             return
+        row = delta[q]
         for s in alphabet:
-            word.append(s)
-            tail = tuple(word[-suffix_check:])
-            ok = True
-            for w in sft.forbidden:
-                k = len(w)
-                if k <= len(tail) and tail[-k:] == w:
-                    ok = False
-                    break
-            if ok:
-                extend(word)
-            word.pop()
+            if row[s] >= 0:
+                word.append(s)
+                extend(word, row[s])
+                word.pop()
 
-    extend([])
+    extend([], 0)
     return out
 
 

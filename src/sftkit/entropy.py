@@ -86,11 +86,19 @@ def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
 
 
 def entropy_1d(H, tol=1e-10, max_iter=10**6):
-    """log2 of the spectral radius of the pruned Rauzy adjacency matrix."""
+    """log2 of the spectral radius of the pruned Rauzy adjacency matrix.
+
+    Raises RuntimeError when power iteration ends with a residual that is
+    not below ``tol``.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = build_rauzy(H)  # raises EmptyLanguage
     val, res, iters = _digraph_spectral_radius(g.graph, tol, max_iter)
+    if not res < tol:
+        raise RuntimeError(
+            f"power iteration did not converge: residual {res:.3g} after {iters} iterations"
+        )
     val = max(val, 0.0)
     return PerronResult(log2(val) if val > 0 else -inf if val == 0 else 0.0, val, res, iters)
 

@@ -216,7 +216,15 @@ def _cyclic_ok(constraint, word):
 
 
 def validate_torus(H, column_constraint, pattern, forbidden2d=()):
-    """Independent window checker: does the pattern tile the plane legally?"""
+    """Independent window checker: does the pattern tile the plane legally?
+
+    Every cell must be a symbol of H, and of the column SFT if there is one.
+    """
+    symbols = set(H.alphabet.symbols)
+    if isinstance(column_constraint, Sft1D):
+        symbols &= set(column_constraint.alphabet.symbols)
+    if not symbols.issuperset(pattern.cells):
+        return False
     for j in range(pattern.height):
         if not _cyclic_ok(H, pattern.row(j)):
             return False
@@ -369,7 +377,7 @@ def decide_with_certificate(H, constraint, budget=200000):
                 width = lcm(width, len(t.state_split_partition))
         mv = max([len(wd) for wd in constraint.forbidden], default=1)
         mv = max(mv, 1)
-        col_ok = lambda word: constraint.word_locally_admissible(word)
+        col_ok = constraint.word_locally_admissible
         bound_desc = f"{width} x {mv}*(|A|^{width * mv}+1)"
         forbidden2d = ()
     else:

@@ -121,6 +121,23 @@ class TestErrors:
             )
             assert code == 1 and out == "" and "replay" in err
 
+    def test_mismatched_alphabets_are_input_errors(self, capsys):
+        # coding3 is over a, b, c and golden over 0, 1
+        h, v = path("coding3.json"), path("golden.json")
+        for argv in (
+            ["solve", "torus", "--h", h, "--v", v],
+            ["solve", "count", "--h", h, "--v", v, "--width", "2", "--height", "2"],
+            ["solve", "empty", "--h", h, "--v", v],
+            ["solve", "decide", "--h", v, "--v", h],
+            ["entropy", "2d", "--h", h, "--v", v],
+            ["entropy", "statesplit", "--h", v, "--v", h],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "different alphabets" in err, argv
+
+    def test_statesplit_needs_v(self, capsys):
+        assert main(["entropy", "statesplit", "--h", path("golden.json")]) == 2
+
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2 or main(["solve"]) == 2
 

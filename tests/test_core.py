@@ -1,6 +1,8 @@
 import json
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sftkit.core import (
     Alphabet,
@@ -10,6 +12,7 @@ from sftkit.core import (
     Sft1D,
     WangTile,
     WangTileSet,
+    _locally_admissible_words,
     build_rauzy,
     free_tile_set,
     full_shift,
@@ -229,3 +232,107 @@ class TestSerialization:
             Alphabet(("0", "0"))
         with pytest.raises(ValueError):
             Sft1D.from_words("01", "2")
+
+
+# ---------------------------------------------------------------------------
+# the forbidden-factor automaton against naive scans
+
+SYMBOLS = "abc"
+FOREIGN = "xz"  # never in an alphabet
+
+
+def naive_admissible(forbidden, word):
+    """All-offsets scan: no forbidden word occurs anywhere in ``word``."""
+    word = tuple(word)
+    return not any(
+        word[i : i + len(f)] == f for f in forbidden for i in range(len(word) - len(f) + 1)
+    )
+
+
+def naive_rauzy(sft, m):
+    """(vertices, edges) of the pruned order-m Rauzy graph, from scratch."""
+    verts = [w for w in product(sft.alphabet.symbols, repeat=m) if naive_admissible(sft.forbidden, w)]
+    edges = {
+        (u, v)
+        for u in verts
+        for v in verts
+        if u[1:] == v[:-1] and naive_admissible(sft.forbidden, u + v[-1:])
+    }
+    keep = set(verts)
+    while True:
+        edges = {(u, v) for (u, v) in edges if u in keep and v in keep}
+        alive = {u for u, _ in edges} & {v for _, v in edges}
+        if alive == keep:
+            break
+        keep = alive
+    return [v for v in verts if v in keep], edges
+
+
+@st.composite
+def small_sfts(draw):
+    """Small SFTs whose forbidden sets overlap, nest (one word a factor of
+    another) and include length-1 words often enough to be exercised."""
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True))
+    words = draw(st.lists(st.text(alphabet="".join(alphabet), min_size=1, max_size=4), max_size=6))
+    if words and draw(st.booleans()):
+        w = draw(st.sampled_from(words))
+        i = draw(st.integers(0, len(w) - 1))
+        j = draw(st.integers(i + 1, len(w)))
+        words.append(w[i:j])  # a factor of another forbidden word
+    return Sft1D(Alphabet(tuple(alphabet)), frozenset(tuple(w) for w in words))
+
+
+# reproducible runs: a fixed example sequence and no example database
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+NESTED = Sft1D.from_words("ab", "aba", "b", "bab")  # a length-1 word inside longer ones
+OVERLAPPING = Sft1D.from_words("abc", "abab", "bab", "cc")
+NOTHING = Sft1D.from_words("ab")
+
+
+class TestFactorAutomaton:
+    @DIFFERENTIAL
+    @given(small_sfts(), st.lists(st.text(alphabet=SYMBOLS + FOREIGN, max_size=9), max_size=20))
+    @example(NESTED, ["abab", "aab", "axbab", "aaaa"])
+    @example(OVERLAPPING, ["ababc", "abzab", "cbab", "acac", "ccx"])
+    @example(NOTHING, ["", "abba", "zz"])
+    def test_word_check_matches_naive_scan(self, sft, texts):
+        # every 4-word over two alphabet symbols and a foreign one, then the drawn texts
+        pool = sft.alphabet.symbols[:2] + tuple(FOREIGN[:1])
+        words = list(product(pool, repeat=4)) + [tuple(t) for t in texts]
+        for w in words:
+            assert sft.word_locally_admissible(w) == naive_admissible(sft.forbidden, w), w
+
+    def test_foreign_symbols_reset_the_match(self):
+        sft = Sft1D.from_words("ab", "ab", "bb")
+        assert sft.word_locally_admissible(("a", "x", "b"))
+        assert sft.word_locally_admissible(("b", "z", "b", "a", "a"))
+        assert not sft.word_locally_admissible(("x", "a", "b", "x"))
+
+    @DIFFERENTIAL
+    @given(small_sfts(), st.integers(1, 5))
+    @example(NESTED, 4)
+    @example(OVERLAPPING, 5)
+    def test_dfs_words_match_product_filter(self, sft, n):
+        expect = [w for w in product(sft.alphabet.symbols, repeat=n) if naive_admissible(sft.forbidden, w)]
+        assert _locally_admissible_words(sft, n) == expect
+
+    @DIFFERENTIAL
+    @given(small_sfts(), st.integers(0, 1))
+    @example(NESTED, 0)
+    @example(OVERLAPPING, 1)
+    def test_rauzy_matches_naive_rebuild(self, sft, extra):
+        m = sft.order + extra
+        verts, edges = naive_rauzy(sft, m)
+        if not verts:
+            with pytest.raises(EmptyLanguage):
+                build_rauzy(sft, m)
+            return
+        g = build_rauzy(sft, m)
+        assert list(g.vertices) == verts
+        assert set(g.edges) == edges
+
+    def test_automaton_is_not_part_of_the_value(self, golden):
+        fresh = Sft1D.from_words("01", "11")
+        assert golden.word_locally_admissible("0101")
+        assert golden == fresh and hash(golden) == hash(fresh)
+        assert golden.to_json() == fresh.to_json()

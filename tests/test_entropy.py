@@ -55,6 +55,16 @@ class TestEntropy1D:
         assert entropy_1d(H).log2_value == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_unconverged_iteration_fails_loudly(self):
+        # RLL(20, 21): between two 1s lie 20 or 21 0s; its Perron iteration
+        # needs thousands of steps
+        forbidden = ["1" + "0" * j + "1" for j in range(20)] + ["0" * 22]
+        rll = Sft1D.from_words("01", *forbidden)
+        with pytest.raises(RuntimeError, match=r"residual .* after 10 iterations"):
+            entropy_1d(rll, max_iter=10)
+        assert entropy_1d(rll).residual < 1e-10
+
+
 class TestBounds2D:
     def test_full_times_full(self, full2):
         b = entropy_bounds_2d(full2, full2, 4, 3)

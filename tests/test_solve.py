@@ -7,6 +7,7 @@ import pytest
 from sftkit.core import (
     BudgetExceeded,
     EmptyLanguage,
+    Pattern2D,
     PreconditionUnmet,
     Sft1D,
     build_rauzy,
@@ -115,6 +116,32 @@ def random_sft(rng, symbols, order):
             continue
 
 
+def cycle_instance(rng, k, verdict):
+    """Rows: the k-cycle shift q0 -> q1 -> .. -> q(k-1) -> q0.  Columns: an
+    order-2 SFT whose emptiness verdict is known by construction.
+
+    In a torus every row is a rotation of the cycle word, so two stacked rows
+    differ by one phase step d along their whole width, and three stacked
+    rows with steps (d1, d2) put the column word (x, x+d1, x+d1+d2) under
+    every x.  Forbidding that word for one x therefore bans the step pair
+    everywhere.  The allowed pairs are a random set with d1 < d2, an acyclic
+    step graph (empty), plus a pair (d0, d0) for a nonempty instance (the
+    constant step d0 tiles the plane).
+    """
+    syms = [f"q{i}" for i in range(k)]
+    allowed = {(d1, d2) for d1 in range(k) for d2 in range(d1 + 1, k) if rng.random() < 0.5}
+    if verdict == "nonempty":
+        d0 = rng.randrange(k)
+        allowed.add((d0, d0))
+    forbidden = set()
+    for d1, d2 in product(range(k), repeat=2):
+        if (d1, d2) not in allowed:
+            x = rng.randrange(k)
+            forbidden.add((syms[x], syms[(x + d1) % k], syms[(x + d1 + d2) % k]))
+    H = sft_from_edges(syms, [(syms[i], syms[(i + 1) % k]) for i in range(k)])
+    return H, Sft1D(tuple(syms), frozenset(forbidden))
+
+
 class TestCountRectangles:
     def test_golden_square(self, golden):
         assert count_rectangles(golden, golden, 2, 2) == 7
@@ -220,6 +247,14 @@ class TestTorus:
         assert wit.pattern.cells == ("0",)
         assert validate_torus(golden, golden, wit.pattern)
 
+    def test_cells_outside_an_alphabet_fail_replay(self, golden):
+        full_ab = full_shift("ab")
+        # each cell passes the local checks vacuously where it is foreign
+        assert not validate_torus(golden, None, Pattern2D(1, 1, ("a",)))
+        assert not validate_torus(full_ab, golden, Pattern2D(1, 1, ("a",)))
+        assert not validate_torus(full_ab, golden, Pattern2D(1, 1, ("0",)))
+        assert validate_torus(full_shift("01"), golden, Pattern2D(1, 1, ("0",)))
+
     def test_incompatible_pair_has_none(self):
         H = Sft1D.from_words("01", "00", "11")
         V = Sft1D.from_words("01", "00", "010", "111")
@@ -300,6 +335,31 @@ class TestDecide:
         cyc = sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
         with pytest.raises(RuntimeError):
             decide_with_certificate(cyc, ())
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    @pytest.mark.parametrize("verdict", ["nonempty", "empty"])
+    def test_seeded_cycle_instances(self, k, verdict):
+        for seed in range(3):
+            H, V = cycle_instance(random.Random(1000 * k + seed), k, verdict)
+            assert len(V.forbidden) >= k * (k + 1) // 2 - 1
+            out = decide_with_certificate(H, V)
+            assert out.status == verdict, (k, seed)
+            if verdict == "empty":
+                assert out.witness is None
+                continue
+            pat = out.witness.pattern
+            assert validate_torus(H, V, pat)
+            # replay without the solver: rows step along the cycle, and no
+            # column, repeated, contains a forbidden word
+            succ = {f"q{i}": f"q{(i + 1) % k}" for i in range(k)}
+            for j in range(pat.height):
+                row = pat.row(j)
+                assert all(succ[a] == b for a, b in zip(row, row[1:] + row[:1]))
+            for i in range(pat.width):
+                col = pat.column(i) * 3
+                assert not any(
+                    col[x : x + 3] == f for f in V.forbidden for x in range(len(col) - 2)
+                )
 
     def test_precondition_checked(self, coding_sft, golden):
         with pytest.raises(PreconditionUnmet):
