@@ -19,6 +19,7 @@ from .core import (
     SftError,
     WangTileSet,
     build_rauzy,
+    require_same_alphabet,
 )
 from . import classify as _classify
 from .cycles import find_cycle_pair
@@ -156,11 +157,7 @@ def _constraint_from_args(args, sft):
     if not args.v:
         return None
     v = Sft1D.load(args.v)
-    if set(v.alphabet) != set(sft.alphabet):
-        raise ValueError(
-            f"--h and --v have different alphabets: {', '.join(sft.alphabet)} "
-            f"and {', '.join(v.alphabet)}"
-        )
+    require_same_alphabet(sft, v, ("--h", "--v"))
     return v
 
 

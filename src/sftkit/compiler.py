@@ -35,6 +35,7 @@ from .core import (
     Sft1D,
     WangTileSet,
     build_rauzy,
+    essential_states,
 )
 from .classify import check_condition_d
 from .cycles import Cycle, CyclePair, good_pairs
@@ -259,24 +260,11 @@ class VerticalPresentation:
             trans.append(row)
 
         # trim to the essential part (every state on a bi-infinite path)
-        alive = set(range(len(order)))
-        while True:
-            incoming = {s: 0 for s in alive}
-            outgoing = {s: 0 for s in alive}
-            for s in alive:
-                for a, t in trans[s].items():
-                    if t in alive:
-                        outgoing[s] += 1
-                        incoming[t] += 1
-            dead = {s for s in alive if incoming[s] == 0 or outgoing[s] == 0}
-            if not dead:
-                break
-            alive -= dead
-        keep = sorted(alive)
+        keep = essential_states([row.values() for row in trans])
         remap = {s: i for i, s in enumerate(keep)}
         states = tuple(range(len(keep)))
         transitions = [
-            {a: remap[t] for a, t in trans[s].items() if t in alive} for s in keep
+            {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
         ]
         annotations = []
         for s in keep:

@@ -249,6 +249,15 @@ def sft_from_edges(alphabet, edges):
     return Sft1D(alphabet, forbidden)
 
 
+def require_same_alphabet(h, v, names=("H", "V")):
+    """Raise ValueError unless the SFTs ``h`` and ``v`` have the same symbols."""
+    if set(h.alphabet) != set(v.alphabet):
+        raise ValueError(
+            f"{names[0]} and {names[1]} have different alphabets: {', '.join(h.alphabet)} "
+            f"and {', '.join(v.alphabet)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # directed graphs
 
@@ -504,6 +513,42 @@ def _locally_admissible_words(sft, n):
     return out
 
 
+def essential_states(succ):
+    """Indices of the states that lie on a bi-infinite path, ascending.
+
+    ``succ[i]`` lists the successor indices of state i; a repeated index is a
+    parallel edge.  Deleting every state of in- or out-degree 0 until none is
+    left keeps exactly these states.  A worklist does it in O(states + edges):
+    each deleted state lowers its neighbours' degrees once, and a neighbour
+    whose degree reaches 0 joins the list.
+    """
+    n = len(succ)
+    indeg = [0] * n
+    outdeg = [len(vs) for vs in succ]
+    pred = [[] for _ in range(n)]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            indeg[v] += 1
+            pred[v].append(u)
+    dead = [indeg[i] == 0 or outdeg[i] == 0 for i in range(n)]
+    stack = [i for i in range(n) if dead[i]]
+    while stack:
+        u = stack.pop()
+        for v in succ[u]:
+            if not dead[v]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    dead[v] = True
+                    stack.append(v)
+        for v in pred[u]:
+            if not dead[v]:
+                outdeg[v] -= 1
+                if outdeg[v] == 0:
+                    dead[v] = True
+                    stack.append(v)
+    return [i for i in range(n) if not dead[i]]
+
+
 def build_rauzy(sft, order=None):
     """Rauzy graph of ``sft`` at the given order (default: the SFT's order).
 
@@ -514,30 +559,24 @@ def build_rauzy(sft, order=None):
         raise ValueError(f"order {m} below the SFT order {sft.order}")
     sym_index = {s: i for i, s in enumerate(sft.alphabet.symbols)}
     vertices = sorted(_locally_admissible_words(sft, m), key=lambda w: [sym_index[s] for s in w])
-    vset = set(vertices)
-    edges = set()
+    index = {v: i for i, v in enumerate(vertices)}
+    succ = []
     for u in vertices:
+        row = []
         for s in sft.alphabet.symbols:
-            v = u[1:] + (s,)
-            if v in vset and sft.word_locally_admissible(u + (s,)):
-                edges.add((u, v))
+            j = index.get(u[1:] + (s,))
+            if j is not None and sft.word_locally_admissible(u + (s,)):
+                row.append(j)
+        succ.append(row)
 
-    # prune vertices of in- or out-degree 0 to fixpoint
-    while True:
-        outdeg = {v: 0 for v in vset}
-        indeg = {v: 0 for v in vset}
-        for u, v in edges:
-            outdeg[u] += 1
-            indeg[v] += 1
-        dead = {v for v in vset if outdeg[v] == 0 or indeg[v] == 0}
-        if not dead:
-            break
-        vset -= dead
-        edges = {(u, v) for (u, v) in edges if u not in dead and v not in dead}
-    if not vset:
+    keep = essential_states(succ)
+    if not keep:
         raise EmptyLanguage("every vertex was pruned; the SFT is empty")
-    vertices = [v for v in vertices if v in vset]
-    return RauzyGraph(sft, m, Digraph(tuple(vertices), frozenset(edges)))
+    alive = set(keep)
+    edges = frozenset(
+        (vertices[i], vertices[j]) for i in keep for j in succ[i] if j in alive
+    )
+    return RauzyGraph(sft, m, Digraph(tuple(vertices[i] for i in keep), edges))
 
 
 def scc_decompose(graph):

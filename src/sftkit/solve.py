@@ -28,6 +28,7 @@ from .core import (
     PreconditionUnmet,
     Sft1D,
     build_rauzy,
+    require_same_alphabet,
 )
 from .classify import check_condition_d, has_only_periodic_points, scc_types
 from .compiler import VerticalPresentation
@@ -270,13 +271,18 @@ def find_torus(H, column_constraint, max_w, max_h, forbidden2d=()):
 
 
 def _search_torus(H, cols, w, h, forbidden2d):
-    lh = H.order
     chosen = []
 
+    def rows_ok(c):
+        # each row's newest order + 1 cells are a factor of the cyclic row
+        k = min(len(chosen), H.order)
+        tail = chosen[len(chosen) - k :]
+        return all(
+            H.word_locally_admissible(tuple(col[j] for col in tail) + (c[j],)) for j in range(h)
+        )
+
     def pairs_ok(c1, c2):
-        if lh == 1:
-            return all(H.word_locally_admissible((x, y)) for x, y in zip(c1, c2))
-        return True
+        return all(H.word_locally_admissible((x, y)) for x, y in zip(c1, c2))
 
     def full_check():
         pat = Pattern2D.from_columns(chosen)
@@ -292,7 +298,7 @@ def _search_torus(H, cols, w, h, forbidden2d):
         if len(chosen) == w:
             return full_check()
         for c in cols:
-            if chosen and not pairs_ok(chosen[-1], c):
+            if not rows_ok(c):
                 continue
             if len(chosen) == w - 1 and not pairs_ok(c, chosen[0] if chosen else c):
                 continue
@@ -355,9 +361,12 @@ def decide_with_certificate(H, constraint, budget=200000):
     must have only periodic points.  The search runs over blocks of the
     theoretical pigeonhole size; a repeated block closes a cycle from which a
     replayable torus witness is extracted, and emptiness is reported only
-    when the block graph is exhausted (or no block exists at all).
+    when the block graph is exhausted (or no block exists at all).  An SFT
+    constraint over other symbols than H is a ValueError.
     """
     is_vertical = isinstance(constraint, Sft1D)
+    if is_vertical:
+        require_same_alphabet(H, constraint)
     g = build_rauzy(H)
 
     if is_vertical:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -92,6 +93,17 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(out)["status"] == "nonempty"
+
+    def test_higher_order_torus_search_finishes(self, capsys):
+        # alt011 has order 2 and no torus with golden columns up to the
+        # default bound, so every size up to 6 x 6 is searched
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "solve", "torus", "--h", path("alt011.json"), "--v", path("golden.json"),
+        )
+        assert code == 1
+        assert json.loads(out) == {"bound": 6, "found": False}
+        assert time.perf_counter() - start < 10
 
 
 class TestErrors:

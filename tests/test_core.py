@@ -14,6 +14,7 @@ from sftkit.core import (
     WangTileSet,
     _locally_admissible_words,
     build_rauzy,
+    essential_states,
     free_tile_set,
     full_shift,
     higher_block_recode,
@@ -336,3 +337,107 @@ class TestFactorAutomaton:
         assert golden.word_locally_admissible("0101")
         assert golden == fresh and hash(golden) == hash(fresh)
         assert golden.to_json() == fresh.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the essential-part trim against a round-based fixpoint
+
+
+def rounds_trim(succ):
+    """Reference: delete every state of in- or out-degree 0, round by round,
+    until a round deletes nothing; the sorted survivors."""
+    alive = set(range(len(succ)))
+    while True:
+        outdeg = {u: sum(1 for v in succ[u] if v in alive) for u in alive}
+        indeg = {v: 0 for v in alive}
+        for u in alive:
+            for v in succ[u]:
+                if v in alive:
+                    indeg[v] += 1
+        dead = {u for u in alive if indeg[u] == 0 or outdeg[u] == 0}
+        if not dead:
+            return sorted(alive)
+        alive -= dead
+
+
+@st.composite
+def trim_digraphs(draw):
+    """Random digraphs with self-loops, parallel edges and isolated states,
+    plus long chains into and out of a cycle, under a random numbering."""
+    n = draw(st.integers(0, 10))
+    edges = []
+    if n:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    if draw(st.booleans()):
+        # a chain of length `into` feeding a cycle that drains into a chain of length `out`
+        into, ring, out = draw(st.integers(0, 60)), draw(st.integers(1, 4)), draw(st.integers(0, 60))
+        chain = list(range(n, n + into + ring + out))
+        n += len(chain)
+        path = chain[:into] + chain[into : into + ring]
+        edges += list(zip(path, path[1:]))
+        edges.append((chain[into + ring - 1], chain[into]))  # close the ring
+        tail = [chain[into]] + chain[into + ring :]
+        edges += list(zip(tail, tail[1:]))
+    perm = draw(st.permutations(range(n)))
+    succ = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[perm[u]].append(perm[v])
+    return succ
+
+
+class TestEssentialTrim:
+    @DIFFERENTIAL
+    @given(trim_digraphs())
+    @example([[1], [2], [3], [3]])  # a chain into a loop: the chain goes
+    @example([[0, 0], [], [1, 1]])  # parallel edges around a sink
+    @example([[]] * 4)  # isolated states only
+    def test_matches_round_based_fixpoint(self, succ):
+        assert essential_states(succ) == rounds_trim(succ)
+
+    def test_long_chain_through_a_cycle(self):
+        # the reference needs about n rounds; the worklist one pass
+        n = 220
+        into = [[i + 1] for i in range(n)]  # 0 -> 1 -> ... -> n
+        ring = [[n + 1], [n, n + 2]]  # n <-> n + 1, then out
+        out = [[i + 1] for i in range(n + 2, 2 * n + 2)] + [[]]
+        succ = into + ring + out
+        assert essential_states(succ) == rounds_trim(succ) == [n, n + 1]
+
+    def test_everything_pruned(self):
+        assert essential_states([[1], [2], []]) == []
+        # the order-1 graph 1 -> 0 keeps no vertex, so the SFT is empty
+        sft = Sft1D.from_words("01", "00", "01", "11")
+        assert _locally_admissible_words(sft, 1) == [("0",), ("1",)]
+        with pytest.raises(EmptyLanguage):
+            build_rauzy(sft)
+
+    def test_coding3_free2_presentation(self, coding_sft):
+        from sftkit.compiler import compile_wang
+        from sftkit.cycles import find_cycle_pair
+
+        pair = find_cycle_pair(build_rauzy(coding_sft))[0]
+        pres, _ = compile_wang(coding_sft, free_tile_set(2), pair)
+        # the subset construction again, untrimmed, from the NFA
+        start = frozenset(pres._nfa_states)
+        ids, order, rows = {start: 0}, [start], []
+        for subset in order:
+            by_label = {}
+            for q in subset:
+                a, targets = pres._nfa_next[q]
+                by_label.setdefault(a, set()).update(targets)
+            row = {}
+            for a in sorted(by_label):
+                t = frozenset(by_label[a])
+                if t not in ids:
+                    ids[t] = len(order)
+                    order.append(t)
+                row[a] = ids[t]
+            rows.append(row)
+        succ = [list(r.values()) for r in rows]
+        keep = essential_states(succ)
+        assert keep == rounds_trim(succ)
+        assert len(keep) == len(pres.states) == 195 < len(rows)
+        remap = {s: i for i, s in enumerate(keep)}
+        assert pres.transitions == [
+            {a: remap[t] for a, t in rows[s].items() if t in remap} for s in keep
+        ]

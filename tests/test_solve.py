@@ -240,6 +240,40 @@ class TestStripAutomaton:
         assert lam > 1
 
 
+def aperiodic_sft(rng, order):
+    """An order-``order`` SFT over 0, 1 with no constant point: it forbids
+    both constant words of length order + 1 and up to three random ones."""
+    words = {a * (order + 1) for a in "01"} | {
+        "".join(rng.choice("01") for _ in range(order + 1)) for _ in range(rng.randint(0, 3))
+    }
+    return Sft1D.from_words("01", *words)
+
+
+def cyclic_ok(sft, word):
+    """Naive scan: the periodic repetition of ``word`` has no forbidden factor."""
+    longest = max(map(len, sft.forbidden), default=1)
+    text = tuple(word) * (2 + longest // len(word))
+    return not any(
+        text[x : x + len(f)] == f for f in sft.forbidden for x in range(len(text) - len(f) + 1)
+    )
+
+
+def unpruned_torus(H, V, max_w, max_h):
+    """Columns of the first torus in find_torus order, trying every w-tuple of
+    cyclic columns in lexicographic order with no pruning; None if none."""
+    sizes = sorted(
+        ((w, h) for w in range(1, max_w + 1) for h in range(1, max_h + 1)),
+        key=lambda s: (s[0] * s[1], s[0], s[1]),
+    )
+    for w, h in sizes:
+        cols = [c for c in product(V.alphabet.symbols, repeat=h) if cyclic_ok(V, c)]
+        rows = {r for r in product(H.alphabet.symbols, repeat=w) if cyclic_ok(H, r)}
+        for combo in product(cols, repeat=w):
+            if all(tuple(c[j] for c in combo) in rows for j in range(h)):
+                return combo
+    return None
+
+
 class TestTorus:
     def test_golden_one_by_one(self, golden):
         wit = find_torus(golden, golden, 3, 3)
@@ -259,6 +293,22 @@ class TestTorus:
         H = Sft1D.from_words("01", "00", "11")
         V = Sft1D.from_words("01", "00", "010", "111")
         assert find_torus(H, V, 6, 6) is None
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_higher_order_first_witness_matches_unpruned_search(self, order):
+        rng = random.Random(order)
+        found = 0
+        for _ in range(30):
+            H, V = aperiodic_sft(rng, order), aperiodic_sft(rng, rng.randint(1, 2))
+            wit = find_torus(H, V, 4, 4)
+            expect = unpruned_torus(H, V, 4, 4)
+            if expect is None:
+                assert wit is None
+                continue
+            found += 1
+            assert (wit.width, wit.height) == (len(expect), len(expect[0]))
+            assert tuple(tuple(wit.pattern.column(i)) for i in range(wit.width)) == expect
+        assert found >= 4
 
     def test_compiled_monotile(self, coding_sft):
         pair, _ = find_cycle_pair(build_rauzy(coding_sft))
@@ -360,6 +410,11 @@ class TestDecide:
                 assert not any(
                     col[x : x + 3] == f for f in V.forbidden for x in range(len(col) - 2)
                 )
+
+    def test_mismatched_alphabets_are_input_errors(self, golden):
+        two_cycle = sft_from_edges("ab", [("a", "b"), ("b", "a")])
+        with pytest.raises(ValueError, match="different alphabets: a, b and 0, 1"):
+            decide_with_certificate(two_cycle, golden)
 
     def test_precondition_checked(self, coding_sft, golden):
         with pytest.raises(PreconditionUnmet):
