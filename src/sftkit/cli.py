@@ -268,6 +268,10 @@ def _cmd_encode(args):
     grammar = build_grammar(sft, pair, tiles.N)
     with open(args.input) as fh:
         grid = json.load(fh)["tiles"]
+    if not (isinstance(grid, list) and all(isinstance(col, list) for col in grid)):
+        raise ValueError("tiles must be a list of columns")
+    if not all(type(k) is int for col in grid for k in col):
+        raise ValueError("tile indices must be integers")
     pat = encode_pattern(grid, grammar, tiles)
     _emit(pat.to_json(), args.out)
     return 0

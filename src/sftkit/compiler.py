@@ -222,112 +222,71 @@ class VerticalPresentation:
 
     Bi-infinite label paths are exactly the legal columns: vertical stacks of
     macro-slices of one phase, with code registers constrained by the Wang
-    tile rules.  ``transitions[s][a]`` is the unique a-successor of state s.
+    tile rules.  The constructor takes an NFA over macro-slice positions and
+    keeps only the essential part of its subset construction; every query
+    runs on that DFA, where ``transitions[s][a]`` is the unique a-successor
+    of state s.  A legal column word is a factor of a bi-infinite column.
     """
 
     def __init__(self, alphabet, nfa_states, nfa_next, annotations, allowed_succession, grammar=None, tiles=None):
         self.alphabet = tuple(alphabet)
-        self._nfa_states = tuple(nfa_states)
-        self._nfa_next = nfa_next  # state -> (label, tuple of targets)
-        self._annotations_nfa = annotations  # nfa state -> (p, t, k, l)
         self.allowed_succession = allowed_succession
         self.grammar = grammar
         self.tiles = tiles
-        self.states, self.transitions, self.decode_annotations = self._determinize()
-
-    # -- construction -------------------------------------------------------
-
-    def _determinize(self):
-        start = frozenset(self._nfa_states)
-        ids = {start: 0}
-        order = [start]
-        trans = []
-        i = 0
-        while i < len(order):
-            S = order[i]
-            i += 1
-            by_label = {}
-            for q in S:
-                a, targets = self._nfa_next[q]
-                by_label.setdefault(a, set()).update(targets)
-            row = {}
-            for a in sorted(by_label):
-                T = frozenset(by_label[a])
-                if T not in ids:
-                    ids[T] = len(order)
-                    order.append(T)
-                row[a] = ids[T]
-            trans.append(row)
-
-        # trim to the essential part (every state on a bi-infinite path)
-        keep = essential_states([row.values() for row in trans])
-        remap = {s: i for i, s in enumerate(keep)}
-        states = tuple(range(len(keep)))
-        transitions = [
-            {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
-        ]
-        annotations = []
-        for s in keep:
-            subset = order[s]
-            if len(subset) <= 8:
-                annotations.append(tuple(sorted(self._annotations_nfa[q] for q in subset)))
-            else:
-                annotations.append(None)
-        return states, transitions, annotations
-
-    # -- queries -------------------------------------------------------------
+        self.states, self.transitions, self.decode_annotations = _determinize(
+            nfa_states, nfa_next, annotations
+        )
 
     def scan(self, word, states=None):
-        """NFA subset after reading ``word`` (empty set when not a factor)."""
-        current = set(self._nfa_states) if states is None else set(states)
+        """States reached by reading ``word`` from ``states`` (default: all);
+        empty when ``word`` is not a factor."""
+        trans = self.transitions
+        current = set(self.states if states is None else states)
         for a in word:
-            nxt = set()
-            for q in current:
-                lab, targets = self._nfa_next[q]
-                if lab == a:
-                    nxt.update(targets)
-            if not nxt:
-                return frozenset()
-            current = nxt
+            current = {trans[s][a] for s in current if a in trans[s]}
+            if not current:
+                break
         return frozenset(current)
 
     def is_factor(self, word):
         return bool(self.scan(word))
 
     def words(self, h):
-        """All legal column words of length h (lexicographic order)."""
+        """All legal column words of length h, in canonical alphabet order."""
         out = []
-        sym_order = {a: i for i, a in enumerate(self.alphabet)}
+        trans = self.transitions
+        rank = {a: i for i, a in enumerate(self.alphabet)}
 
         def rec(current, word):
             if len(word) == h:
                 out.append(tuple(word))
                 return
             by_label = {}
-            for q in current:
-                lab, targets = self._nfa_next[q]
-                by_label.setdefault(lab, set()).update(targets)
-            for a in sorted(by_label, key=sym_order.get):
+            for s in current:
+                for a, t in trans[s].items():
+                    by_label.setdefault(a, set()).add(t)
+            for a in sorted(by_label, key=rank.get):
                 word.append(a)
                 rec(by_label[a], word)
                 word.pop()
 
-        rec(set(self._nfa_states), [])
+        rec(self.states, [])
         return out
 
     def is_cyclic(self, word):
-        """Is ``word`` readable as a cycle (a legal period-|word| column)?"""
-        pairs = {(s, s) for s in self._nfa_states}
+        """Is the periodic column ``word`` repeated forever legal?
+
+        It is when the partial map f(s) = (state after reading ``word`` from
+        s) has a cycle, and then f has a fixed point: the subsets reached by
+        reading word, word^2, ... from the full NFA set shrink to a nonempty
+        subset that ``word`` maps to itself, a state the trim keeps because
+        it lies on a loop.
+        """
+        trans = self.transitions
+        image = {s: s for s in self.states}
         for a in word:
-            nxt = set()
-            for (s, q) in pairs:
-                lab, targets = self._nfa_next[q]
-                if lab == a:
-                    nxt.update((s, t) for t in targets)
-            if not nxt:
-                return False
-            pairs = nxt
-        return any(s == q for (s, q) in pairs)
+            image = {s: trans[q][a] for s, q in image.items() if a in trans[q]}
+        return any(s == q for s, q in image.items())
 
     def to_json(self):
         return {
@@ -346,8 +305,45 @@ class VerticalPresentation:
         }
 
 
-def _presentation_from_grammar(grammar, tiles):
-    """NFA over macro-slice blocks, then determinized by the presentation."""
+def _determinize(nfa_states, nfa_next, nfa_annotations):
+    """Essential part of the subset construction from the full state set.
+
+    ``nfa_next[q]`` is (label, targets) and ``nfa_annotations[q]`` is
+    (p, t, k, l).  Returns (states, transitions, annotations); a state's
+    annotations list its subset's when it has at most 8 members.
+    """
+    start = frozenset(nfa_states)
+    ids = {start: 0}
+    order = [start]
+    trans = []
+    for subset in order:
+        by_label = {}
+        for q in subset:
+            a, targets = nfa_next[q]
+            by_label.setdefault(a, set()).update(targets)
+        row = {}
+        for a in sorted(by_label):
+            T = frozenset(by_label[a])
+            if T not in ids:
+                ids[T] = len(order)
+                order.append(T)
+            row[a] = ids[T]
+        trans.append(row)
+
+    keep = essential_states([row.values() for row in trans])
+    remap = {s: i for i, s in enumerate(keep)}
+    transitions = [
+        {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
+    ]
+    annotations = [
+        tuple(sorted(nfa_annotations[q] for q in order[s])) if len(order[s]) <= 8 else None
+        for s in keep
+    ]
+    return tuple(range(len(keep))), transitions, annotations
+
+
+def _grammar_nfa(grammar, tiles):
+    """NFA over macro-slice positions: (states, next, annotations, succession)."""
     M, N = grammar.M, grammar.N
     height = grammar.macro_height
 
@@ -366,58 +362,36 @@ def _presentation_from_grammar(grammar, tiles):
         for (k, l) in pairs_for_phase(p):
             blocks.append((p, k, l, grammar.macro_word(p, k, l)))
 
-    ids = {}
-    states = []
+    # state bi * height + t is cell t of block bi
+    states = list(range(len(blocks) * height))
     annotations = {}
-    for bi, (p, k, l, word) in enumerate(blocks):
-        for t in range(height):
-            sid = bi * height + t
-            ids[(bi, t)] = sid
-            states.append(sid)
-            annotations[sid] = (p, t, k, l)
-
     succession = set()
     nfa_next = {}
     for bi, (p, k, l, word) in enumerate(blocks):
+        base = bi * height
+        for t in range(height):
+            annotations[base + t] = (p, t, k, l)
         for t in range(height - 1):
-            nfa_next[ids[(bi, t)]] = (word[t], (ids[(bi, t + 1)],))
+            nfa_next[base + t] = (word[t], (base + t + 1,))
         targets = []
         for bj, (p2, k2, l2, _) in enumerate(blocks):
             if p2 != p:
                 continue
             if grammar.k_relevant(p) and not tiles.vertical_ok(k, k2):
                 continue
-            targets.append(ids[(bj, 0)])
+            targets.append(bj * height)
             succession.add((p, k, l, k2, l2))
-        nfa_next[ids[(bi, height - 1)]] = (word[height - 1], tuple(targets))
-
-    return VerticalPresentation(
-        grammar.H.alphabet.symbols,
-        states,
-        nfa_next,
-        annotations,
-        frozenset(succession),
-        grammar=grammar,
-        tiles=tiles,
-    )
+        nfa_next[base + height - 1] = (word[height - 1], tuple(targets))
+    return states, nfa_next, annotations, frozenset(succession)
 
 
-def _plain_cycle_presentation(grammar, tiles):
+def _plain_cycle_nfa(grammar):
     """Degenerate single-tile case: the vertical SFT is the C1 cycle shift."""
     c1 = grammar.c1
     n = len(c1)
-    states = list(range(n))
     nfa_next = {i: (c1[(i + 1) % n], ((i + 1) % n,)) for i in range(n)}
     annotations = {i: (0, i, 1, 1) for i in range(n)}
-    return VerticalPresentation(
-        grammar.H.alphabet.symbols,
-        states,
-        nfa_next,
-        annotations,
-        frozenset({(0, 1, 1, 1, 1)}),
-        grammar=grammar,
-        tiles=tiles,
-    )
+    return list(range(n)), nfa_next, annotations, frozenset({(0, 1, 1, 1, 1)})
 
 
 def compile_wang(H, tiles, pair):
@@ -437,10 +411,8 @@ def compile_wang(H, tiles, pair):
     if check_condition_d(g).holds:
         raise ConditionDHolds("the horizontal graph satisfies the decidability condition")
     grammar = build_grammar(H, pair, tiles.N)
-    if tiles.N == 1:
-        pres = _plain_cycle_presentation(grammar, tiles)
-    else:
-        pres = _presentation_from_grammar(grammar, tiles)
+    nfa = _plain_cycle_nfa(grammar) if tiles.N == 1 else _grammar_nfa(grammar, tiles)
+    pres = VerticalPresentation(H.alphabet.symbols, *nfa, grammar=grammar, tiles=tiles)
     cert = RootCertificate(
         grammar.M,
         grammar.macro_height,
@@ -745,54 +717,28 @@ def _labels(path):
     return tuple(v[-1] for v in path[1:])
 
 
-class _Flower:
-    """Factor oracle of bi-infinite concatenations of the code words."""
+def _flower_scan(words):
+    """``scan`` over the bi-infinite concatenations of ``words``: the set of
+    positions (word index, offset) reached by reading a word."""
+    start = frozenset((w, i) for w in range(len(words)) for i in range(len(words[w])))
 
-    def __init__(self, words):
-        self.words = words
-        # positions: (word index, offset)
-        self.positions = [(w, i) for w in range(len(words)) for i in range(len(words[w]))]
-
-    def step(self, states, a):
-        nxt = set()
-        for (w, i) in states:
-            if self.words[w][i] != a:
-                continue
-            if i + 1 < len(self.words[w]):
-                nxt.add((w, i + 1))
-            else:
-                for w2 in range(len(self.words)):
-                    nxt.add((w2, 0))
-        return frozenset(nxt)
-
-    def start(self):
-        return frozenset(self.positions)
-
-    def is_factor(self, word):
-        s = self.start()
+    def scan(word, states=None):
+        current = start if states is None else states
         for a in word:
-            s = self.step(s, a)
-            if not s:
-                return False
-        return True
+            nxt = set()
+            for (w, i) in current:
+                if words[w][i] != a:
+                    continue
+                if i + 1 < len(words[w]):
+                    nxt.add((w, i + 1))
+                else:
+                    nxt.update((w2, 0) for w2 in range(len(words)))
+            current = nxt
+            if not current:
+                break
+        return frozenset(current)
 
-    def minimal_forbidden(self, alphabet, max_len):
-        """Words w with |w| <= max_len, w not a factor but both w[1:] and
-        w[:-1] factors."""
-        out = []
-        frontier = [((), self.start())]
-        for _ in range(max_len):
-            nxt = []
-            for word, s in frontier:
-                for a in alphabet:
-                    t = self.step(s, a)
-                    w2 = word + (a,)
-                    if t:
-                        nxt.append((w2, t))
-                    elif self.is_factor(w2[1:]):
-                        out.append(w2)
-            frontier = nxt
-        return out
+    return scan
 
 
 def compile_horizontal(H, tiles):
@@ -833,10 +779,9 @@ def compile_horizontal(H, tiles):
     U = len(code_words[0])
     separator = l2 + l2
 
-    flower = _Flower(list(code_words))
     max_len = U + len(separator) + 1
     patterns = []
-    for w in flower.minimal_forbidden(H.alphabet.symbols, max_len):
+    for w in _minimal_forbidden(_flower_scan(code_words), H.alphabet.symbols, max_len):
         patterns.append(Pattern2D(len(w), 1, tuple(w)))
     # separator alignment: a separator above anything that is not a separator
     for w in _all_words(H.alphabet.symbols, len(separator)):
@@ -865,24 +810,34 @@ def _all_words(alphabet, n):
     return out
 
 
+def _minimal_forbidden(scan, alphabet, max_len):
+    """Words w with |w| <= max_len that are not factors while w[:-1] and
+    w[1:] are, in length-then-alphabet order.
+
+    ``scan(word, states=None)`` reads ``word`` from ``states`` (default: the
+    start set of every factor) and returns the reached set, empty when the
+    word is not a factor.
+    """
+    out = []
+    frontier = [((), scan(()))]
+    for _ in range(max_len):
+        nxt = []
+        for word, s in frontier:
+            for a in alphabet:
+                t = scan((a,), s)
+                w2 = word + (a,)
+                if t:
+                    nxt.append((w2, t))
+                elif scan(w2[1:]):
+                    out.append(w2)
+        frontier = nxt
+    return out
+
+
 def export_forbidden_words(presentation, max_len):
     """Minimal forbidden words of the presented vertical shift, up to max_len.
 
     Only feasible for small heights; used to validate a presentation against
     an independent SFT membership oracle.
     """
-    alphabet = presentation.alphabet
-    out = []
-    frontier = [((), frozenset(presentation.scan(())))]
-    for _ in range(max_len):
-        nxt = []
-        for word, s in frontier:
-            for a in alphabet:
-                t = presentation.scan((a,), s)
-                w2 = word + (a,)
-                if t:
-                    nxt.append((w2, t))
-                elif presentation.is_factor(w2[1:]):
-                    out.append(w2)
-        frontier = nxt
-    return out
+    return _minimal_forbidden(presentation.scan, presentation.alphabet, max_len)

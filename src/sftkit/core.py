@@ -731,7 +731,10 @@ class Pattern2D:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["width"], obj["height"], tuple(obj["cells"]))
+        width, height, cells = obj["width"], obj["height"], obj["cells"]
+        if type(width) is not int or type(height) is not int or not isinstance(cells, list):
+            raise ValueError("width and height must be integers and cells a list")
+        return cls(width, height, tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -806,7 +809,13 @@ class WangTileSet:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(WangTile(t["e"], t["w"], t["n"], t["s"], t.get("name", "")) for t in obj["tiles"]))
+        tiles = obj["tiles"]
+        if not (isinstance(tiles, list) and all(isinstance(t, dict) for t in tiles)):
+            raise ValueError("tiles must be a list of objects")
+        fields = [(t["e"], t["w"], t["n"], t["s"], t.get("name", "")) for t in tiles]
+        if not all(isinstance(c, (str, int)) for f in fields for c in f):
+            raise ValueError("tile colors and names must be strings or integers")
+        return cls(tuple(WangTile(*f) for f in fields))
 
     @classmethod
     def load(cls, path):

@@ -123,6 +123,32 @@ class TestErrors:
             code, out, err = run(capsys, "rauzy", "--input", str(bad))
             assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_non_integer_tile_grid(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"tiles": [[1, "2"]]}))
+        code, out, err = run(
+            capsys, "encode", "--h", path("coding3.json"), "--w", path("free2.json"), "--input", str(grid),
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_tiles_not_a_list(self, capsys, tmp_path):
+        tiles = tmp_path / "tiles.json"
+        tiles.write_text(json.dumps({"tiles": "abc"}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"tiles": [[1]]}))
+        code, out, err = run(
+            capsys, "encode", "--h", path("coding3.json"), "--w", str(tiles), "--input", str(grid),
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_pattern_width_not_an_integer(self, capsys, tmp_path):
+        window = tmp_path / "window.json"
+        window.write_text(json.dumps({"width": "2", "height": 1, "cells": ["a", "b"]}))
+        code, out, err = run(
+            capsys, "decode", "--h", path("coding3.json"), "--w", path("free2.json"), "--input", str(window),
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unreplayable_witness_is_not_an_answer(self, capsys, monkeypatch):
         import sftkit.cli
 

@@ -9,6 +9,8 @@ from sftkit.core import (
     OnlyPeriodicPoints,
     Pattern2D,
     Sft1D,
+    WangTile,
+    WangTileSet,
     build_rauzy,
     free_tile_set,
     monotile_set,
@@ -16,6 +18,7 @@ from sftkit.core import (
 )
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
+    _grammar_nfa,
     build_grammar,
     compile_horizontal,
     compile_wang,
@@ -331,3 +334,102 @@ class TestForbiddenExport:
                     for i in range(len(cand) - len(w) + 1)
                 )
                 assert banned != pres.is_factor(cand)
+
+
+def _nfa_oracle(grammar, tiles):
+    """Independent reading of the NFA that a presentation is built from.
+
+    The NFA is trimmed to its essential states by rounds: each round drops
+    every state with no successor or no predecessor among the kept ones.
+    Returns (steps, cyclic, words): ``steps(word)`` is the set of pairs
+    (q, q') with q reading ``word`` into q' between essential states,
+    ``cyclic(word)`` says whether that relation has a cycle, that is whether
+    word repeated forever labels a bi-infinite path, and ``words(h)`` is the
+    set of labels of length-h paths between essential states.
+    """
+    states, nfa_next, _, _ = _grammar_nfa(grammar, tiles)
+    keep = set(states)
+    while True:
+        has_pred = {t for q in keep for t in nfa_next[q][1] if t in keep}
+        kept = {q for q in keep if q in has_pred and any(t in keep for t in nfa_next[q][1])}
+        if kept == keep:
+            break
+        keep = kept
+    label = {q: nfa_next[q][0] for q in keep}
+    succ = {q: [t for t in nfa_next[q][1] if t in keep] for q in keep}
+
+    def steps(word):
+        pairs = {(q, q) for q in keep}
+        for a in word:
+            pairs = {(q, t) for q, r in pairs if label[r] == a for t in succ[r]}
+        return pairs
+
+    def cyclic(word):
+        rel = {}
+        for q, r in steps(word):
+            rel.setdefault(q, set()).add(r)
+        nodes = set(rel)
+        while True:
+            kept = {q for q in nodes if rel[q] & nodes}
+            if kept == nodes:
+                return bool(nodes)
+            nodes = kept
+
+    def words(h):
+        frontier = {((), q) for q in keep}
+        for _ in range(h):
+            frontier = {(w + (label[q],), t) for w, q in frontier for t in succ[q]}
+        return {w for w, _ in frontier}
+
+    return steps, cyclic, words
+
+
+class TestPresentationAgainstNfa:
+    """The DFA queries against the essential part of the NFA."""
+
+    def _random_tiles(self, rng, n):
+        return WangTileSet(
+            tuple(
+                WangTile(rng.choice("hi"), rng.choice("hi"), rng.choice("xyz"), rng.choice("xyz"), name=f"t{k}")
+                for k in range(1, n + 1)
+            )
+        )
+
+    def _compare(self, coding_sft, coding_pair, tiles, rng):
+        pres, cert = compile_wang(coding_sft, tiles, coding_pair)
+        steps, cyclic, nfa_words = _nfa_oracle(pres.grammar, tiles)
+        rank = {a: i for i, a in enumerate(pres.alphabet)}
+        for h in list(range(1, 13)) + [cert.n]:
+            words = pres.words(h)
+            assert words == sorted(nfa_words(h), key=lambda w: [rank[a] for a in w]), h
+            for w in words:
+                assert pres.is_cyclic(w) == cyclic(w), w
+            for w in rng.sample(words, min(len(words), 20)):
+                w = list(w)
+                w[rng.randrange(h)] = rng.choice(pres.alphabet)
+                assert pres.is_factor(w) == bool(steps(w)), w
+                assert pres.is_cyclic(w) == cyclic(w), w
+
+    def test_random_tile_sets(self, coding_sft, coding_pair):
+        rng = random.Random(5)
+        no_upper = no_lower = 0
+        for n in (2, 2, 2, 2, 2, 2, 3, 3):
+            tiles = self._random_tiles(rng, n)
+            ks = range(1, n + 1)
+            no_upper += any(not any(tiles.vertical_ok(k, j) for j in ks) for k in ks)
+            no_lower += any(not any(tiles.vertical_ok(j, k) for j in ks) for k in ks)
+            self._compare(coding_sft, coding_pair, tiles, rng)
+        assert no_upper and no_lower
+
+    def test_dead_ends(self, coding_sft, coding_pair):
+        rng = random.Random(0)
+        for top, bottom in (("z", "x"), ("x", "z")):
+            # t2 has no upper neighbour, then no lower one
+            tiles = WangTileSet((WangTile("h", "h", "x", "x"), WangTile("h", "h", top, bottom)))
+            self._compare(coding_sft, coding_pair, tiles, rng)
+
+    def test_dead_end_columns_are_not_counted(self, coding_sft, coding_pair):
+        # t2 has no upper neighbour, so a column cannot hold it forever
+        tiles = WangTileSet((WangTile("h", "h", "x", "x"), WangTile("h", "h", "z", "x")))
+        pres, _ = compile_wang(coding_sft, tiles, coding_pair)
+        assert count_rectangles(coding_sft, pres, 1, 60) == 308

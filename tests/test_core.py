@@ -412,18 +412,19 @@ class TestEssentialTrim:
             build_rauzy(sft)
 
     def test_coding3_free2_presentation(self, coding_sft):
-        from sftkit.compiler import compile_wang
+        from sftkit.compiler import _grammar_nfa, compile_wang
         from sftkit.cycles import find_cycle_pair
 
         pair = find_cycle_pair(build_rauzy(coding_sft))[0]
         pres, _ = compile_wang(coding_sft, free_tile_set(2), pair)
         # the subset construction again, untrimmed, from the NFA
-        start = frozenset(pres._nfa_states)
+        nfa_states, nfa_next, _, _ = _grammar_nfa(pres.grammar, pres.tiles)
+        start = frozenset(nfa_states)
         ids, order, rows = {start: 0}, [start], []
         for subset in order:
             by_label = {}
             for q in subset:
-                a, targets = pres._nfa_next[q]
+                a, targets = nfa_next[q]
                 by_label.setdefault(a, set()).update(targets)
             row = {}
             for a in sorted(by_label):
