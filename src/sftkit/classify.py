@@ -17,15 +17,11 @@ from .core import (
     Digraph,
     EmptyLanguage,
     NotStronglyConnected,
-    RauzyGraph,
+    as_digraph,
     build_rauzy,
 )
 
 TYPE_NAMES = ("reflexive", "symmetric", "state_split")
-
-
-def _as_digraph(g):
-    return g.graph if isinstance(g, RauzyGraph) else g
 
 
 @dataclass(frozen=True)
@@ -61,37 +57,34 @@ def scc_types(component):
     breadth-first levels modulo each divisor of the graph period; divisors
     are tried from the largest down and the witness partition is stored.
     """
-    g = _as_digraph(component)
+    g = as_digraph(component)
     if not g.is_strongly_connected():
         raise NotStronglyConnected("scc_types needs a strongly connected input")
     reflexive = all(g.has_edge(v, v) for v in g.vertices)
     symmetric = all(g.has_edge(v, u) for (u, v) in g.edges if u != v)
 
-    succ = g.succ_map()
-    root = g.vertices[0]
-    level = {root: 0}
-    frontier = [root]
+    # breadth-first levels from the first vertex, on vertex positions
+    succ = g.index.succ
+    level = [0] + [None] * (len(succ) - 1)
+    frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
             for v in succ[u]:
-                if v not in level:
+                if level[v] is None:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
     period = 0  # gcd of all cycle lengths
-    for u, v in g.edges:
-        period = gcd(period, level[u] + 1 - level[v])
+    for u, row in enumerate(succ):
+        for v in row:
+            period = gcd(period, level[u] + 1 - level[v])
 
     partition = None
     for p in sorted((d for d in range(1, period + 1) if period % d == 0), reverse=True):
-        classes = [tuple(v for v in g.vertices if level[v] % p == i) for i in range(p)]
-        cls_of = {v: level[v] % p for v in g.vertices}
-        ok = all(
-            set(succ[v]) == set(classes[(cls_of[v] + 1) % p]) for v in g.vertices
-        )
-        if ok:
-            partition = tuple(classes)
+        classes = [[i for i in range(len(succ)) if level[i] % p == c] for c in range(p)]
+        if all(row == classes[(level[i] + 1) % p] for i, row in enumerate(succ)):
+            partition = tuple(tuple(g.vertices[i] for i in c) for c in classes)
             break
     return SccTypeSet(reflexive, symmetric, partition is not None, partition)
 
@@ -101,7 +94,7 @@ def check_condition_d(graph):
 
     Transient vertices belong to no component and are ignored.
     """
-    g = _as_digraph(graph)
+    g = as_digraph(graph)
     transient = set(g.transient_vertices())
     comps = [c for c in g.sccs() if c[0] not in transient or len(c) > 1]
     per = tuple(scc_types(g.subgraph(c)) for c in comps)
@@ -132,12 +125,7 @@ def has_only_periodic_points(sft):
     """
     g = build_rauzy(sft)  # raises EmptyLanguage when empty
     dg = g.graph
-    outdeg = {v: 0 for v in dg.vertices}
-    indeg = {v: 0 for v in dg.vertices}
-    for u, v in dg.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    if any(outdeg[v] != 1 or indeg[v] != 1 for v in dg.vertices):
+    if any(dg.out_degree(v) != 1 or dg.in_degree(v) != 1 for v in dg.vertices):
         return PeriodicOnlyResult(False)
     period = 1
     for comp in dg.sccs():
@@ -152,7 +140,7 @@ def scc_product(components):
     product of strongly connected graphs may split; the result is returned as
     a plain Digraph (use ``sccs`` on it for the decomposition).
     """
-    graphs = [_as_digraph(c) for c in components]
+    graphs = [as_digraph(c) for c in components]
     if not graphs:
         raise ValueError("need at least one component")
     for g in graphs:

@@ -19,6 +19,7 @@ from .core import (
     SftError,
     WangTileSet,
     build_rauzy,
+    json_fields,
     require_same_alphabet,
 )
 from . import classify as _classify
@@ -49,10 +50,6 @@ def _emit(obj, path=None):
         print(text)
 
 
-def _load_sft(path):
-    return Sft1D.load(path)
-
-
 def _scc_colors(graph):
     palette = ("lightblue", "lightgreen", "lightsalmon", "plum", "khaki", "lightgray")
     colors = {}
@@ -63,7 +60,7 @@ def _scc_colors(graph):
 
 
 def _cmd_rauzy(args):
-    sft = _load_sft(args.input)
+    sft = Sft1D.load(args.input)
     g = build_rauzy(sft)
     if args.dot:
         print(g.to_dot())
@@ -82,7 +79,7 @@ def _cmd_rauzy(args):
 
 
 def _cmd_classify(args):
-    sft = _load_sft(args.input)
+    sft = Sft1D.load(args.input)
     g = build_rauzy(sft)
     verdict = _classify.check_condition_d(g)
     if args.dot:
@@ -107,7 +104,7 @@ def _cmd_classify(args):
 
 
 def _cmd_cycles_find(args):
-    sft = _load_sft(args.input)
+    sft = Sft1D.load(args.input)
     g = build_rauzy(sft)
     pair, report = find_cycle_pair(g)
     out = {
@@ -125,7 +122,7 @@ def _cmd_cycles_find(args):
 
 
 def _cmd_compile_wang(args):
-    sft = _load_sft(args.h)
+    sft = Sft1D.load(args.h)
     tiles = WangTileSet.load(args.w)
     g = build_rauzy(sft)
     pair, report = find_cycle_pair(g)
@@ -142,7 +139,7 @@ def _cmd_compile_wang(args):
 
 
 def _cmd_compile_horizontal(args):
-    sft = _load_sft(args.h)
+    sft = Sft1D.load(args.h)
     tiles = WangTileSet.load(args.w)
     comp, cert = compile_horizontal(sft, tiles)
     out = comp.to_json()
@@ -167,7 +164,7 @@ def _check_witness(sft, constraint, wit):
 
 
 def _cmd_solve(args):
-    sft = _load_sft(args.h)
+    sft = Sft1D.load(args.h)
     constraint = _constraint_from_args(args, sft)
     if args.action == "count":
         n = count_rectangles(sft, constraint, args.width, args.height, args.budget)
@@ -200,7 +197,7 @@ def _cmd_entropy(args):
         _emit({"gcd": m, "rank": rank, "certificate_bound": bound}, args.out)
         return 0
     if args.what == "1d":
-        sft = _load_sft(args.input)
+        sft = Sft1D.load(args.input)
         r = _entropy.entropy_1d(sft, args.tol)
         _emit(
             {
@@ -213,13 +210,13 @@ def _cmd_entropy(args):
         )
         return 0
     if args.what == "2d":
-        sft = _load_sft(args.h)
+        sft = Sft1D.load(args.h)
         constraint = _constraint_from_args(args, sft)
         b = _entropy.entropy_bounds_2d(sft, constraint, args.bound, args.bound, args.budget)
         _emit(b.to_json(), args.out)
         return 0
     if args.what == "statesplit":
-        sft = _load_sft(args.h)
+        sft = Sft1D.load(args.h)
         v = _constraint_from_args(args, sft)
         rep = _entropy.statesplit_entropy(sft, v, args.bound)
         _emit(
@@ -238,20 +235,15 @@ def _cmd_entropy(args):
     # realize
     with open(args.input) as fh:
         spec = json.load(fh)
-    sft = Sft1D.from_json(spec["H"])
-    tiles = WangTileSet.from_json(spec["payload"])
+    kinds = dict(H=dict, payload=dict, u=list, w1=list, w2=list, q=int, r=int, R=int, ks=list)
+    h, payload, u, w1, w2, q, r, big_r, ks = json_fields(spec, "realization spec", kinds, {"ks": [2]})
+    if not all(type(k) is int for k in ks):
+        raise ValueError("ks must be a list of integers")
     plan = _entropy.RealizationPlan(
-        sft,
-        tuple(spec["u"]),
-        tuple(spec["w1"]),
-        tuple(spec["w2"]),
-        spec["q"],
-        spec["r"],
-        spec["R"],
-        tiles,
+        Sft1D.from_json(h), tuple(u), tuple(w1), tuple(w2), q, r, big_r, WangTileSet.from_json(payload)
     )
     system = _entropy.build_realization(plan)
-    rows = [_entropy.realization_sandwich(system, k) for k in spec.get("ks", [2])]
+    rows = [_entropy.realization_sandwich(system, k) for k in ks]
     for row in rows:
         row["count"] = str(row["count"])
         row["lower"] = str(row["lower"])
@@ -261,14 +253,14 @@ def _cmd_entropy(args):
 
 
 def _cmd_encode(args):
-    sft = _load_sft(args.h)
+    sft = Sft1D.load(args.h)
     tiles = WangTileSet.load(args.w)
     g = build_rauzy(sft)
     pair, _ = find_cycle_pair(g)
     grammar = build_grammar(sft, pair, tiles.N)
     with open(args.input) as fh:
-        grid = json.load(fh)["tiles"]
-    if not (isinstance(grid, list) and all(isinstance(col, list) for col in grid)):
+        (grid,) = json_fields(json.load(fh), "tile grid", {"tiles": list})
+    if not all(isinstance(col, list) for col in grid):
         raise ValueError("tiles must be a list of columns")
     if not all(type(k) is int for col in grid for k in col):
         raise ValueError("tile indices must be integers")
@@ -278,7 +270,7 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
-    sft = _load_sft(args.h)
+    sft = Sft1D.load(args.h)
     tiles = WangTileSet.load(args.w)
     g = build_rauzy(sft)
     pair, _ = find_cycle_pair(g)

@@ -31,11 +31,12 @@ from .core import (
     NotInClopen,
     OnlyPeriodicPoints,
     Pattern2D,
-    RauzyGraph,
     Sft1D,
     WangTileSet,
+    as_digraph,
     build_rauzy,
     essential_states,
+    label_words,
 )
 from .classify import check_condition_d
 from .cycles import Cycle, CyclePair, good_pairs
@@ -109,14 +110,6 @@ class SliceGrammar:
 
     def is_buffer(self, p):
         return self.c1_sym(p) == self.c2_sym(p)
-
-    @property
-    def code_run(self):
-        """Phases whose micro-slices code a tile (the good-pair run)."""
-        if self.anchor is None:
-            return ()
-        run = self.anchor[2]
-        return tuple(range(run + 1))
 
     def k_relevant(self, p):
         return not self.is_buffer(p % self.M)
@@ -252,26 +245,22 @@ class VerticalPresentation:
         return bool(self.scan(word))
 
     def words(self, h):
-        """All legal column words of length h, in canonical alphabet order."""
-        out = []
+        """All legal column words of length h, in canonical alphabet order:
+        a depth-first walk over the sets of DFA states a prefix reaches."""
         trans = self.transitions
         rank = {a: i for i, a in enumerate(self.alphabet)}
+        memo = {}  # the walk meets the same state set at many depths
 
-        def rec(current, word):
-            if len(word) == h:
-                out.append(tuple(word))
-                return
-            by_label = {}
-            for s in current:
-                for a, t in trans[s].items():
-                    by_label.setdefault(a, set()).add(t)
-            for a in sorted(by_label, key=rank.get):
-                word.append(a)
-                rec(by_label[a], word)
-                word.pop()
+        def branches(current):
+            if current not in memo:
+                by_label = {}
+                for s in current:
+                    for a, t in trans[s].items():
+                        by_label.setdefault(a, set()).add(t)
+                memo[current] = [(a, frozenset(by_label[a])) for a in sorted(by_label, key=rank.get)]
+            return memo[current]
 
-        rec(self.states, [])
-        return out
+        return label_words(frozenset(self.states), branches, h)
 
     def is_cyclic(self, word):
         """Is the periodic column ``word`` repeated forever legal?
@@ -685,10 +674,11 @@ class HorizontalCompilation:
 
 def _first_return_paths(g, s, want=2, cap=None):
     """Shortest first-return paths from s (not visiting s in between)."""
+    g = as_digraph(g)
     cap = cap or (2 * len(g.vertices) + 2)
     out = []
-    succ = g.graph.succ_map() if isinstance(g, RauzyGraph) else g.succ_map()
-    order = {v: i for i, v in enumerate(g.vertices)}
+    succ = g.index.succ
+    s = g.index.rank[s]
 
     for length in range(1, cap + 1):
         found = []
@@ -705,7 +695,8 @@ def _first_return_paths(g, s, want=2, cap=None):
                         bounded(path + [v])
 
         bounded([s])
-        for p in sorted(found, key=lambda p: [order[v] for v in p]):
+        for p in sorted(found):  # canonical order of the vertex sequences
+            p = tuple(g.vertices[i] for i in p)
             if p not in out:
                 out.append(p)
                 if len(out) >= want:

@@ -84,6 +84,39 @@ class BudgetExceeded(SftError):
 
 
 # ---------------------------------------------------------------------------
+# JSON input
+
+_KIND_NAMES = {
+    dict: "an object", list: "a list", int: "an integer", (str, int): "a string or an integer"
+}
+
+
+def json_fields(obj, what, fields, defaults=None):
+    """Values of the fields of the JSON object ``obj``, in the order of ``fields``.
+
+    ``fields`` maps each field name to its type; a bool is not an integer.  A
+    field named in ``defaults`` may be absent and then takes its default.
+    Raises ValueError, naming ``what``, when ``obj`` is not an object, a
+    field is missing or a value has the wrong type.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    defaults = defaults or {}
+    values = []
+    for name, kind in fields.items():
+        if name not in obj:
+            if name not in defaults:
+                raise ValueError(f"{what} has no field {name!r}")
+            values.append(defaults[name])
+            continue
+        value = obj[name]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"{what} field {name!r} must be {_KIND_NAMES[kind]}")
+        values.append(value)
+    return values
+
+
+# ---------------------------------------------------------------------------
 # alphabet and 1D SFTs
 
 
@@ -217,10 +250,12 @@ class Sft1D:
 
     @classmethod
     def from_json(cls, obj):
-        alphabet, forbidden = obj["alphabet"], obj.get("forbidden", [])
-        if not (isinstance(alphabet, list) and all(isinstance(s, str) for s in alphabet)):
+        alphabet, forbidden = json_fields(
+            obj, "SFT", {"alphabet": list, "forbidden": list}, {"forbidden": []}
+        )
+        if not all(isinstance(s, str) for s in alphabet):
             raise ValueError("alphabet must be a list of strings")
-        if not (isinstance(forbidden, list) and all(isinstance(w, list) for w in forbidden)):
+        if not all(isinstance(w, list) for w in forbidden):
             raise ValueError("forbidden must be a list of lists of symbols")
         return cls(Alphabet(tuple(alphabet)), frozenset(tuple(w) for w in forbidden))
 
@@ -264,7 +299,12 @@ def require_same_alphabet(h, v, names=("H", "V")):
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable digraph with a canonical vertex order."""
+    """Immutable digraph with a canonical vertex order.
+
+    Every query reads ``index``, the integer form of the graph, which is built
+    on first use and is not part of the value: equality, hashing and repr
+    see only ``vertices`` and ``edges``.
+    """
 
     vertices: tuple
     edges: frozenset
@@ -279,36 +319,42 @@ class Digraph:
                 raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertex")
         object.__setattr__(self, "edges", frozenset(self.edges))
 
+    @cached_property
+    def index(self):
+        return GraphIndex(self.vertices, self.edges)
+
     def has_edge(self, u, v):
         return (u, v) in self.edges
 
+    def _vertices_at(self, ranks):
+        return tuple(self.vertices[i] for i in ranks)
+
     def successors(self, u):
-        order = {v: i for i, v in enumerate(self.vertices)}
-        return tuple(sorted((v for (a, v) in self.edges if a == u), key=order.get))
+        return self._vertices_at(self.index.succ[self.index.rank[u]])
 
     def predecessors(self, v):
-        order = {u: i for i, u in enumerate(self.vertices)}
-        return tuple(sorted((u for (u, b) in self.edges if b == v), key=order.get))
+        return self._vertices_at(self.index.pred[self.index.rank[v]])
 
     def succ_map(self):
-        order = {v: i for i, v in enumerate(self.vertices)}
-        m = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            m[u].append(v)
-        return {u: tuple(sorted(vs, key=order.get)) for u, vs in m.items()}
+        return {v: self._vertices_at(row) for v, row in zip(self.vertices, self.index.succ)}
 
     def pred_map(self):
-        order = {v: i for i, v in enumerate(self.vertices)}
-        m = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            m[v].append(u)
-        return {v: tuple(sorted(us, key=order.get)) for v, us in m.items()}
+        return {v: self._vertices_at(row) for v, row in zip(self.vertices, self.index.pred)}
 
     def out_degree(self, u):
-        return sum(1 for (a, _) in self.edges if a == u)
+        return len(self.index.succ[self.index.rank[u]])
 
     def in_degree(self, v):
-        return sum(1 for (_, b) in self.edges if b == v)
+        return len(self.index.pred[self.index.rank[v]])
+
+    def in_order(self, vs):
+        """The vertices ``vs`` sorted into canonical order."""
+        return sorted(vs, key=self.index.rank.__getitem__)
+
+    def ordered_edges(self):
+        """Every edge, by canonical order of the source and then the target."""
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, row in enumerate(self.index.succ) for j in row]
 
     def subgraph(self, keep):
         keep = set(keep)
@@ -318,67 +364,14 @@ class Digraph:
         )
 
     def sccs(self):
-        """Strongly connected components, Tarjan (iterative), deterministic order.
-
-        Components are returned sorted by their smallest vertex in canonical
-        order; vertices inside a component keep the canonical order.
-        """
-        order = {v: i for i, v in enumerate(self.vertices)}
-        succ = self.succ_map()
-        index = {}
-        low = {}
-        onstack = set()
-        stack = []
-        comps = []
-        counter = [0]
-
-        for root in self.vertices:
-            if root in index:
-                continue
-            work = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            onstack.add(root)
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        onstack.add(w)
-                        work.append((w, iter(succ[w])))
-                        advanced = True
-                        break
-                    elif w in onstack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(tuple(sorted(comp, key=order.get)))
-        comps.sort(key=lambda c: order[c[0]])
-        return tuple(comps)
+        """Strongly connected components, sorted by their first vertex in
+        canonical order; each lists its vertices in canonical order.  The
+        same tuple is returned on every call."""
+        return self.index.sccs
 
     def transient_vertices(self):
         """Vertices with no path from themselves to themselves."""
-        out = []
-        for comp in self.sccs():
-            if len(comp) == 1 and not self.has_edge(comp[0], comp[0]):
-                out.append(comp[0])
-        return tuple(out)
+        return tuple(c[0] for c in self.sccs() if len(c) == 1 and not self.has_edge(c[0], c[0]))
 
     def is_strongly_connected(self):
         return len(self.sccs()) == 1
@@ -390,29 +383,61 @@ class Digraph:
         shortest nonempty cycle, with src at both ends.  ``avoid`` vertices
         are banned except as the endpoints themselves.  None if no path.
         """
-        banned = set(forbidden_edges)
-        avoid = set(avoid)
-        succ = self.succ_map()
-        parent = {src: None}
-        frontier = [src]
+        rank, succ = self.index.rank, self.index.succ
+        s, t = rank[src], rank[dst]
+        banned = {(rank[u], rank[v]) for u, v in forbidden_edges if u in rank and v in rank}
+        blocked = {rank[v] for v in avoid if v in rank} - {t}
+        parent = {s: None}
+        frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
                 for v in succ[u]:
-                    if (u, v) in banned or (v in avoid and v != dst):
+                    if (u, v) in banned or v in blocked:
                         continue
-                    if v == dst:
+                    if v == t:
                         path = [v]
                         node = u
                         while node is not None:
                             path.append(node)
                             node = parent[node]
-                        return tuple(reversed(path))
+                        return self._vertices_at(reversed(path))
                     if v not in parent:
                         parent[v] = u
                         nxt.append(v)
             frontier = nxt
         return None
+
+
+class GraphIndex:
+    """Integer form of a digraph in its canonical vertex order.
+
+    ``rank[v]`` is the position of v in ``vertices``; ``succ[i]`` and
+    ``pred[i]`` list the positions of the successors and predecessors of
+    vertex i in ascending order.  ``sccs`` (in vertex form) is computed on
+    first use.
+    """
+
+    def __init__(self, vertices, edges):
+        self.vertices = vertices
+        self.rank = rank = {v: i for i, v in enumerate(vertices)}
+        self.succ = succ = [[] for _ in vertices]
+        self.pred = pred = [[] for _ in vertices]
+        for u, v in edges:
+            succ[rank[u]].append(rank[v])
+            pred[rank[v]].append(rank[u])
+        for row in succ + pred:
+            row.sort()
+
+    @cached_property
+    def sccs(self):
+        vs = self.vertices
+        return tuple(tuple(vs[i] for i in comp) for comp in strong_components(self.succ))
+
+
+def as_digraph(graph):
+    """The Digraph of a RauzyGraph; any other graph is returned as it is."""
+    return graph.graph if isinstance(graph, RauzyGraph) else graph
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +488,6 @@ class RauzyGraph:
     def transient(self):
         return self.graph.transient_vertices()
 
-    def word_of_path(self, path):
-        """Full word spelled by a vertex path (first label plus edge labels)."""
-        path = list(path)
-        word = list(path[0])
-        for v in path[1:]:
-            word.append(v[-1])
-        return tuple(word)
-
     def path_exists(self, start, word):
         """Follow ``word`` edge labels from ``start``; final vertex or None."""
         v = start
@@ -485,32 +502,45 @@ class RauzyGraph:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{"".join(v)}";')
-        for u, v in sorted(self.edges, key=lambda e: (self.vertices.index(e[0]), self.vertices.index(e[1]))):
+        for u, v in self.graph.ordered_edges():
             lines.append(f'  "{"".join(u)}" -> "{"".join(v)}" [label="{v[-1]}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
+def label_words(start, branches, n):
+    """Every word of n labels read along walks from ``start``, depth first.
+
+    ``branches(node)`` lists the (label, next node) pairs that leave
+    ``node``, in the order the words should come out.  The walk keeps its
+    own stack, so n is not limited by Python's recursion depth.
+    """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    if n == 0:
+        return [()]
+    out, word, stack = [], [], [iter(branches(start))]
+    while stack:
+        for a, node in stack[-1]:
+            word.append(a)
+            if len(word) < n:
+                stack.append(iter(branches(node)))
+                break
+            out.append(tuple(word))
+            word.pop()
+        else:
+            stack.pop()
+            if word:
+                word.pop()
+    return out
+
+
 def _locally_admissible_words(sft, n):
     """All n-words over the alphabet containing no forbidden factor, in
     canonical order: a depth-first walk of the forbidden-factor automaton."""
-    out = []
-    alphabet = sft.alphabet.symbols
-    delta = sft._factor_automaton
-
-    def extend(word, q):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        row = delta[q]
-        for s in alphabet:
-            if row[s] >= 0:
-                word.append(s)
-                extend(word, row[s])
-                word.pop()
-
-    extend([], 0)
-    return out
+    # each row lists its symbols in alphabet order
+    live = [[(s, q) for s, q in row.items() if q >= 0] for row in sft._factor_automaton]
+    return label_words(0, live.__getitem__, n)
 
 
 def essential_states(succ):
@@ -549,6 +579,58 @@ def essential_states(succ):
     return [i for i in range(n) if not dead[i]]
 
 
+def strong_components(succ):
+    """Strongly connected components of the graph with successor lists ``succ``.
+
+    Tarjan's algorithm, iterative, in O(states + edges).  Each component
+    lists its indices in ascending order, and the components are sorted by
+    their smallest index.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    onstack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if onstack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+    comps.sort()
+    return comps
+
+
 def build_rauzy(sft, order=None):
     """Rauzy graph of ``sft`` at the given order (default: the SFT's order).
 
@@ -581,7 +663,7 @@ def build_rauzy(sft, order=None):
 
 def scc_decompose(graph):
     """(components, transient vertex set) of a RauzyGraph or Digraph."""
-    g = graph.graph if isinstance(graph, RauzyGraph) else graph
+    g = as_digraph(graph)
     return g.sccs(), g.transient_vertices()
 
 
@@ -605,11 +687,11 @@ def language_count(sft, n):
                 seen.add(v[i : i + n])
         return len(seen)
     # each n-word is spelled by exactly one path of n-m edges
-    counts = {v: 1 for v in g.vertices}
-    pred = g.graph.pred_map()
+    pred = g.graph.index.pred
+    counts = [1] * len(pred)
     for _ in range(n - m):
-        counts = {v: sum(counts[u] for u in pred[v]) for v in g.vertices}
-    return sum(counts.values())
+        counts = [sum(counts[u] for u in row) for row in pred]
+    return sum(counts)
 
 
 def word_in_language(sft, word):
@@ -731,9 +813,7 @@ class Pattern2D:
 
     @classmethod
     def from_json(cls, obj):
-        width, height, cells = obj["width"], obj["height"], obj["cells"]
-        if type(width) is not int or type(height) is not int or not isinstance(cells, list):
-            raise ValueError("width and height must be integers and cells a list")
+        width, height, cells = json_fields(obj, "pattern", {"width": int, "height": int, "cells": list})
         return cls(width, height, tuple(cells))
 
 
@@ -809,12 +889,9 @@ class WangTileSet:
 
     @classmethod
     def from_json(cls, obj):
-        tiles = obj["tiles"]
-        if not (isinstance(tiles, list) and all(isinstance(t, dict) for t in tiles)):
-            raise ValueError("tiles must be a list of objects")
-        fields = [(t["e"], t["w"], t["n"], t["s"], t.get("name", "")) for t in tiles]
-        if not all(isinstance(c, (str, int)) for f in fields for c in f):
-            raise ValueError("tile colors and names must be strings or integers")
+        (tiles,) = json_fields(obj, "tile set", {"tiles": list})
+        kinds = dict.fromkeys(("e", "w", "n", "s", "name"), (str, int))
+        fields = [json_fields(t, "tile", kinds, {"name": ""}) for t in tiles]
         return cls(tuple(WangTile(*f) for f in fields))
 
     @classmethod
@@ -826,7 +903,3 @@ class WangTileSet:
 def free_tile_set(n):
     """n tiles with full adjacency in both directions."""
     return WangTileSet(tuple(WangTile("h", "h", "v", "v", name=f"t{k}") for k in range(1, n + 1)))
-
-
-def monotile_set():
-    return WangTileSet((WangTile("h", "h", "v", "v", name="t1"),))

@@ -22,14 +22,10 @@ from .core import (
     ConditionDHolds,
     Digraph,
     NotStronglyConnected,
-    RauzyGraph,
     SearchExhausted,
+    as_digraph,
 )
 from .classify import check_condition_d
-
-
-def _as_digraph(g):
-    return g.graph if isinstance(g, RauzyGraph) else g
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ class Cycle:
     vertices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", _as_digraph(self.graph))
+        object.__setattr__(self, "graph", as_digraph(self.graph))
         vs = tuple(self.vertices)
         if not vs:
             raise ValueError("empty cycle")
@@ -147,20 +143,13 @@ def good_pairs(c1, c2):
     return out
 
 
-def orbit_of(witness, c1, c2):
-    """The full diagonal orbit of a good pair witness."""
-    i, j, _ = witness
-    m = lcm(len(c1), len(c2))
-    return [((i + p) % len(c1), (j + p) % len(c2)) for p in range(m)]
-
-
 def uniform_shortcuts(c, graph=None):
     """All k in {0, 2, .., |C|-1} with (c[i], c[i+k]) an edge for every i.
 
     A single-vertex cycle has no shortcut: its only chord candidate is the
     cycle edge itself.
     """
-    g = _as_digraph(graph) if graph is not None else c.graph
+    g = as_digraph(graph) if graph is not None else c.graph
     n = len(c)
     if n == 1:
         return []
@@ -173,7 +162,7 @@ def uniform_shortcuts(c, graph=None):
 
 def cross_bridges(c1, c2, graph=None):
     """All (i, j) with crossed chords between the two cycles."""
-    g = _as_digraph(graph) if graph is not None else c1.graph
+    g = as_digraph(graph) if graph is not None else c1.graph
     out = []
     for i in range(len(c1)):
         for j in range(len(c2)):
@@ -193,10 +182,9 @@ def attract_repulse(c1, scope, graph=None):
     An attractor receives an edge from every vertex of C1; a repulsor sends
     an edge to every vertex of C1.
     """
-    g = _as_digraph(graph) if graph is not None else c1.graph
+    g = as_digraph(graph) if graph is not None else c1.graph
     body = set(c1)
-    order = {v: i for i, v in enumerate(g.vertices)}
-    scope = sorted(set(scope), key=order.get)
+    scope = g.in_order(set(scope))
     attractors = tuple(v for v in scope if all(g.has_edge(c, v) for c in body))
     repulsors = tuple(v for v in scope if all(g.has_edge(v, c) for c in body))
     return attractors, repulsors
@@ -204,7 +192,7 @@ def attract_repulse(c1, scope, graph=None):
 
 def check_condition_c(c1, c2, graph=None):
     """Aggregate the five predicates for a candidate pair."""
-    g = _as_digraph(graph) if graph is not None else c1.graph
+    g = as_digraph(graph) if graph is not None else c1.graph
     gp = tuple(good_pairs(c1, c2))
     s1 = tuple(uniform_shortcuts(c1, g))
     s2 = tuple(uniform_shortcuts(c2, g))
@@ -224,12 +212,7 @@ def _loops(g):
 
 
 def _uni_edges(g):
-    return [(u, v) for (u, v) in sorted(g.edges, key=_edge_key(g)) if u != v and not g.has_edge(v, u)]
-
-
-def _edge_key(g):
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return lambda e: (order[e[0]], order[e[1]])
+    return [(u, v) for (u, v) in g.ordered_edges() if u != v and not g.has_edge(v, u)]
 
 
 # the exceptional 3-vertex graphs, with their documented pair choices; each
@@ -240,12 +223,6 @@ _LEN3 = (
     ("len3-c", {"ab", "bc", "ca", "cb", "ac", "bb", "cc"}, "abc", "ac"),
     ("len3-d", {"ab", "bc", "ca", "ba", "ac", "bb", "cc"}, "abc", "ab"),
 )
-
-
-def _match_len3(g):
-    if len(g.vertices) != 3:
-        return None
-    return _match_len3_triple(g, g.vertices)
 
 
 def _match_len3_triple(g, triple):
@@ -268,9 +245,8 @@ def _len3_rescue(g):
     """Exceptional-pattern pairs on induced 3-vertex subgraphs."""
     from itertools import combinations
 
-    order = {v: i for i, v in enumerate(g.vertices)}
-    for triple in combinations(g.vertices, 3):
-        got = _match_len3_triple(g, tuple(sorted(triple, key=order.get)))
+    for triple in combinations(g.vertices, 3):  # each in canonical order
+        got = _match_len3_triple(g, triple)
         if got is not None:
             tag, c1, c2 = got
             if good_pairs(c1, c2):
@@ -367,13 +343,13 @@ def verify_pair_admissible(graph, c1, c2):
     """Independent oracle: condition C holds strictly, or the pair matches a
     documented exceptional pattern (exceptional 3-vertex subgraphs, the
     degree-one alignment, the two-bridge case, the five-position shape)."""
-    g = _as_digraph(graph)
+    g = as_digraph(graph)
     report = check_condition_c(c1, c2, g)
     if report.passes:
         return True
     scope = set(c1) | set(c2)
     if len(scope) == 3:
-        m = _match_len3_triple(g, tuple(sorted(scope, key=lambda v: g.vertices.index(v))))
+        m = _match_len3_triple(g, tuple(g.in_order(scope)))
         if m is not None:
             tag, d1, d2 = m
             if _same_cycle(c1, d1) and _same_cycle(c2, d2):
@@ -391,45 +367,33 @@ def _same_cycle(c, d):
 # case dispatch
 
 
-def _vkey(g):
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return lambda v: order[v]
-
-
 def _cycle_key(g, vs):
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return (len(vs), tuple(order[v] for v in vs))
+    rank = g.index.rank
+    return (len(vs), tuple(rank[v] for v in vs))
 
 
 def _simple_cycles_upto(g, max_len):
-    """All simple cycles of length <= max_len, one canonical rotation each."""
-    order = {v: i for i, v in enumerate(g.vertices)}
-    succ = g.succ_map()
-    seen = set()
-    out = []
+    """All simple cycles of length <= max_len, each starting at its first
+    vertex in canonical order; shortest first, then in canonical order."""
+    succ = g.index.succ
+    found = []
 
-    def dfs(start, path, onpath):
-        u = path[-1]
-        for v in succ[u]:
-            if v == start and len(path) >= 1:
-                rot = min(range(len(path)), key=lambda k: [order[x] for x in path[k:] + path[:k]])
-                canon = tuple(path[rot:] + path[:rot])
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(canon)
-            if v in onpath or order[v] < order[start]:
-                continue
-            if len(path) < max_len:
+    def dfs(path, onpath):
+        # a cycle is found once, from its first vertex, which starts the path
+        for v in succ[path[-1]]:
+            if v == path[0]:
+                found.append(tuple(path))
+            elif v > path[0] and v not in onpath and len(path) < max_len:
                 path.append(v)
                 onpath.add(v)
-                dfs(start, path, onpath)
+                dfs(path, onpath)
                 onpath.discard(v)
                 path.pop()
 
-    for s in g.vertices:
-        dfs(s, [s], {s})
-    out.sort(key=lambda vs: _cycle_key(g, vs))
-    return out
+    for s in range(len(succ)):
+        dfs([s], {s})
+    found.sort(key=lambda c: (len(c), c))
+    return [tuple(g.vertices[i] for i in c) for c in found]
 
 
 def _min_simple_cycles(g):
@@ -455,13 +419,13 @@ def find_cycle_pair(graph):
     recorded.  Raises SearchExhausted if neither the dispatch nor the
     brute-force fallback produces an admissible pair.
     """
-    g = _as_digraph(graph)
+    g = as_digraph(graph)
     if not g.is_strongly_connected():
         raise NotStronglyConnected("find_cycle_pair needs a strongly connected graph")
     if check_condition_d(g).holds:
         raise ConditionDHolds("the graph satisfies the decidability condition")
 
-    m = _match_len3(g)
+    m = _match_len3_triple(g, g.vertices) if len(g.vertices) == 3 else None
     if m is not None:
         tag, c1, c2 = m
         report = check_condition_c(c1, c2, g)
@@ -629,9 +593,7 @@ def _uni_then_bi_cycle(g):
 
 
 def _case_2(g):
-    bi_edges = sorted(
-        {(u, v) for (u, v) in g.edges if u != v and g.has_edge(v, u)}, key=_edge_key(g)
-    )
+    bi_edges = [(u, v) for (u, v) in g.ordered_edges() if u != v and g.has_edge(v, u)]
     has_long_bi_cycle = False
     for (x, y) in bi_edges:
         p = g.shortest_path(y, x, forbidden_edges={(y, x)})
@@ -748,7 +710,6 @@ def _case_32(g, cyc):
     """Class-propagation sweep; pick the first incomplete class edge and
     build two overlapping cycles through the adjacent classes."""
     n = len(cyc)
-    succ = g.succ_map()
     classes = [set() for _ in range(n)]
     classes[0].add(cyc[0])
     changed = True
@@ -756,25 +717,23 @@ def _case_32(g, cyc):
         changed = False
         for i in range(n):
             for v in list(classes[i]):
-                for w in succ[v]:
+                for w in g.successors(v):
                     if w not in classes[(i + 1) % n]:
                         classes[(i + 1) % n].add(w)
                         changed = True
     cover = set().union(*classes)
     if cover != set(g.vertices) or sum(len(c) for c in classes) != len(g.vertices):
         return None  # sweep failed; leave it to the fallback
-    vkey = _vkey(g)
     quad = None
     for i in range(n):
-        for v in sorted(classes[i], key=vkey):
-            missing = sorted(classes[(i + 1) % n] - set(succ[v]), key=vkey)
+        for v in g.in_order(classes[i]):
+            succ_v = set(g.successors(v))
+            missing = g.in_order(classes[(i + 1) % n] - succ_v)
             if not missing:
                 continue
             wprime = missing[0]
-            vprime = sorted(set(succ[v]) & classes[(i + 1) % n], key=vkey)[0]
-            w = sorted(
-                (u for u in classes[i] if g.has_edge(u, wprime)), key=vkey
-            )[0]
+            vprime = g.in_order(succ_v & classes[(i + 1) % n])[0]
+            w = g.in_order(u for u in classes[i] if g.has_edge(u, wprime))[0]
             quad = (v, vprime, w, wprime)
             break
         if quad:
@@ -798,8 +757,11 @@ def _case_32(g, cyc):
 def _path_with_overlap(g, src, dst, length, prefer):
     """A src->dst path of exactly ``length`` edges maximizing shared vertices
     with ``prefer``; None if no path of that length exists."""
-    succ = g.succ_map()
-    vkey = _vkey(g)
+    rank = g.index.rank
+
+    def key(cand):  # more overlap first, then canonical order
+        return (-cand[0], [rank[x] for x in cand[1]])
+
     best = {}  # (vertex, steps) -> (overlap, path)
     start_score = 1 if src in prefer else 0
     best[(src, 0)] = (start_score, (src,))
@@ -808,11 +770,11 @@ def _path_with_overlap(g, src, dst, length, prefer):
         for (u, s), (score, path) in best.items():
             if s != step:
                 continue
-            for v in succ[u]:
+            for v in g.successors(u):
                 sc = score + (1 if v in prefer else 0)
                 cur = nxt.get((v, step + 1))
                 cand = (sc, path + (v,))
-                if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and [vkey(x) for x in cand[1]] < [vkey(x) for x in cur[1]]):
+                if cur is None or key(cand) < key(cur):
                     nxt[(v, step + 1)] = cand
         best.update(nxt)
     got = best.get((dst, length))

@@ -16,7 +16,6 @@ from math import gcd, inf, lcm, log2
 import numpy as np
 
 from .core import (
-    Digraph,
     EmptyLanguage,
     NotStateSplit,
     NotTransitive,
@@ -27,11 +26,12 @@ from .core import (
     build_rauzy,
     language_count,
     sft_from_edges,
+    strong_components,
     word_in_language,
 )
 from .classify import scc_types
 from .compiler import _first_return_paths, _labels
-from .solve import count_rectangles, StripAutomaton
+from .solve import _global_words, count_rectangles, StripAutomaton
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,14 @@ class PerronResult:
 
 
 def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
-    """Spectral radius of the adjacency matrix, as (value, residual, iters).
+    """Spectral radius of the adjacency matrix of a Digraph, as (value,
+    residual, iters)."""
+    return _spectral_radius(g.index.succ, tol, max_iter)
+
+
+def _spectral_radius(succ, tol=1e-12, max_iter=10**6):
+    """Spectral radius of the graph with successor lists ``succ``, as (value,
+    residual, iters).
 
     Power iteration runs per strongly connected component on A + I (shifting
     makes periodic components primitive); the largest value wins.
@@ -55,17 +62,16 @@ def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
     best = 0.0
     best_res = 0.0
     iters = 0
-    succ = g.succ_map()
-    for comp in g.sccs():
-        if len(comp) == 1 and not g.has_edge(comp[0], comp[0]):
+    for comp in strong_components(succ):
+        if len(comp) == 1 and comp[0] not in succ[comp[0]]:
             continue  # transient vertex contributes nothing
-        idx = {v: i for i, v in enumerate(comp)}
+        pos = {v: i for i, v in enumerate(comp)}
         n = len(comp)
         a = np.zeros((n, n))
         for u in comp:
             for v in succ[u]:
-                if v in idx:
-                    a[idx[u], idx[v]] = 1.0
+                if v in pos:
+                    a[pos[u], pos[v]] = 1.0
         b = a + np.eye(n)
         x = np.full(n, 1.0 / n)
         lam = 1.0
@@ -235,7 +241,7 @@ def entropy_words(H, k=1):
     if k < 1:
         raise ValueError("k must be >= 1")
     g = build_rauzy(H)
-    if len(g.graph.sccs()) != 1:
+    if len(g.scc) != 1:
         raise NotTransitive("the Rauzy graph is not strongly connected")
     if entropy_1d(H).eigenvalue <= 1.0 + 1e-12:
         raise ZeroEntropy("entropy must be positive")
@@ -633,7 +639,7 @@ def statesplit_entropy(H, V, n, budget=None):
     N(p*m, n) = sum_u (prod_j N_{u^j})^m exactly.
     """
     g = build_rauzy(H)
-    comps = g.graph.sccs()
+    comps = g.scc
     transient = set(g.transient)
     if transient:
         raise NotStateSplit("transient vertices present")
@@ -653,7 +659,7 @@ def statesplit_entropy(H, V, n, budget=None):
             for v in group:
                 cls[v[-1]] = (ci, k, len(part))
 
-    cols = [c for c in _symbols_words(V, n) if all(x in cls for x in c)]
+    cols = [c for c in _global_words(V, n) if all(x in cls for x in c)]
     groups = {}
     for c in cols:
         key = tuple(cls[x][:2] for x in c)
@@ -690,19 +696,6 @@ def statesplit_entropy(H, V, n, budget=None):
         "rhs": identity_rhs,
         "max_product": best,
     }
-
-
-def _symbols_words(V, n):
-    """Globally admissible n-words of the column SFT."""
-    from .solve import _global_words
-
-    return _global_words(V, n)
-
-
-def add_loops(graph):
-    """The same graph with a loop added on every vertex."""
-    g = graph.graph if hasattr(graph, "graph") else graph
-    return Digraph(g.vertices, frozenset(set(g.edges) | {(v, v) for v in g.vertices}))
 
 
 def sft_with_loops(H):

@@ -28,6 +28,7 @@ from .core import (
     PreconditionUnmet,
     Sft1D,
     build_rauzy,
+    label_words,
     require_same_alphabet,
 )
 from .classify import check_condition_d, has_only_periodic_points, scc_types
@@ -63,21 +64,9 @@ def _global_words(sft, n):
         # every pruned vertex has a successor, so a factor of a vertex is a
         # prefix of a later one; the vertices are already in canonical order
         return list(dict.fromkeys(v[:n] for v in g.vertices))
-    out = []
-    succ = g.graph.succ_map()
-
-    def rec(v, word):
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for u in succ[v]:
-            word.append(u[-1])
-            rec(u, word)
-            word.pop()
-
-    for v in g.vertices:
-        rec(v, list(v))
-    return out
+    vs = g.vertices
+    out_edges = [[(vs[j][-1], j) for j in row] for row in g.graph.index.succ]
+    return [v + w for i, v in enumerate(vs) for w in label_words(i, out_edges.__getitem__, n - m)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +157,9 @@ class StripAutomaton:
 
     def spectral_radius(self, tol=1e-12, max_iter=10**6):
         """Largest transfer eigenvalue (per-SCC power iteration)."""
-        from .entropy import _digraph_spectral_radius
-        from .core import Digraph
+        from .entropy import _spectral_radius
 
-        n = len(self.states)
-        g = Digraph(
-            tuple(range(n)),
-            frozenset((i, j) for i, ss in enumerate(self.successors) for j in ss),
-        )
-        return _digraph_spectral_radius(g, tol, max_iter)
+        return _spectral_radius(self.successors, tol, max_iter)
 
 
 def count_rectangles(H, column_constraint, w, h, budget=None):
@@ -374,7 +357,7 @@ def decide_with_certificate(H, constraint, budget=200000):
         if not verdict.holds:
             raise PreconditionUnmet("the horizontal graph fails the decidability condition")
         transient = set(g.transient)
-        comps = [c for c in g.graph.sccs() if not (len(c) == 1 and c[0] in transient)]
+        comps = [c for c in g.scc if not (len(c) == 1 and c[0] in transient)]
         if verdict.common_type == "reflexive":
             width = 1
         elif verdict.common_type == "symmetric":

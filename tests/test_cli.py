@@ -149,6 +149,41 @@ class TestErrors:
         )
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_sft_file_not_an_object(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        code, out, err = run(capsys, "rauzy", "--input", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:") and "object" in err
+
+    def test_tile_grid_not_an_object(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text("[1, 2]")
+        code, out, err = run(
+            capsys, "encode", "--h", path("coding3.json"), "--w", path("free2.json"), "--input", str(grid),
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "object" in err
+
+    def test_realize_spec_field_types(self, capsys, tmp_path):
+        from sftkit.core import Sft1D, free_tile_set
+        from sftkit.entropy import entropy_words
+
+        golden = Sft1D.load(path("golden.json"))
+        u, w1, w2, _ = entropy_words(golden, k=1)
+        spec = {
+            "H": golden.to_json(), "payload": free_tile_set(2).to_json(),
+            "u": list(u), "w1": list(w1), "w2": list(w2), "q": 1, "r": 2, "R": 1, "ks": [2],
+        }
+        bad = tmp_path / "spec.json"
+        for field, value in (
+            ("q", "3"), ("r", 2.5), ("R", True), ("u", "0101"), ("w1", {}), ("w2", 5), ("ks", 2), ("H", [1, 2]),
+        ):
+            bad.write_text(json.dumps({**spec, field: value}))
+            code, out, err = run(capsys, "entropy", "realize", "--input", str(bad))
+            assert code == 2 and out == "" and err.startswith("error:") and repr(field) in err, field
+        bad.write_text("[1, 2]")
+        code, out, err = run(capsys, "entropy", "realize", "--input", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unreplayable_witness_is_not_an_answer(self, capsys, monkeypatch):
         import sftkit.cli
 
@@ -178,6 +213,17 @@ class TestErrors:
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == 2 or main(["solve"]) == 2
+
+
+class TestTallColumns:
+    def test_count_beyond_the_recursion_limit(self, capsys):
+        # alt011 has 3 legal columns at every height
+        for height in ("900", "1500"):
+            code, out, _ = run(
+                capsys, "solve", "count", "--h", path("golden.json"), "--v", path("alt011.json"),
+                "--width", "1", "--height", height,
+            )
+            assert code == 0 and json.loads(out)["count"] == "3"
 
 
 class TestCyclesAndCompile:

@@ -13,7 +13,6 @@ from sftkit.core import (
     WangTileSet,
     build_rauzy,
     free_tile_set,
-    monotile_set,
     sft_from_edges,
 )
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
@@ -144,7 +143,7 @@ class TestCompileWang:
             assert len(labels) == len(set(labels))
 
     def test_monotile_plain_cycle(self, coding_sft, coding_pair):
-        pres, cert = compile_wang(coding_sft, monotile_set(), coding_pair)
+        pres, cert = compile_wang(coding_sft, free_tile_set(1), coding_pair)
         # vertical language is the cycle shift: one word per rotation
         words = pres.words(3)
         assert sorted(words) == sorted([("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")])
@@ -164,6 +163,14 @@ class TestCompileWang:
         c1 = Cycle(g.graph, ((("0",)), (("1",))))
         with pytest.raises(ConditionDHolds):
             compile_wang(golden, free_tile_set(2), CyclePair(c1, c1))
+
+
+class TestTallWords:
+    def test_words_beyond_the_recursion_limit(self, coding_sft, coding_pair):
+        pres, _ = compile_wang(coding_sft, free_tile_set(1), coding_pair)
+        words = pres.words(2000)
+        assert len(words) == 3 and all(len(w) == 2000 for w in words)
+        assert words == sorted(words) and all(pres.is_factor(w) for w in words)
 
 
 class TestMemberVertical:
@@ -290,7 +297,7 @@ class TestCompileHorizontal:
     def test_monotile_full_shift_torus(self, golden):
         from sftkit.solve import find_torus
 
-        comp, cert = compile_horizontal(golden, monotile_set())
+        comp, cert = compile_horizontal(golden, free_tile_set(1))
         wit = find_torus(golden, None, cert.m, 2, forbidden2d=comp.patterns)
         assert wit is not None
 
@@ -314,7 +321,7 @@ class TestCompileHorizontal:
 
 class TestForbiddenExport:
     def test_monotile_export_matches_language(self, coding_sft, coding_pair):
-        pres, _ = compile_wang(coding_sft, monotile_set(), coding_pair)
+        pres, _ = compile_wang(coding_sft, free_tile_set(1), coding_pair)
         words = export_forbidden_words(pres, 4)
         assert words  # the cycle shift forbids plenty of short words
         # every exported word is indeed not a factor, minimally so

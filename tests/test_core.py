@@ -442,3 +442,93 @@ class TestEssentialTrim:
         assert pres.transitions == [
             {a: remap[t] for a, t in rows[s].items() if t in remap} for s in keep
         ]
+
+
+# ---------------------------------------------------------------------------
+# the indexed graph core against scans of the edge set
+
+
+@st.composite
+def shuffled_digraphs(draw):
+    """Random digraphs with self-loops and isolated vertices, whose vertex
+    order is a shuffle of v0..v(n-1), so canonical order is not sorted order."""
+    n = draw(st.integers(0, 9))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    edges = []
+    if n:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))
+        edges += [(i, i) for i in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    return Digraph(tuple(names), frozenset((names[u], names[v]) for u, v in edges))
+
+
+def reachable(g, u):
+    """Vertices reachable from u by a path of one edge or more, by BFS."""
+    seen, frontier = set(), [u]
+    while frontier:
+        frontier = [b for (a, b) in g.edges if a in frontier and b not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def scan_shortest_path(g, src, dst, avoid, banned):
+    """BFS that scans the edge set for successors in canonical order."""
+    parent, frontier = {src: None}, [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in (v for v in g.vertices if (u, v) in g.edges):
+                if (u, v) in banned or (v in avoid and v != dst):
+                    continue
+                if v == dst:
+                    path = [v, u]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    return None
+
+
+class TestGraphIndex:
+    @DIFFERENTIAL
+    @given(shuffled_digraphs())
+    @example(Digraph((), frozenset()))
+    @example(Digraph(("b", "a"), frozenset({("b", "b")})))
+    def test_neighbours_and_degrees_match_edge_scans(self, g):
+        for u in g.vertices:
+            assert g.successors(u) == tuple(v for v in g.vertices if (u, v) in g.edges)
+            assert g.predecessors(u) == tuple(v for v in g.vertices if (v, u) in g.edges)
+            assert g.out_degree(u) == sum(1 for (a, _) in g.edges if a == u)
+            assert g.in_degree(u) == sum(1 for (_, b) in g.edges if b == u)
+        assert g.succ_map() == {u: g.successors(u) for u in g.vertices}
+        assert g.pred_map() == {u: g.predecessors(u) for u in g.vertices}
+
+    @DIFFERENTIAL
+    @given(shuffled_digraphs())
+    @example(Digraph(("b", "a", "c"), frozenset({("c", "a"), ("a", "c"), ("b", "b")})))
+    def test_components_are_mutual_reachability_classes(self, g):
+        reach = {u: reachable(g, u) | {u} for u in g.vertices}
+        expect = []
+        for u in g.vertices:  # a class is met first at its first vertex
+            if not any(u in c for c in expect):
+                expect.append(tuple(v for v in g.vertices if v in reach[u] and u in reach[v]))
+        assert g.sccs() == tuple(expect)
+        assert g.sccs() is g.sccs()
+        assert g.transient_vertices() == tuple(v for v in g.vertices if v not in reachable(g, v))
+        assert g == Digraph(g.vertices, g.edges) and hash(g) == hash(Digraph(g.vertices, g.edges))
+
+    @DIFFERENTIAL
+    @given(shuffled_digraphs(), st.data())
+    def test_shortest_path_matches_a_scanning_bfs(self, g, data):
+        if not g.vertices:
+            return
+        pick = st.sampled_from(g.vertices)
+        src, dst = data.draw(pick), data.draw(pick)
+        avoid = set(data.draw(st.lists(pick, max_size=2)))
+        banned = set(data.draw(st.lists(st.sampled_from(sorted(g.edges) or [(src, dst)]), max_size=2)))
+        path = g.shortest_path(src, dst, avoid, banned)
+        assert path == scan_shortest_path(g, src, dst, avoid, banned)
+        if not avoid and not banned:
+            assert (path is None) == (dst not in reachable(g, src))

@@ -4,6 +4,7 @@ import pytest
 
 from sftkit.core import ConditionDHolds, Digraph, build_rauzy, sft_from_edges
 from sftkit.classify import check_condition_d
+from sftkit.compiler import SliceGrammar
 from sftkit.cycles import (
     Cycle,
     check_condition_c,
@@ -11,7 +12,6 @@ from sftkit.cycles import (
     attract_repulse,
     find_cycle_pair,
     good_pairs,
-    orbit_of,
     uniform_shortcuts,
     verify_pair_admissible,
 )
@@ -36,8 +36,9 @@ class TestGoodPairs:
         gp = good_pairs(c1, c2)
         # the marked pair: disagreement starts right where the detour forks
         assert (3, 3, 24) in gp
-        orb = orbit_of((3, 3, 24), c1, c2)
+        orb = SliceGrammar(None, c1.vertices, c2.vertices, 2, (3, 3, 24)).good_pair_orbit
         assert len(orb) == 30 and orb[0] == (3, 3)
+        assert orb == tuple(((3 + p) % 5, (3 + p) % 6) for p in range(30))
 
     def test_bypass_cycle_has_no_good_pair(self):
         # 5-cycle a..e and the cycle through f bypassing vertex a entirely

@@ -11,7 +11,6 @@ from sftkit.core import (
     build_rauzy,
     free_tile_set,
     full_shift,
-    monotile_set,
     sft_from_edges,
 )
 from sftkit.classify import check_condition_d
@@ -20,7 +19,6 @@ from sftkit.compiler import compile_wang
 from sftkit.solve import count_rectangles
 from sftkit.entropy import (
     RealizationPlan,
-    add_loops,
     aspect_check,
     bezout_rank,
     build_realization,
@@ -227,7 +225,7 @@ class TestRealization:
 
     def test_monotile_payload_collapses_codes(self, golden):
         u, w1, w2, alpha = entropy_words(golden, k=1)
-        plan = RealizationPlan(golden, u, w1, w2, q=1, r=2, R=1, payload=monotile_set())
+        plan = RealizationPlan(golden, u, w1, w2, q=1, r=2, R=1, payload=free_tile_set(1))
         system = build_realization(plan)
         n = plan.period
         free_bits = count_realization(build_realization(
@@ -273,7 +271,7 @@ class TestRootEntropy:
 
     def test_monotile_root_zero_entropy(self, coding_sft):
         pair, _ = find_cycle_pair(build_rauzy(coding_sft))
-        pres, cert = compile_wang(coding_sft, monotile_set(), pair)
+        pres, cert = compile_wang(coding_sft, free_tile_set(1), pair)
         x_count = lambda w, h: count_rectangles(coding_sft, pres, w, h)
         y_count = lambda w, h: 1
         rep = root_entropy_check(cert, x_count, y_count, 3, [1])
@@ -341,8 +339,9 @@ class TestStateSplit:
 
 
 class TestAddLoops:
-    def test_reflexive_unchanged(self, graph_reflexive):
-        assert add_loops(graph_reflexive).edges == graph_reflexive.edges
+    def test_reflexive_unchanged(self):
+        reflexive = sft_from_edges("abc", ["ab", "bc", "ca", "cb", "aa", "bb", "cc"])
+        assert sft_with_loops(reflexive) == reflexive
 
     def test_golden_becomes_full(self, golden):
         full = sft_with_loops(golden)
@@ -350,7 +349,7 @@ class TestAddLoops:
 
     def test_cycle_becomes_decidable(self):
         cyc = sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
-        looped = add_loops(build_rauzy(cyc))
+        looped = build_rauzy(sft_with_loops(cyc))
         v = check_condition_d(looped)
         assert v.holds and v.common_type == "reflexive"
 

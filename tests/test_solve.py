@@ -14,7 +14,6 @@ from sftkit.core import (
     full_shift,
     language_count,
     free_tile_set,
-    monotile_set,
     sft_from_edges,
     word_in_language,
 )
@@ -312,7 +311,7 @@ class TestTorus:
 
     def test_compiled_monotile(self, coding_sft):
         pair, _ = find_cycle_pair(build_rauzy(coding_sft))
-        pres, _ = compile_wang(coding_sft, monotile_set(), pair)
+        pres, _ = compile_wang(coding_sft, free_tile_set(1), pair)
         wit = find_torus(coding_sft, pres, 4, 4)
         assert (wit.width, wit.height) == (3, 3)
         assert validate_torus(coding_sft, pres, wit.pattern)
