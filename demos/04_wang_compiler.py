@@ -13,7 +13,6 @@ from sftkit.compiler import (
     compile_wang,
     decode_pattern,
     encode_pattern,
-    member_vertical,
 )
 
 H = sft_from_edges("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "b"), ("c", "c")])
@@ -40,4 +39,4 @@ for c in range(6):
 
 print("\ndecoded:", decode_pattern(window, grammar, tiles))
 print("every column is a legal vertical word:",
-      all(member_vertical(window.column(i), pres) for i in range(window.width)))
+      all(pres.is_factor(window.column(i)) for i in range(window.width)))

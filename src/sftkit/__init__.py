@@ -19,7 +19,6 @@ from .core import (
     build_rauzy,
     language_count,
     higher_block_recode,
-    scc_decompose,
 )
 from . import classify, cycles, compiler, solve, entropy
 
@@ -37,7 +36,6 @@ __all__ = [
     "build_rauzy",
     "language_count",
     "higher_block_recode",
-    "scc_decompose",
     "classify",
     "cycles",
     "compiler",

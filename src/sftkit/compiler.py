@@ -21,6 +21,8 @@ Two constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from math import lcm
 
 from .core import (
@@ -39,7 +41,7 @@ from .core import (
     label_words,
 )
 from .classify import check_condition_d
-from .cycles import Cycle, CyclePair, good_pairs
+from .cycles import Cycle, CyclePair, _return_paths, good_pairs
 
 
 def _sym(v):
@@ -133,6 +135,33 @@ class SliceGrammar:
             return "k"
         return "l"
 
+    @cached_property
+    def layout(self):
+        """The cells of a phase-p macro-slice, bottom to top, for each p.
+
+        A cell is (symbol, c2, register, value): it holds ``symbol``, or in a
+        coding micro-slice the C2 symbol ``c2``, which there codes ``value``
+        for ``register`` ("k" or "l").  A fixed cell is (symbol, None, None, 0).
+        """
+        M, N = self.M, self.N
+        out = []
+        for p in range(M):
+            # border meso-slice, two C1-slices, the C2-slice, border again
+            border = [self.c1_sym(p + t) for t in range(M * N)]
+            c1_slice = [self.c1_sym(p + s) for s in range(len(self.c1)) for _ in range(M * N)]
+            c2_slice = [self.c2_sym(p + s) for s in range(len(self.c2)) for _ in range(M * N)]
+            cells = [(a, None, None, 0) for a in border + 2 * c1_slice + c2_slice + border]
+            # code meso-slice: M micro-slices, the top one at phase p
+            for depth_from_bottom in range(M):
+                q = p + (M - 1 - depth_from_bottom)
+                a, src = self.c1_sym(q), self.micro_value_source(p, q)
+                if src is None:
+                    cells += [(a, None, None, 0)] * N
+                else:  # value v sits at position v counted from the top
+                    cells += [(a, self.c2_sym(q), src, N - i) for i in range(N)]
+            out.append(tuple(cells))
+        return tuple(out)
+
     def macro_word(self, p, k, l):
         """Cells of a phase-p (k, l)-coding macro-slice, bottom to top.
 
@@ -140,37 +169,14 @@ class SliceGrammar:
         function of the relevant data only.
         """
         p %= self.M
-        if not self.k_relevant(p):
-            k = 1
-        if not self.l_relevant(p):
-            l = 1
-        M, N = self.M, self.N
-        L1, L2 = len(self.c1), len(self.c2)
-        cells = []
-        # border meso-slice: the C1 cycle repeated cell by cell
-        cells += [self.c1_sym(p + t) for t in range(M * N)]
-        # two C1-slices: one meso-slice per cycle element
-        for _ in range(2):
-            for s in range(L1):
-                cells += [self.c1_sym(p + s)] * (M * N)
-        # C2-slice
-        for s in range(L2):
-            cells += [self.c2_sym(p + s)] * (M * N)
-        # border again
-        cells += [self.c1_sym(p + t) for t in range(M * N)]
-        # code meso-slice: M micro-slices, the top one at phase p
-        for depth_from_bottom in range(M):
-            q = p + (M - 1 - depth_from_bottom)
-            a = self.c1_sym(q)
-            src = self.micro_value_source(p, q)
-            if src is None:
-                cells += [a] * N
-            else:
-                v = k if src == "k" else l
-                micro = [a] * N
-                micro[N - v] = self.c2_sym(q)  # position v counted from the top
-                cells += micro
-        return tuple(cells)
+        code = {
+            "k": k if self.k_relevant(p) else 1,
+            "l": l if self.l_relevant(p) else 1,
+        }
+        return tuple(
+            c2 if reg is not None and code[reg] == v else a
+            for a, c2, reg, v in self.layout[p]
+        )
 
 
 def build_grammar(H, pair, N):
@@ -411,11 +417,6 @@ def compile_wang(H, tiles, pair):
     return pres, cert
 
 
-def member_vertical(word, presentation):
-    """Finite-word membership in the presented vertical shift's language."""
-    return presentation.is_factor(tuple(word))
-
-
 # ---------------------------------------------------------------------------
 # encode / decode
 
@@ -476,159 +477,76 @@ def encode_pattern(grid, grammar, tiles, phase=0):
     return Pattern2D.from_columns(cols)
 
 
-def _parse_macro_column(grammar, cells, p):
-    """Extract (k, l) from one macro-slice column word (bottom to top).
+def parse_column(grammar, cells, p, offset=0):
+    """Codes of the macro-slices a column window touches, reading cells[0]
+    at position ``offset`` of a phase-p macro-slice; None when the cells do
+    not fit there.
 
-    Returns (k or None, l or None); raises MalformedSlices on any structural
-    mismatch.
+    A code is (k, l), None for a register that no C2 symbol codes.  A coding
+    micro-slice that lies wholly inside the window holds exactly one C2
+    symbol; every C2 symbol of a register in one macro-slice codes one value.
     """
-    M, N = grammar.M, grammar.N
-    template = grammar.macro_word(p, 1, 1)
-    code_start = (grammar.K - 1) * M * N
-    for t in range(code_start):
-        if cells[t] != template[t]:
-            raise MalformedSlices(f"structural cell {t} mismatches phase {p}")
-    k = None
-    l = None
-    for depth_from_bottom in range(M):
-        q = p + (M - 1 - depth_from_bottom)
-        a = grammar.c1_sym(q)
-        c2 = grammar.c2_sym(q)
-        micro = cells[code_start + depth_from_bottom * N : code_start + (depth_from_bottom + 1) * N]
-        src = grammar.micro_value_source(p, q)
-        if src is None:
-            if any(x != a for x in micro):
-                raise MalformedSlices(f"buffer micro-slice at phase {q} is not constant")
-            continue
-        hits = [i for i, x in enumerate(micro) if x == c2]
-        if len(hits) != 1 or any(micro[i] != a for i in range(N) if i != hits[0]):
-            raise MalformedSlices(f"coding micro-slice at phase {q} malformed")
-        v = N - hits[0]
-        if src == "k":
-            if k is not None and k != v:
-                raise MalformedSlices("main code changes inside a macro-slice")
-            k = v
-        else:
-            if l is not None and l != v:
-                raise MalformedSlices("side code changes inside a macro-slice")
-            l = v
-    return k, l
-
-
-def parse_column(grammar, cells):
-    """Parse a full column of a*M x b*KMN window: phase + per-block codes.
-
-    The column must be an exact stack of macro-slices (offset 0).
-    """
-    height = grammar.macro_height
-    if len(cells) % height:
-        raise MalformedSlices("column height is not a multiple of the macro height")
-    b = len(cells) // height
-    last_err = None
-    for p in range(grammar.M):
-        try:
-            codes = [
-                _parse_macro_column(grammar, cells[y * height : (y + 1) * height], p)
-                for y in range(b)
-            ]
-            return p, codes
-        except MalformedSlices as e:
-            last_err = e
-    raise last_err
-
-
-def parse_column_window(grammar, cells):
-    """Parse an arbitrary-height column window against the macro structure.
-
-    Returns (phase, offset, codes) where offset is the position of cells[0]
-    inside a macro-slice and codes lists the (k or None, l or None) values of
-    every macro-slice the window touches (edge slices may leave registers
-    undetermined).  Returns None when no (phase, offset) matches.
-    """
-    height = grammar.macro_height
-    M, N = grammar.M, grammar.N
-    code_start = (grammar.K - 1) * M * N
-    for p in range(M):
-        template = grammar.macro_word(p, 1, 1)
-        for off in range(height):
-            codes = []
-            ok = True
-            # walk the window macro-slice by macro-slice
-            pos = 0
-            cursor = off
-            cur_k, cur_l = None, None
-            while pos < len(cells) and ok:
-                t = cursor
-                cell = cells[pos]
-                if t < code_start:
-                    if cell != template[t]:
-                        ok = False
-                        break
-                else:
-                    u = t - code_start
-                    depth_from_bottom = u // N
-                    q = p + (M - 1 - depth_from_bottom)
-                    i = u % N
-                    a = grammar.c1_sym(q)
-                    c2s = grammar.c2_sym(q)
-                    src = grammar.micro_value_source(p, q)
-                    if src is None:
-                        if cell != a:
-                            ok = False
-                            break
-                    elif cell == c2s:
-                        v = N - i
-                        if src == "k":
-                            if cur_k is not None and cur_k != v:
-                                ok = False
-                                break
-                            cur_k = v
-                        else:
-                            if cur_l is not None and cur_l != v:
-                                ok = False
-                                break
-                            cur_l = v
-                    elif cell != a:
-                        ok = False
-                        break
-                pos += 1
-                cursor += 1
-                if cursor == height:
-                    codes.append((cur_k, cur_l))
-                    cur_k, cur_l = None, None
-                    cursor = 0
-            if ok:
-                if cursor != 0:
-                    codes.append((cur_k, cur_l))
-                return p, off, codes
-    return None
+    layout, N = grammar.layout[p], grammar.N
+    codes, code = [], {}
+    hit = -1  # position of the last C2 symbol read
+    t = offset
+    for pos, x in enumerate(cells):
+        a, c2, reg, v = layout[t]
+        if x == c2:
+            if code.setdefault(reg, v) != v:
+                return None
+            hit = pos
+        elif x != a:
+            return None
+        if v == 1 and hit < pos - N + 1:  # the top of a C2-free micro-slice
+            return None
+        t += 1
+        if t == len(layout):
+            codes.append((code.get("k"), code.get("l")))
+            code, t = {}, 0
+    if t:
+        codes.append((code.get("k"), code.get("l")))
+    return codes
 
 
 def decode_pattern(window, grammar, tiles):
-    """Inverse of ``encode_pattern`` on marker-aligned valid windows."""
+    """Inverse of ``encode_pattern`` on marker-aligned valid windows.
+
+    Raises NotInClopen when a column parses only at a shifted phase or
+    offset, or the first column is not at the marker phase, and
+    MalformedSlices for any other window that ``encode_pattern`` cannot give.
+    """
     M = grammar.M
     height = grammar.macro_height
     if window.width == 0 and window.height == 0:
         return []
-    if window.width % M or window.height % height:
+    if window.width % M or window.height % height or not (window.width and window.height):
         raise MalformedSlices("window is not a whole number of macro blocks")
     a = window.width // M
     b = window.height // height
     if grammar.N == 1:
-        return [[1] * b for _ in range(a)]
+        grid = [[1] * b for _ in range(a)]
+        if not tiles.pattern_valid(grid) or window != encode_pattern(grid, grammar, tiles):
+            raise MalformedSlices("window is not the encoding of a one-tile grid")
+        return grid
     phases = []
     codes = []
     for c in range(window.width):
         col = window.column(c)
-        try:
-            p, column_codes = parse_column(grammar, col)
-        except MalformedSlices:
-            got = parse_column_window(grammar, col)
-            if got is not None:
+        for p in range(M):
+            column_codes = parse_column(grammar, col, p)
+            if column_codes is not None:
+                break
+        else:
+            if any(
+                parse_column(grammar, col, p, off) is not None
+                for p in range(M)
+                for off in range(1, height)
+            ):
                 raise NotInClopen(
                     "window parses at a shifted position; it does not start at the clopen marker"
                 )
-            raise
+            raise MalformedSlices(f"column {c} is not a stack of macro-slices")
         phases.append(p)
         codes.append(column_codes)
     if phases[0] != 0:
@@ -673,35 +591,11 @@ class HorizontalCompilation:
 
 
 def _first_return_paths(g, s, want=2, cap=None):
-    """Shortest first-return paths from s (not visiting s in between)."""
+    """The ``want`` shortest first-return paths from s (not visiting s in
+    between), in canonical order within a length."""
     g = as_digraph(g)
-    cap = cap or (2 * len(g.vertices) + 2)
-    out = []
-    succ = g.index.succ
-    s = g.index.rank[s]
-
-    for length in range(1, cap + 1):
-        found = []
-
-        def bounded(path):
-            u = path[-1]
-            if len(path) - 1 == length:
-                return
-            for v in succ[u]:
-                if v == s and len(path) == length:
-                    found.append(tuple(path) + (s,))
-                elif v != s and v not in path[1:]:
-                    if len(path) < length:
-                        bounded(path + [v])
-
-        bounded([s])
-        for p in sorted(found):  # canonical order of the vertex sequences
-            p = tuple(g.vertices[i] for i in p)
-            if p not in out:
-                out.append(p)
-                if len(out) >= want:
-                    return out
-    return out
+    walk = _return_paths(g.index.succ, g.index.rank[s], cap or 2 * len(g.vertices) + 2)
+    return [tuple(g.vertices[i] for i in p) + (s,) for p in islice(walk, want)]
 
 
 def _labels(path):
@@ -823,12 +717,3 @@ def _minimal_forbidden(scan, alphabet, max_len):
                     out.append(w2)
         frontier = nxt
     return out
-
-
-def export_forbidden_words(presentation, max_len):
-    """Minimal forbidden words of the presented vertical shift, up to max_len.
-
-    Only feasible for small heights; used to validate a presentation against
-    an independent SFT membership oracle.
-    """
-    return _minimal_forbidden(presentation.scan, presentation.alphabet, max_len)

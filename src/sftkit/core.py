@@ -335,12 +335,6 @@ class Digraph:
     def predecessors(self, v):
         return self._vertices_at(self.index.pred[self.index.rank[v]])
 
-    def succ_map(self):
-        return {v: self._vertices_at(row) for v, row in zip(self.vertices, self.index.succ)}
-
-    def pred_map(self):
-        return {v: self._vertices_at(row) for v, row in zip(self.vertices, self.index.pred)}
-
     def out_degree(self, u):
         return len(self.index.succ[self.index.rank[u]])
 
@@ -474,11 +468,6 @@ class RauzyGraph:
 
     def predecessors(self, v):
         return self.graph.predecessors(v)
-
-    def edge_label(self, u, v):
-        if not self.graph.has_edge(u, v):
-            raise KeyError((u, v))
-        return v[-1]
 
     @property
     def scc(self):
@@ -659,12 +648,6 @@ def build_rauzy(sft, order=None):
         (vertices[i], vertices[j]) for i in keep for j in succ[i] if j in alive
     )
     return RauzyGraph(sft, m, Digraph(tuple(vertices[i] for i in keep), edges))
-
-
-def scc_decompose(graph):
-    """(components, transient vertex set) of a RauzyGraph or Digraph."""
-    g = as_digraph(graph)
-    return g.sccs(), g.transient_vertices()
 
 
 def language_count(sft, n):

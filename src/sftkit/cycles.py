@@ -15,7 +15,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import chain, permutations
 from math import lcm
 
 from .core import (
@@ -59,9 +59,6 @@ class Cycle:
         n = len(self.vertices)
         k %= n
         return Cycle(self.graph, self.vertices[k:] + self.vertices[:k])
-
-    def rotations(self):
-        return [self.rotated(k) for k in range(len(self.vertices))]
 
 
 @dataclass(frozen=True)
@@ -372,36 +369,66 @@ def _cycle_key(g, vs):
     return (len(vs), tuple(rank[v] for v in vs))
 
 
+def _return_paths(succ, s, max_len):
+    """Paths from s back to s of at most ``max_len`` edges that meet no
+    vertex twice and s only at their ends, as rank tuples without the final
+    s: shortest first, then in lexicographic order.
+
+    One depth-first walk with on-path flags per length; a branch is cut when
+    its last vertex is too far from s to get back in time.
+    """
+    pred = [[] for _ in succ]
+    for u, row in enumerate(succ):
+        for v in row:
+            pred[v].append(u)
+    dist = [max_len + 1] * len(succ)  # edges from each vertex back to s
+    dist[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in pred[v]:
+                if dist[u] > dist[v] + 1:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    on_path = [False] * len(succ)
+    for length in range(1, min(max_len, len(succ)) + 1):  # a path meets each vertex once
+        path, stack = [s], [iter(succ[s])]
+        while stack:
+            for v in stack[-1]:
+                if v == s:
+                    if len(path) == length:
+                        yield tuple(path)
+                elif not on_path[v] and len(path) + dist[v] <= length:
+                    on_path[v] = True
+                    path.append(v)
+                    stack.append(iter(succ[v]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+
+
+def _cycle_walks(g, max_len):
+    """For each vertex s, a walk over the simple cycles of length <= max_len
+    whose first vertex in canonical order is s: the return paths of s among
+    the vertices from s on."""
+    succ = g.index.succ
+    return [_return_paths([[v for v in row if v >= s] for row in succ], s, max_len) for s in range(len(succ))]
+
+
 def _simple_cycles_upto(g, max_len):
     """All simple cycles of length <= max_len, each starting at its first
     vertex in canonical order; shortest first, then in canonical order."""
-    succ = g.index.succ
-    found = []
-
-    def dfs(path, onpath):
-        # a cycle is found once, from its first vertex, which starts the path
-        for v in succ[path[-1]]:
-            if v == path[0]:
-                found.append(tuple(path))
-            elif v > path[0] and v not in onpath and len(path) < max_len:
-                path.append(v)
-                onpath.add(v)
-                dfs(path, onpath)
-                onpath.discard(v)
-                path.pop()
-
-    for s in range(len(succ)):
-        dfs([s], {s})
-    found.sort(key=lambda c: (len(c), c))
+    found = sorted(chain.from_iterable(_cycle_walks(g, max_len)), key=lambda c: (len(c), c))
     return [tuple(g.vertices[i] for i in c) for c in found]
 
 
 def _min_simple_cycles(g):
-    cycles = _simple_cycles_upto(g, len(g.vertices))
-    if not cycles:
-        return []
-    m = min(len(c) for c in cycles)
-    return [c for c in cycles if len(c) == m]
+    """The shortest simple cycles; each walk stops at its first cycle."""
+    firsts = [next(walk, ()) for walk in _cycle_walks(g, len(g.vertices))]
+    return _simple_cycles_upto(g, min((len(c) for c in firsts if c), default=0))
 
 
 def _rotate_to(vs, x):

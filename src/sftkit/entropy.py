@@ -150,20 +150,6 @@ def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
     return EntropyBounds(tuple(samples), upper, tuple(strip))
 
 
-def aspect_check(H, V, alpha, beta, n_range, budget=None):
-    """Exact verification of the two aspect-ratio sandwich inequalities."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("aspect factors must be >= 1")
-    report = []
-    for n in n_range:
-        big = count_rectangles(H, V, alpha * beta * n, alpha * beta * n, budget)
-        mid = count_rectangles(H, V, alpha * n, beta * n, budget)
-        small = count_rectangles(H, V, n, n, budget)
-        ok = big <= mid ** (alpha * beta) and mid <= small ** (alpha * beta)
-        report.append({"n": n, "big": big, "mid": mid, "small": small, "ok": ok})
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Bezout rank
 
@@ -373,14 +359,6 @@ class RealizationSystem:
     """
 
     plan: RealizationPlan
-
-    def tile_of_bits(self, bits):
-        """Tile index addressed by an R-bit block word, or None."""
-        val = 0
-        for b in bits:
-            val = 2 * val + b
-        k = val + 1
-        return k if k <= self.plan.payload.N else None
 
 
 def build_realization(plan):

@@ -20,8 +20,7 @@ from sftkit.compiler import (
     compile_wang,
     decode_pattern,
     encode_pattern,
-    member_vertical,
-    parse_column_window,
+    parse_column,
 )
 from sftkit.solve import count_rectangles, find_torus, semi_decide_emptiness, validate_torus
 from sftkit.entropy import (
@@ -168,7 +167,7 @@ def test_05_compiler_roundtrip():
             if not all((row[i], row[i + 1]) in edges for i in range(len(row) - 1)):
                 ok = False
         for i in range(enc.width):
-            if not member_vertical(enc.column(i), pres2):
+            if not pres2.is_factor(enc.column(i)):
                 ok = False
         if decode_pattern(enc, gram2, tiles2) != grid:
             ok = False
@@ -192,7 +191,15 @@ def test_06_rigidity():
     # structural parse of every column, cached
     parses = []
     for w in words:
-        got = parse_column_window(gram, w)
+        got = next(
+            (
+                (p, off, codes)
+                for p in range(gram.M)
+                for off in range(gram.macro_height)
+                if (codes := parse_column(gram, w, p, off)) is not None
+            ),
+            None,
+        )
         assert got is not None, "presentation emitted a non-structural column"
         parses.append(got)
     # all valid adjacent pairs via vectorized edge filtering

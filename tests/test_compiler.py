@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from sftkit.core import (
+    Digraph,
     MalformedSlices,
     NoGoodPair,
     NotInClopen,
@@ -17,14 +19,14 @@ from sftkit.core import (
 )
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
+    _first_return_paths,
     _grammar_nfa,
+    _minimal_forbidden,
     build_grammar,
     compile_horizontal,
     compile_wang,
     decode_pattern,
     encode_pattern,
-    export_forbidden_words,
-    member_vertical,
     parse_column,
 )
 from sftkit.solve import count_rectangles
@@ -44,6 +46,11 @@ def grammar3(coding_sft, coding_pair):
 def pres3(coding_sft, coding_pair):
     pres, cert = compile_wang(coding_sft, free_tile_set(3), coding_pair)
     return pres, cert
+
+
+def offset0_phase(grammar, cells):
+    """The first phase at which a column parses as a stack of macro-slices."""
+    return next(p for p in range(grammar.M) if parse_column(grammar, cells, p) is not None)
 
 
 class TestGrammar:
@@ -177,7 +184,7 @@ class TestMemberVertical:
     def test_macro_word_is_factor(self, pres3, grammar3):
         pres, _ = pres3
         for p in range(3):
-            assert member_vertical(grammar3.macro_word(p, 2, 1), pres)
+            assert pres.is_factor(grammar3.macro_word(p, 2, 1))
 
     def test_desynchronized_slices_rejected(self, pres3, grammar3):
         pres, _ = pres3
@@ -187,7 +194,7 @@ class TestMemberVertical:
         lo = MN + 3 * MN
         hi = lo + 3 * MN
         w[lo:hi] = w[lo + MN : hi] + w[lo : lo + MN]
-        assert not member_vertical(tuple(w), pres)
+        assert not pres.is_factor(w)
 
     def test_vertically_illegal_succession_rejected(self, coding_sft, coding_pair):
         # each tile stacks on itself but never on the other
@@ -199,10 +206,10 @@ class TestMemberVertical:
         pres, _ = compile_wang(coding_sft, tiles, coding_pair)
         gram = build_grammar(coding_sft, coding_pair, 2)
         mixed = gram.macro_word(0, 1, 1) + gram.macro_word(0, 2, 1)
-        assert not member_vertical(mixed, pres)
+        assert not pres.is_factor(mixed)
         same = gram.macro_word(0, 1, 1) + gram.macro_word(0, 1, 1)
-        assert member_vertical(same, pres)
-        assert member_vertical(gram.macro_word(0, 2, 1), pres)
+        assert pres.is_factor(same)
+        assert pres.is_factor(gram.macro_word(0, 2, 1))
 
 
 class TestRoundTrip:
@@ -211,6 +218,12 @@ class TestRoundTrip:
         enc = encode_pattern([], grammar3, tiles)
         assert (enc.width, enc.height) == (0, 0)
         assert decode_pattern(enc, grammar3, tiles) == []
+
+    def test_window_with_no_cells_but_one_side(self, grammar3):
+        tiles = free_tile_set(3)
+        for width, height in ((0, grammar3.macro_height), (grammar3.M, 0)):
+            with pytest.raises(MalformedSlices):
+                decode_pattern(Pattern2D(width, height, ()), grammar3, tiles)
 
     def test_single_tile(self, grammar3, pres3, coding_sft):
         tiles = free_tile_set(3)
@@ -223,12 +236,12 @@ class TestRoundTrip:
             row = enc.row(j)
             assert all((row[i], row[i + 1]) in edges for i in range(len(row) - 1))
         for i in range(enc.width):
-            assert member_vertical(enc.column(i), pres)
+            assert pres.is_factor(enc.column(i))
 
     def test_two_wide_orbit_advance(self, grammar3):
         tiles = free_tile_set(3)
         enc = encode_pattern([[1], [2]], grammar3, tiles)
-        phases = [parse_column(grammar3, enc.column(c))[0] for c in range(enc.width)]
+        phases = [offset0_phase(grammar3, enc.column(c)) for c in range(enc.width)]
         assert phases == [c % grammar3.M for c in range(enc.width)]
 
     def test_random_roundtrip(self, grammar3, coding_sft, pres3):
@@ -244,7 +257,7 @@ class TestRoundTrip:
                 row = enc.row(j)
                 assert all((row[i], row[i + 1]) in edges for i in range(len(row) - 1))
             for i in range(enc.width):
-                assert member_vertical(enc.column(i), pres)
+                assert pres.is_factor(enc.column(i))
             assert decode_pattern(enc, gram, tiles) == grid
 
     def test_shifted_window_not_in_clopen(self, grammar3):
@@ -253,14 +266,70 @@ class TestRoundTrip:
         shifted = Pattern2D.from_columns(
             [enc.column(c) for c in range(1, enc.width)] + [enc.column(0)]
         )
-        with pytest.raises((NotInClopen, MalformedSlices)):
+        with pytest.raises(NotInClopen, match="first column has phase 1"):
             decode_pattern(shifted, grammar3, tiles)
 
     def test_phase_parameter(self, grammar3):
         tiles = free_tile_set(3)
         enc = encode_pattern([[1], [2]], grammar3, tiles, phase=1)
-        got = parse_column(grammar3, enc.column(0))
-        assert got[0] == 1  # first column now sits at phase 1
+        assert offset0_phase(grammar3, enc.column(0)) == 1  # first column now sits at phase 1
+
+    def test_cropped_rows_not_in_clopen(self, grammar3):
+        tiles = free_tile_set(3)
+        enc = encode_pattern([[1, 2, 3], [2, 3, 1]], grammar3, tiles)
+        height = grammar3.macro_height
+
+        def crop(y0):
+            return Pattern2D(enc.width, 2 * height, enc.cells[y0 * enc.width : (y0 + 2 * height) * enc.width])
+
+        assert decode_pattern(crop(0), grammar3, tiles) == [[1, 2], [2, 3]]
+        for y0 in (1, 7, height // 2):
+            with pytest.raises(NotInClopen):
+                decode_pattern(crop(y0), grammar3, tiles)
+
+
+class TestParseColumn:
+    def test_micro_slice_without_c2_rejected(self, grammar3):
+        tiles = free_tile_set(3)
+        enc = encode_pattern([[2], [3]], grammar3, tiles)
+        height = grammar3.macro_height
+        cells = list(enc.column(0))
+        # the first coding micro-slice of the marker column: clear its C2
+        t = next(t for t, (_, c2, _, _) in enumerate(grammar3.layout[0]) if c2 is not None)
+        micro = range(t, t + grammar3.N)
+        hit = next(i for i in micro if cells[i] != grammar3.layout[0][i][0])
+        cells[hit] = grammar3.layout[0][hit][0]
+        assert parse_column(grammar3, enc.column(0), 0) == [(2, None)]
+        for p in range(grammar3.M):
+            for off in range(height):
+                assert parse_column(grammar3, cells, p, off) is None, (p, off)
+        cols = [tuple(cells)] + [enc.column(c) for c in range(1, enc.width)]
+        with pytest.raises(MalformedSlices):
+            decode_pattern(Pattern2D.from_columns(cols), grammar3, tiles)
+
+    def test_cut_micro_slice_may_hold_no_c2(self, grammar3):
+        # main code 3 puts the C2 symbol at the bottom of its micro-slice; a
+        # window that starts just above it still parses, and the next
+        # micro-slice gives the code
+        tiles = free_tile_set(3)
+        col = encode_pattern([[3], [1]], grammar3, tiles).column(0)
+        t = next(t for t, (_, c2, _, _) in enumerate(grammar3.layout[0]) if c2 is not None)
+        assert col[t] == grammar3.layout[0][t][1]
+        assert parse_column(grammar3, col[t + 1 :], 0, t + 1) == [(3, None)]
+
+
+class TestOneTileDecode:
+    def test_only_the_one_tile_encoding_decodes(self, coding_sft, coding_pair):
+        tiles = free_tile_set(1)
+        gram = build_grammar(coding_sft, coding_pair, 1)
+        assert (gram.M, gram.macro_height) == (3, 30)
+        enc = encode_pattern([[1, 1]], gram, tiles)
+        assert decode_pattern(enc, gram, tiles) == [[1, 1]]
+        with pytest.raises(MalformedSlices):
+            decode_pattern(Pattern2D(3, 30, ("a",) * 90), gram, tiles)
+        shifted = Pattern2D.from_columns([enc.column(c) for c in (1, 2, 0)])
+        with pytest.raises(MalformedSlices):
+            decode_pattern(shifted, gram, tiles)
 
 
 class TestCompileHorizontal:
@@ -319,10 +388,32 @@ class TestCompileHorizontal:
         assert len(wide) == 2
 
 
+class TestFirstReturnPaths:
+    def test_long_return_paths(self):
+        # RLL(1000, 1001): between two 1s lie 1000 or 1001 0s
+        rll = Sft1D.from_words("01", "0" * 1002, *("1" + "0" * j + "1" for j in range(1000)))
+        g = build_rauzy(rll)
+        dg = g.graph
+        v = next(v for v in dg.vertices if dg.out_degree(v) >= 2 or dg.in_degree(v) >= 2)
+        t0 = time.perf_counter()
+        paths = _first_return_paths(g, v, want=2)
+        assert time.perf_counter() - t0 < 2.0
+        assert [len(p) - 1 for p in paths] == [1001, 1002]
+        assert all(p[0] == p[-1] == v and v not in p[1:-1] for p in paths)
+
+    def test_canonical_order_within_a_length(self):
+        # from 0, two returns of length 3 and one of length 2
+        g = Digraph((0, 1, 2, 3), frozenset({(0, 2), (2, 0), (0, 1), (1, 3), (3, 0), (2, 3), (1, 2)}))
+        assert _first_return_paths(g, 0, want=3) == [(0, 2, 0), (0, 1, 2, 0), (0, 1, 3, 0)]
+        assert _first_return_paths(g, 0, want=9) == [
+            (0, 2, 0), (0, 1, 2, 0), (0, 1, 3, 0), (0, 2, 3, 0), (0, 1, 2, 3, 0)
+        ]
+
+
 class TestForbiddenExport:
     def test_monotile_export_matches_language(self, coding_sft, coding_pair):
         pres, _ = compile_wang(coding_sft, free_tile_set(1), coding_pair)
-        words = export_forbidden_words(pres, 4)
+        words = _minimal_forbidden(pres.scan, pres.alphabet, 4)
         assert words  # the cycle shift forbids plenty of short words
         # every exported word is indeed not a factor, minimally so
         for w in words:

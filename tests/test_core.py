@@ -19,7 +19,6 @@ from sftkit.core import (
     full_shift,
     higher_block_recode,
     language_count,
-    scc_decompose,
     sft_from_edges,
     word_in_language,
 )
@@ -64,17 +63,15 @@ class TestRauzy:
         sft = Sft1D.from_words("0123", "10", "20", "21", "11", "30", "31", "32", "33")
         g = build_rauzy(sft)
         assert [v[0] for v in g.vertices] == ["0", "1", "2"]
-        comps, transient = scc_decompose(g)
-        assert comps == ((("0",),), (("1",),), (("2",),))
-        assert transient == (("1",),)
+        assert g.graph.sccs() == ((("0",),), (("1",),), (("2",),))
+        assert g.graph.transient_vertices() == (("1",),)
 
     def test_paper_example_literal_forbidden_set(self):
         # with the forbidden set as printed (no 20), 1 -> 2 -> 0 -> 1 closes a
         # cycle, so there is a single component and no transient vertex
         sft = Sft1D.from_words("0123", "10", "21", "11", "30", "31", "32", "33")
-        g = build_rauzy(sft)
-        comps, transient = scc_decompose(g)
-        assert len(comps) == 1 and transient == ()
+        g = build_rauzy(sft).graph
+        assert len(g.sccs()) == 1 and g.transient_vertices() == ()
 
     def test_full_shift_order1(self, full2):
         g = build_rauzy(full2, order=1)
@@ -92,9 +89,11 @@ class TestRauzy:
             build_rauzy(Sft1D.from_words("0", "0"))
 
     def test_edge_labels_are_target_suffix(self, golden):
+        # an edge u -> v is the word u + v[-1], so u and v overlap
         g = build_rauzy(golden, order=3)
-        for (u, v) in g.edges:
-            assert g.edge_label(u, v) == v[-1]
+        assert all(u[1:] == v[:-1] for (u, v) in g.edges)
+        no_11 = {w for w in product("01", repeat=4) if ("1", "1") not in zip(w, w[1:])}
+        assert {u + v[-1:] for (u, v) in g.edges} == no_11
 
     def test_higher_order_same_language(self, golden, coding_sft):
         # counting paths on the order-(M+1) graph gives the same numbers
@@ -102,11 +101,11 @@ class TestRauzy:
             m = graph.order
             if n <= m:
                 return len({v[i : i + n] for v in graph.vertices for i in range(m - n + 1)})
-            pred = graph.graph.pred_map()
-            counts = {v: 1 for v in graph.vertices}
+            pred = graph.graph.index.pred
+            counts = [1] * len(pred)
             for _ in range(n - m):
-                counts = {v: sum(counts[u] for u in pred[v]) for v in graph.vertices}
-            return sum(counts.values())
+                counts = [sum(counts[u] for u in row) for row in pred]
+            return sum(counts)
 
         for sft in (golden, coding_sft, Sft1D.from_words("01", "111")):
             m = sft.order
@@ -166,14 +165,12 @@ class TestRecode:
 
 class TestScc:
     def test_three_cycle(self):
-        g = build_rauzy(sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")]))
-        comps, transient = scc_decompose(g)
-        assert len(comps) == 1 and transient == ()
+        g = build_rauzy(sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])).graph
+        assert len(g.sccs()) == 1 and g.transient_vertices() == ()
 
     def test_two_loops_one_way(self):
         g = Digraph(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")}))
-        comps, transient = scc_decompose(g)
-        assert len(comps) == 2 and transient == ()
+        assert len(g.sccs()) == 2 and g.transient_vertices() == ()
 
 
 class TestPattern2D:
@@ -502,8 +499,6 @@ class TestGraphIndex:
             assert g.predecessors(u) == tuple(v for v in g.vertices if (v, u) in g.edges)
             assert g.out_degree(u) == sum(1 for (a, _) in g.edges if a == u)
             assert g.in_degree(u) == sum(1 for (_, b) in g.edges if b == u)
-        assert g.succ_map() == {u: g.successors(u) for u in g.vertices}
-        assert g.pred_map() == {u: g.predecessors(u) for u in g.vertices}
 
     @DIFFERENTIAL
     @given(shuffled_digraphs())
