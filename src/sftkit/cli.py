@@ -203,7 +203,7 @@ def _cmd_entropy(args):
             {
                 "log2": r.log2_value,
                 "eigenvalue": r.eigenvalue,
-                "residual": r.residual,
+                "bracket": [_entropy._log2(v) for v in r.bracket],
                 "iterations": r.iterations,
             },
             args.out,
@@ -344,7 +344,12 @@ def _parser():
             qa.add_argument("--v", required=name == "statesplit")
         qa.add_argument("--bound", type=int, default=4)
         qa.add_argument("--budget", type=int)
-        qa.add_argument("--tol", type=float, default=1e-10)
+        qa.add_argument(
+            "--tol",
+            type=float,
+            default=1e-10,
+            help="1d: largest relative width (hi - lo) / hi of the certified spectral-radius bracket",
+        )
         qa.add_argument("--out")
         qa.set_defaults(fn=_cmd_entropy)
 

@@ -11,7 +11,7 @@ free windows contribute the tunable entropy term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, lcm, log2
+from math import gcd, inf, lcm, log2, nextafter
 
 import numpy as np
 
@@ -42,71 +42,142 @@ from .solve import _global_words, count_rectangles, StripAutomaton
 class PerronResult:
     log2_value: float
     eigenvalue: float
-    residual: float
+    bracket: tuple  # (lo, hi): certified bounds, lo <= eigenvalue <= hi
     iterations: int
 
 
 def _digraph_spectral_radius(g, tol=1e-12, max_iter=10**6):
     """Spectral radius of the adjacency matrix of a Digraph, as (value,
-    residual, iters)."""
+    (lo, hi), iters); see ``_spectral_radius``."""
     return _spectral_radius(g.index.succ, tol, max_iter)
 
 
 def _spectral_radius(succ, tol=1e-12, max_iter=10**6):
-    """Spectral radius of the graph with successor lists ``succ``, as (value,
-    residual, iters).
+    """Spectral radius rho of the graph with successor lists ``succ`` (a
+    repeated index is a parallel edge), as (value, (lo, hi), iters).
 
-    Power iteration runs per strongly connected component on A + I (shifting
-    makes periodic components primitive); the largest value wins.
+    ``lo <= rho <= hi`` is certified in exact arithmetic, ``hi - lo <= tol *
+    hi``, and ``value`` is the midpoint.  Each nontrivial strongly connected
+    component gets its own bracket (``_perron_bracket``); rho is the largest
+    component radius, so each end of the graph's bracket is the largest end
+    among the components.  Raises RuntimeError when ``max_iter`` steps do not
+    certify a component.
     """
-    best = 0.0
-    best_res = 0.0
+    lo = hi = 0.0
     iters = 0
     for comp in strong_components(succ):
         if len(comp) == 1 and comp[0] not in succ[comp[0]]:
             continue  # transient vertex contributes nothing
-        pos = {v: i for i, v in enumerate(comp)}
-        n = len(comp)
-        a = np.zeros((n, n))
-        for u in comp:
-            for v in succ[u]:
-                if v in pos:
-                    a[pos[u], pos[v]] = 1.0
-        b = a + np.eye(n)
-        x = np.full(n, 1.0 / n)
-        lam = 1.0
-        res = inf
-        for it in range(max_iter):
-            y = b @ x
-            lam = float(x @ y) / float(x @ x)
-            res = float(np.linalg.norm(y - lam * x) / np.linalg.norm(x))
-            x = y / np.linalg.norm(y)
-            iters += 1
-            if res < tol:
-                break
-        val = lam - 1.0
-        if val > best:
-            best = val
-            best_res = res
-    return best, best_res, iters
+        c_lo, c_hi, steps = _perron_bracket(succ, comp, tol, max_iter)
+        iters += steps
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return (lo + hi) / 2, (lo, hi), iters
+
+
+# After k squarings P is proportional to (A + I)^(2^k), which resolves any
+# spectral gap above 2^-50 to double precision once k reaches 56; further
+# squarings only cost n^3 each.
+_MAX_SQUARINGS = 60
+
+
+def _perron_bracket(succ, comp, tol, max_iter):
+    """Certified (lo, hi, steps) around the spectral radius of the irreducible
+    component ``comp`` of ``succ``.
+
+    Power iteration on B = A + I from x = 1 (the shift makes periodic
+    components primitive).  Once the steps outnumber the component's states,
+    each step also squares a normalised power P of B and applies it, so a
+    small spectral gap costs O(n^3 log steps) rather than O(n^4).  When the
+    float ratios (Ax)_i / x_i agree to ``tol``, ``_exact_bracket`` recomputes
+    their min and max exactly.
+    """
+    n = len(comp)
+    pos = {v: i for i, v in enumerate(comp)}
+    rows = [[pos[v] for v in succ[u] if v in pos] for u in comp]
+    a = np.empty((n, n))
+    for i, row in enumerate(rows):
+        a[i] = np.bincount(row, minlength=n)
+    x = np.ones(n)
+    p = None
+    squarings = 0
+    next_check = 0
+    lo, hi = 0.0, inf
+    for steps in range(1, max_iter + 1):
+        ax = a @ x
+        ratios = ax / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * hi and steps >= next_check:
+            c_lo, c_hi = _exact_bracket(rows, x)
+            if c_hi - c_lo <= tol * c_hi:
+                return c_lo, c_hi, steps
+            next_check = 2 * steps  # the float ratios are too coarse yet
+        y = ax + x
+        if steps > n and squarings < _MAX_SQUARINGS:
+            if p is None:
+                p = a.copy()
+                p.flat[:: n + 1] += 1.0
+            else:
+                p = p @ p
+                p /= p.max()
+            squarings += 1
+            y = p @ y
+        x = y / y.max()
+    raise RuntimeError(
+        f"power iteration did not certify the spectral radius: float bracket "
+        f"[{lo!r}, {hi!r}] wider than tol {tol:g} after {max_iter} iterations "
+        f"on a component of {n} states"
+    )
+
+
+def _exact_bracket(rows, x):
+    """Floats (lo, hi) around the min and max of (Ax)_i / x_i.
+
+    For positive x and an irreducible nonnegative A these bracket the
+    spectral radius (Collatz–Wielandt).  Each x_i is a dyadic rational, so
+    scaling by the largest denominator makes x an integer vector; the sums
+    over the successor lists ``rows`` and the comparisons are then exact, and
+    the float ends are rounded outward.
+    """
+    fracs = [v.as_integer_ratio() for v in x.tolist()]
+    shift = max(d for _, d in fracs).bit_length()
+    xs = [m << (shift - d.bit_length()) for m, d in fracs]
+    lo_n, lo_d, hi_n, hi_d = 1, 0, 0, 1  # lo = +inf, hi = 0
+    for xi, row in zip(xs, rows):
+        s = sum(map(xs.__getitem__, row))
+        if s * lo_d < lo_n * xi:
+            lo_n, lo_d = s, xi
+        if s * hi_d > hi_n * xi:
+            hi_n, hi_d = s, xi
+    lo, hi = lo_n / lo_d, hi_n / hi_d  # correctly rounded
+    if _float_minus(lo, lo_n, lo_d) > 0:
+        lo = nextafter(lo, -inf)
+    if _float_minus(hi, hi_n, hi_d) < 0:
+        hi = nextafter(hi, inf)
+    return lo, hi
+
+
+def _float_minus(f, num, den):
+    """An int with the sign of f - num / den, for den > 0."""
+    a, b = f.as_integer_ratio()
+    return a * den - num * b
 
 
 def entropy_1d(H, tol=1e-10, max_iter=10**6):
     """log2 of the spectral radius of the pruned Rauzy adjacency matrix.
 
-    Raises RuntimeError when power iteration ends with a residual that is
-    not below ``tol``.
+    ``bracket`` holds certified bounds on the spectral radius whose relative
+    width is at most ``tol``.  Raises RuntimeError when power iteration does
+    not reach that width in ``max_iter`` steps on a component.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan, which no bracket would meet
         raise ValueError("tol must be positive")
     g = build_rauzy(H)  # raises EmptyLanguage
-    val, res, iters = _digraph_spectral_radius(g.graph, tol, max_iter)
-    if not res < tol:
-        raise RuntimeError(
-            f"power iteration did not converge: residual {res:.3g} after {iters} iterations"
-        )
-    val = max(val, 0.0)
-    return PerronResult(log2(val) if val > 0 else -inf if val == 0 else 0.0, val, res, iters)
+    val, bracket, iters = _digraph_spectral_radius(g.graph, tol, max_iter)
+    return PerronResult(_log2(val), val, bracket, iters)
+
+
+def _log2(v):
+    return log2(v) if v > 0 else -inf
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +188,7 @@ def entropy_1d(H, tol=1e-10, max_iter=10**6):
 class EntropyBounds:
     samples: tuple  # (n, log2 N(n,n) / n^2)
     upper: float  # running infimum over the samples
-    strip_upper: tuple  # (h, log2(lambda_h) / h)
+    strip_upper: tuple  # (h, log2(hi_h) / h), hi_h the certified upper end for lambda_h
 
     def to_json(self):
         return {
@@ -128,7 +199,8 @@ class EntropyBounds:
 
 
 def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
-    """Square-count samples plus strip-eigenvalue upper bounds."""
+    """Square-count samples plus strip-eigenvalue upper bounds, each from the
+    upper end of the strip's certified spectral-radius bracket."""
     if max_n < 1 or max_strip_h < 1:
         raise ValueError("budgets must be >= 1")
     samples = []
@@ -145,8 +217,8 @@ def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
     strip = []
     for h in range(1, max_strip_h + 1):
         sa = StripAutomaton.build(H, V, h, budget)
-        lam = sa.spectral_radius()[0]
-        strip.append((h, log2(lam) / h if lam > 0 else -inf))
+        hi = sa.spectral_radius()[1][1]
+        strip.append((h, _log2(hi) / h))
     return EntropyBounds(tuple(samples), upper, tuple(strip))
 
 
@@ -229,8 +301,11 @@ def entropy_words(H, k=1):
     g = build_rauzy(H)
     if len(g.scc) != 1:
         raise NotTransitive("the Rauzy graph is not strongly connected")
-    if entropy_1d(H).eigenvalue <= 1.0 + 1e-12:
+    lo, hi = entropy_1d(H).bracket
+    if hi <= 1.0:
         raise ZeroEntropy("entropy must be positive")
+    if not lo > 1.0:
+        raise RuntimeError(f"the spectral radius bracket [{lo!r}, {hi!r}] does not decide positive entropy")
     s = None
     for v in g.vertices:
         paths = _first_return_paths(g.graph, v, want=2)

@@ -156,7 +156,8 @@ class StripAutomaton:
         return sum(vec)
 
     def spectral_radius(self, tol=1e-12, max_iter=10**6):
-        """Largest transfer eigenvalue (per-SCC power iteration)."""
+        """Largest transfer eigenvalue as (value, (lo, hi), iterations), with
+        a certified bracket (``entropy._spectral_radius``)."""
         from .entropy import _spectral_radius
 
         return _spectral_radius(self.successors, tol, max_iter)

@@ -112,6 +112,12 @@ class TestErrors:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_not_positive(self, capsys, tol):
+        code, _, err = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", tol)
+        assert code == 2
+        assert "tol" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "nope.json")
         assert code == 2
@@ -291,7 +297,10 @@ class TestEntropyCommands:
     def test_1d(self, capsys):
         code, out, _ = run(capsys, "entropy", "1d", "--input", path("golden.json"))
         assert code == 0
-        assert abs(json.loads(out)["log2"] - 0.6942419) < 1e-6
+        obj = json.loads(out)
+        assert abs(obj["log2"] - 0.6942419) < 1e-6
+        lo, hi = obj["bracket"]
+        assert lo <= 0.6942419136306174 <= hi and "residual" not in obj
 
     def test_2d(self, capsys):
         code, out, _ = run(

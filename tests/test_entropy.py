@@ -1,8 +1,13 @@
+import importlib.util
 import random
 from itertools import product
-from math import comb, inf, log2
+from fractions import Fraction
+from math import comb, inf, log2, nextafter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftkit.core import (
     NotStateSplit,
@@ -19,6 +24,8 @@ from sftkit.compiler import compile_wang
 from sftkit.solve import count_rectangles
 from sftkit.entropy import (
     RealizationPlan,
+    _exact_bracket,
+    _spectral_radius,
     bezout_rank,
     build_realization,
     count_realization,
@@ -35,6 +42,76 @@ from sftkit.entropy import (
 GOLDEN_ENTROPY = log2((1 + 5 ** 0.5) / 2)
 
 
+def _load_oracles():
+    """perfbench/oracles.py, which computes its references without sftkit."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = _load_oracles()
+PERRON = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def perron_digraphs(draw):
+    """Successor lists made of blocks: plain cycles, periodic components
+    (complete between consecutive levels of a ring), random digraphs with
+    self-loops and parallel edges, and transient vertices; edges between
+    blocks only go forward, so each block keeps its own components.  The
+    numbering is permuted."""
+    edges = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(["cycle", "periodic", "random", "transient"]), min_size=1, max_size=4)):
+        if kind == "cycle":
+            k = draw(st.integers(1, 5))
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        elif kind == "periodic":
+            sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+            starts = [n + sum(sizes[:i]) for i in range(len(sizes))]
+            for i, (s, size) in enumerate(zip(starts, sizes)):
+                j = (i + 1) % len(sizes)
+                edges += [(u, v) for u in range(s, s + size) for v in range(starts[j], starts[j] + sizes[j])]
+            k = sum(sizes)
+        elif kind == "random":
+            k = draw(st.integers(1, 5))
+            pair = st.tuples(st.integers(n, n + k - 1), st.integers(n, n + k - 1))
+            edges += draw(st.lists(pair, max_size=12))
+        else:
+            k = 1
+        if n:
+            into = st.tuples(st.integers(0, n - 1), st.integers(n, n + k - 1))
+            edges += draw(st.lists(into, max_size=3))
+        n += k
+    perm = draw(st.permutations(range(n)))
+    succ = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[perm[u]].append(perm[v])
+    return succ
+
+
+def numpy_radius(succ):
+    """Largest spectral radius of numpy.linalg.eigvals over the diagonal
+    blocks of the strong components, found from the transitive closure.
+    Taking eigvals of the whole matrix instead would meet repeated roots of
+    equal components, which numpy resolves only to about sqrt(eps)."""
+    n = len(succ)
+    a = np.zeros((n, n))
+    for u, vs in enumerate(succ):
+        for v in vs:
+            a[u, v] += 1.0
+    reach = (a + np.eye(n)) > 0
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    rho = 0.0
+    for u in range(n):
+        comp = [v for v in range(n) if reach[u, v] and reach[v, u]]
+        rho = max(rho, float(max(abs(np.linalg.eigvals(a[np.ix_(comp, comp)])))))
+    return rho
+
+
 class TestEntropy1D:
     def test_full_shift_exact(self):
         assert entropy_1d(full_shift("01")).log2_value == pytest.approx(1.0, abs=1e-12)
@@ -44,7 +121,9 @@ class TestEntropy1D:
 
     def test_plain_cycle_zero(self):
         cyc = sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
-        assert entropy_1d(cyc).log2_value == pytest.approx(0.0, abs=1e-12)
+        r = entropy_1d(cyc)
+        assert r.bracket == (1.0, 1.0)
+        assert r.log2_value == 0.0
 
     def test_multi_component(self):
         # two components: a full 2-shift block and a single loop
@@ -53,13 +132,49 @@ class TestEntropy1D:
 
 
     def test_unconverged_iteration_fails_loudly(self):
-        # RLL(20, 21): between two 1s lie 20 or 21 0s; its Perron iteration
-        # needs thousands of steps
-        forbidden = ["1" + "0" * j + "1" for j in range(20)] + ["0" * 22]
-        rll = Sft1D.from_words("01", *forbidden)
-        with pytest.raises(RuntimeError, match=r"residual .* after 10 iterations"):
+        # RLL(20, 21): between two 1s lie 20 or 21 0s; ten steps of power
+        # iteration leave the bracket far wider than tol
+        rll = Sft1D.from_words("01", *ORACLES.rll_forbidden(20, 21))
+        with pytest.raises(RuntimeError, match=r"bracket .* wider than tol .* after 10 iterations"):
             entropy_1d(rll, max_iter=10)
-        assert entropy_1d(rll).residual < 1e-10
+        lo, hi = entropy_1d(rll).bracket
+        assert hi - lo <= 1e-10 * hi
+
+    @pytest.mark.parametrize("d", [20, 40, 80, 200])
+    def test_rll_capacity_in_bracket(self, d):
+        # the capacity of RLL(d, d + 1) is log2 of the largest root of
+        # x^(k+2) - x^(k+1) - x^(k+1-d) + 1; the slack covers the float
+        # bisection of the reference
+        rll = Sft1D.from_words("01", *ORACLES.rll_forbidden(d, d + 1))
+        r = entropy_1d(rll)
+        lo, hi = r.bracket
+        cap = ORACLES.rll_capacity(d, d + 1)
+        assert hi - lo <= 1e-10 * hi
+        assert log2(lo) - 1e-13 <= cap <= log2(hi) + 1e-13
+        assert lo <= r.eigenvalue <= hi
+
+    @PERRON
+    @given(perron_digraphs())
+    def test_bracket_contains_numpy_radius(self, succ):
+        tol = 1e-10
+        value, (lo, hi), _ = _spectral_radius(succ, tol)
+        rho = numpy_radius(succ)
+        assert lo <= value <= hi
+        assert hi - lo <= tol * hi
+        # numpy's eigenvalues carry rounding error of their own
+        assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
+
+    @PERRON
+    @given(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=8).flatmap(
+        lambda x: st.tuples(st.just(x), st.lists(st.lists(st.integers(0, len(x) - 1), max_size=4), min_size=len(x), max_size=len(x)))
+    ))
+    def test_exact_bracket_rounds_outward(self, case):
+        # each end is the float next to the exact min or max ratio, on its outer side
+        x, rows = case
+        lo, hi = _exact_bracket(rows, np.array(x))
+        ratios = [sum(Fraction(x[j]) for j in row) / Fraction(x[i]) for i, row in enumerate(rows)]
+        assert Fraction(lo) <= min(ratios) < Fraction(nextafter(lo, inf))
+        assert Fraction(nextafter(hi, -inf)) < max(ratios) <= Fraction(hi)
 
 
 class TestBounds2D:
