@@ -42,7 +42,10 @@ from . import entropy as _entropy
 
 
 def _emit(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write ``obj`` as one line of JSON with sorted keys.  Without ``indent``
+    the standard library encodes in C, which matters for presentations of
+    a megabyte or more."""
+    text = json.dumps(obj, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

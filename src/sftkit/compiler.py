@@ -300,25 +300,57 @@ class VerticalPresentation:
         }
 
 
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _determinize(nfa_states, nfa_next, nfa_annotations):
     """Essential part of the subset construction from the full state set.
 
-    ``nfa_next[q]`` is (label, targets) and ``nfa_annotations[q]`` is
-    (p, t, k, l).  Returns (states, transitions, annotations); a state's
-    annotations list its subset's when it has at most 8 members.
+    The NFA states are 0..n-1; ``nfa_next[q]`` is (label, targets) and
+    ``nfa_annotations[q]`` is (p, t, k, l).  A subset is an int with bit q
+    set for state q.  Most states (every cell of a macro-slice but the last)
+    have q + 1 as their only target; they form the ``shift`` mask and
+    advance together in one shift, and every other state ORs in its own
+    target mask.  Subsets are numbered breadth-first from the full set,
+    labels in sorted order.  Returns (states, transitions, annotations); a
+    state's annotations list its subset's when it has at most 8 members.
     """
-    start = frozenset(nfa_states)
+    n = len(nfa_states)
+    carries = {}  # label -> mask of the states that read it
+    shift = 0
+    jump = [0] * n  # target mask of each state outside ``shift``
+    for q in range(n):
+        a, targets = nfa_next[q]
+        carries[a] = carries.get(a, 0) | 1 << q
+        if targets == (q + 1,):
+            shift |= 1 << q
+        else:
+            for t in targets:
+                jump[q] |= 1 << t
+    by_label = [(a, carries[a]) for a in sorted(carries)]
+    start = (1 << n) - 1
+    rest = start & ~shift
+
     ids = {start: 0}
     order = [start]
     trans = []
     for subset in order:
-        by_label = {}
-        for q in subset:
-            a, targets = nfa_next[q]
-            by_label.setdefault(a, set()).update(targets)
         row = {}
-        for a in sorted(by_label):
-            T = frozenset(by_label[a])
+        for a, mask in by_label:
+            here = subset & mask
+            if not here:
+                continue
+            T = (here & shift) << 1
+            others = here & rest
+            while others:  # _bits inlined: a generator here costs a fifth of the loop
+                low = others & -others
+                T |= jump[low.bit_length() - 1]
+                others ^= low
             if T not in ids:
                 ids[T] = len(order)
                 order.append(T)
@@ -331,7 +363,7 @@ def _determinize(nfa_states, nfa_next, nfa_annotations):
         {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
     ]
     annotations = [
-        tuple(sorted(nfa_annotations[q] for q in order[s])) if len(order[s]) <= 8 else None
+        tuple(sorted(nfa_annotations[q] for q in _bits(order[s]))) if order[s].bit_count() <= 8 else None
         for s in keep
     ]
     return tuple(range(len(keep))), transitions, annotations

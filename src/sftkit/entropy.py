@@ -10,6 +10,7 @@ free windows contribute the tunable entropy term.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd, inf, lcm, log2, nextafter
 
@@ -162,15 +163,21 @@ def _float_minus(f, num, den):
     return a * den - num * b
 
 
+_TOL_MIN = 4 * sys.float_info.epsilon
+
+
 def entropy_1d(H, tol=1e-10, max_iter=10**6):
     """log2 of the spectral radius of the pruned Rauzy adjacency matrix.
 
     ``bracket`` holds certified bounds on the spectral radius whose relative
-    width is at most ``tol``.  Raises RuntimeError when power iteration does
+    width is at most ``tol``.  Raises ValueError when ``tol`` is below
+    4 * sys.float_info.epsilon, and RuntimeError when power iteration does
     not reach that width in ``max_iter`` steps on a component.
     """
-    if not tol > 0:  # also rejects nan, which no bracket would meet
-        raise ValueError("tol must be positive")
+    # float ratios cannot agree to a few ulps, so a smaller tol would run all
+    # max_iter steps before failing; the check also rejects nan
+    if not tol >= _TOL_MIN:
+        raise ValueError(f"tol must be at least {_TOL_MIN:.3g} (four float epsilons)")
     g = build_rauzy(H)  # raises EmptyLanguage
     val, bracket, iters = _digraph_spectral_radius(g.graph, tol, max_iter)
     return PerronResult(_log2(val), val, bracket, iters)

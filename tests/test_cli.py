@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -117,6 +118,15 @@ class TestErrors:
         code, _, err = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", tol)
         assert code == 2
         assert "tol" in err
+
+    def test_tol_below_float_precision_fails_fast(self, capsys):
+        # the float ratios of power iteration cannot agree to 1e-16
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", "1e-16")
+        assert code == 2 and out == "" and err.startswith("error:") and "tol" in err
+        assert time.perf_counter() - start < 0.5
+        code, out, _ = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", "1e-15")
+        assert code == 0 and json.loads(out)["iterations"] > 0
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "nope.json")
@@ -320,3 +330,90 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def _json_commands(tmp_path):
+    """argv of every JSON-writing command on small inputs, by name."""
+    from sftkit.core import Sft1D, free_tile_set
+    from sftkit.entropy import entropy_words
+
+    golden, coding3, free2 = path("golden.json"), path("coding3.json"), path("free2.json")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"tiles": [[2], [1]]}))
+    window = tmp_path / "window.json"
+    assert main(["encode", "--h", coding3, "--w", free2, "--input", str(grid), "--out", str(window)]) == 0
+    sft = Sft1D.load(golden)
+    u, w1, w2, _ = entropy_words(sft, k=1)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "H": sft.to_json(), "payload": free_tile_set(2).to_json(),
+        "u": list(u), "w1": list(w1), "w2": list(w2), "q": 1, "r": 2, "R": 1, "ks": [2],
+    }))
+    ss_h, ss_v = tmp_path / "ss_h.json", tmp_path / "ss_v.json"
+    ss_h.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["a", "a"], ["b", "b"]]}))
+    ss_v.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["b", "b"]]}))
+    return {
+        "rauzy": ["rauzy", "--input", golden],
+        "classify": ["classify", "--input", golden],
+        "cycles find": ["cycles", "find", "--input", coding3, "--explain"],
+        "compile wang": ["compile", "wang", "--h", coding3, "--w", free2],
+        "compile horizontal": ["compile", "horizontal", "--h", golden, "--w", free2],
+        "solve count": ["solve", "count", "--h", golden, "--v", golden, "--width", "2", "--height", "2"],
+        "solve torus": ["solve", "torus", "--h", golden, "--v", golden],
+        "solve empty": ["solve", "empty", "--h", golden, "--v", golden],
+        "solve decide": ["solve", "decide", "--h", golden, "--v", golden],
+        "entropy 1d": ["entropy", "1d", "--input", golden],
+        "entropy 2d": ["entropy", "2d", "--h", golden, "--v", golden, "--bound", "3"],
+        "entropy realize": ["entropy", "realize", "--input", str(spec)],
+        "entropy statesplit": ["entropy", "statesplit", "--h", str(ss_h), "--v", str(ss_v), "--bound", "2"],
+        "entropy bezout": ["entropy", "bezout", "--input", "3,5"],
+        "encode": ["encode", "--h", coding3, "--w", free2, "--input", str(grid)],
+        "decode": ["decode", "--h", coding3, "--w", free2, "--input", str(window)],
+    }
+
+
+class TestOutputLayout:
+    """Every JSON result is one line with sorted keys, the same content as
+    before the layout became one line."""
+
+    def test_one_line_on_stdout_and_in_out_files(self, capsys, tmp_path):
+        commands = _json_commands(tmp_path)
+        capsys.readouterr()
+        for i, (name, argv) in enumerate(commands.items()):
+            code, out, _ = run(capsys, *argv)
+            outfile = tmp_path / f"out{i}.json"
+            assert code == 0 and run(capsys, *argv, "--out", str(outfile))[0] == 0, name
+            assert outfile.read_text() == out, name
+            assert out.endswith("\n") and out.count("\n") == 1, name
+            obj = json.loads(out)
+            assert out == json.dumps(obj, sort_keys=True) + "\n", name
+
+    def test_compile_wang_is_the_presentation(self, capsys):
+        from sftkit.compiler import compile_wang
+        from sftkit.core import Sft1D, WangTileSet, build_rauzy
+        from sftkit.cycles import find_cycle_pair
+
+        code, out, _ = run(capsys, "compile", "wang", "--h", path("coding3.json"), "--w", path("free3.json"))
+        assert code == 0
+        sft = Sft1D.load(path("coding3.json"))
+        pair, report = find_cycle_pair(build_rauzy(sft))
+        pres, cert = compile_wang(sft, WangTileSet.load(path("free3.json")), pair)
+        expect = pres.to_json()
+        expect["certificate"] = cert.to_json()
+        expect["pair"] = {
+            "c1": ["".join(v) for v in pair.c1.vertices],
+            "c2": ["".join(v) for v in pair.c2.vertices],
+            "case_tag": report.case_tag,
+        }
+        # JSON turns the tuples of decode_annotations into lists
+        assert json.loads(out) == json.loads(json.dumps(expect))
+
+    def test_compile_wang_content_is_pinned(self, capsys):
+        # SHA-256 of the coding3 x free2 presentation re-dumped with indent=2
+        # and sorted keys, as the indented layout wrote it
+        code, out, _ = run(capsys, "compile", "wang", "--h", path("coding3.json"), "--w", path("free2.json"))
+        assert code == 0
+        canon = json.dumps(json.loads(out), indent=2, sort_keys=True)
+        assert hashlib.sha256(canon.encode()).hexdigest() == (
+            "29c43c7a28e8d1a69dd5a145e75eaa25fae5b58f39129a857f2d8fa00cf1eb23"
+        )

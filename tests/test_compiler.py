@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sftkit.core import (
     Digraph,
@@ -19,6 +20,7 @@ from sftkit.core import (
 )
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
+    _determinize,
     _first_return_paths,
     _grammar_nfa,
     _minimal_forbidden,
@@ -531,3 +533,92 @@ class TestPresentationAgainstNfa:
         tiles = WangTileSet((WangTile("h", "h", "x", "x"), WangTile("h", "h", "z", "x")))
         pres, _ = compile_wang(coding_sft, tiles, coding_pair)
         assert count_rectangles(coding_sft, pres, 1, 60) == 308
+
+
+def _subset_construction(nfa_next, nfa_annotations):
+    """Reference for ``_determinize``: subsets as frozensets, numbered
+    breadth-first from the full set with labels in sorted order, then
+    trimmed by rounds that drop every subset with no successor or no
+    predecessor among the kept ones."""
+    start = frozenset(nfa_next)
+    ids, order, rows = {start: 0}, [start], []
+    for subset in order:
+        by_label = {}
+        for q in subset:
+            a, targets = nfa_next[q]
+            by_label.setdefault(a, set()).update(targets)
+        row = {}
+        for a in sorted(by_label):
+            t = frozenset(by_label[a])
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+            row[a] = ids[t]
+        rows.append(row)
+    keep = set(range(len(rows)))
+    while True:
+        has_pred = {t for s in keep for t in rows[s].values() if t in keep}
+        kept = {s for s in keep if s in has_pred and any(t in keep for t in rows[s].values())}
+        if kept == keep:
+            break
+        keep = kept
+    keep = sorted(keep)
+    remap = {s: i for i, s in enumerate(keep)}
+    transitions = [{a: remap[t] for a, t in rows[s].items() if t in remap} for s in keep]
+    annotations = [
+        tuple(sorted(nfa_annotations[q] for q in order[s])) if len(order[s]) <= 8 else None
+        for s in keep
+    ]
+    return tuple(range(len(keep))), transitions, annotations
+
+
+@st.composite
+def block_nfas(draw):
+    """NFAs shaped like the presentation NFAs: blocks whose cells step to
+    the next cell (q -> q + 1), and block-final cells with zero, one or
+    several targets, a block start or any state, possibly themselves."""
+    labels = "abcd"[: draw(st.integers(1, 4))]
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    n = sum(lengths)
+    nfa_next, annotations = {}, {}
+    for b, (first, length) in enumerate(zip(starts, lengths)):
+        for t in range(length):
+            q = first + t
+            annotations[q] = (b % 2, t, b)
+            if t < length - 1:
+                targets = (q + 1,)
+            else:
+                target = st.one_of(st.sampled_from(starts), st.integers(0, n - 1))
+                targets = tuple(sorted(draw(st.sets(target, max_size=4))))
+            nfa_next[q] = (draw(st.sampled_from(labels)), targets)
+    return nfa_next, annotations
+
+
+def _two_cycles(m, n):
+    """An m-cycle over "a" and an n-cycle over "b": the full set reads "a"
+    into the m states of the first and "b" into the n of the second."""
+    nfa_next = {q: ("a", ((q + 1) % m,)) for q in range(m)}
+    nfa_next.update({m + q: ("b", (m + (q + 1) % n,)) for q in range(n)})
+    return nfa_next, {q: (q % 3, q) for q in range(m + n)}
+
+
+class TestDeterminize:
+    """The bitmask subset construction against a set-based one."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(block_nfas())
+    @example(_two_cycles(9, 8))
+    @example(_two_cycles(8, 9))
+    @example(({0: ("a", ()), 1: ("a", (1,)), 2: ("b", (0, 1, 2))}, {0: (0,), 1: (1,), 2: (2,)}))
+    def test_matches_set_construction(self, nfa):
+        nfa_next, annotations = nfa
+        states = list(range(len(nfa_next)))
+        assert _determinize(states, nfa_next, annotations) == _subset_construction(nfa_next, annotations)
+
+    def test_annotation_limit_is_eight_members(self):
+        nfa_next, annotations = _two_cycles(9, 8)
+        states, transitions, ann = _determinize(list(range(17)), nfa_next, annotations)
+        # the trim keeps the 9-cycle and the 8-cycle, not the full set
+        assert states == (0, 1) and transitions == [{"a": 0}, {"b": 1}]
+        assert ann == [None, tuple(sorted(annotations[q] for q in range(9, 17)))]

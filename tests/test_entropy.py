@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from itertools import product
 from fractions import Fraction
 from math import comb, inf, log2, nextafter
@@ -130,6 +131,16 @@ class TestEntropy1D:
         H = sft_from_edges("abc", [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("c", "c"), ("b", "c")])
         assert entropy_1d(H).log2_value == pytest.approx(1.0, abs=1e-9)
 
+
+    def test_tol_below_float_precision_is_rejected(self, golden):
+        # 4 float epsilons is the smallest tol; below it the float ratios
+        # could never agree and all max_iter steps would run
+        for tol in (1e-16, 3.9 * sys.float_info.epsilon, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                entropy_1d(golden, tol)
+        for tol in (1e-15, 4 * sys.float_info.epsilon):
+            lo, hi = entropy_1d(golden, tol).bracket
+            assert lo <= hi and hi - lo <= tol * hi
 
     def test_unconverged_iteration_fails_loudly(self):
         # RLL(20, 21): between two 1s lie 20 or 21 0s; ten steps of power
