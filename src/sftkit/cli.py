@@ -8,6 +8,7 @@ usage.  All outputs are deterministic given the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -285,7 +286,10 @@ def _cmd_decode(args):
     return 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of ``main`` gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="sftkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -345,14 +349,16 @@ def _parser():
         if name in ("2d", "statesplit"):
             qa.add_argument("--h", required=True)
             qa.add_argument("--v", required=name == "statesplit")
-        qa.add_argument("--bound", type=int, default=4)
-        qa.add_argument("--budget", type=int)
-        qa.add_argument(
-            "--tol",
-            type=float,
-            default=1e-10,
-            help="1d: largest relative width (hi - lo) / hi of the certified spectral-radius bracket",
-        )
+            qa.add_argument("--bound", type=int, default=4)
+        if name == "2d":
+            qa.add_argument("--budget", type=int)
+        if name == "1d":
+            qa.add_argument(
+                "--tol",
+                type=float,
+                default=1e-10,
+                help="largest relative width (hi - lo) / hi of the certified spectral-radius bracket",
+            )
         qa.add_argument("--out")
         qa.set_defaults(fn=_cmd_entropy)
 

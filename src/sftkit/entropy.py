@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, inf, lcm, log2, nextafter
 
 import numpy as np
@@ -356,39 +357,124 @@ def ntilde_count(H, u, w1, n):
     language."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = build_rauzy(H)
-    m = g.order
+    return _ntilde(_RowAutomaton(H, u), w1, n)
+
+
+def _ntilde(rows, w1, n):
+    """``ntilde_count`` on the row automaton of (H, u)."""
+    m = rows.order
     if len(w1) < m:
         raise ValueError("w1 shorter than the order")
     # the first m symbols of w1 fix the start vertex when w1 is admissible
-    start = tuple(w1[:m])
-    if start not in set(g.vertices):
+    v0 = rows.follow(rows.rank.get(tuple(w1[:m]), -1), w1[m:])
+    if v0 < 0:
         return 0
-    v0 = g.path_exists(start, w1[m:])
-    if v0 is None:
-        return 0
-    kmp = _KMP(u)
-    # DP over (graph vertex, kmp state), excluding a completed marker
-    cur = {(v0, 0): 1}
+    delta, marked = rows.delta, rows.marked
+    cur = {rows.state(v0, 0): 1}
     for _ in range(n):
         nxt = {}
-        for (v, ks), cnt in cur.items():
-            for w in g.successors(v):
-                a = w[-1]
-                k2 = kmp.step(ks, a)
-                if k2 == len(u):
-                    continue
-                key = (w, k2)
-                nxt[key] = nxt.get(key, 0) + cnt
+        for s, cnt in cur.items():
+            for t in delta[s]:
+                if t >= 0 and not marked[t]:
+                    nxt[t] = nxt.get(t, 0) + cnt
         cur = nxt
-    total = 0
-    ucheck = {}
-    for (v, ks), cnt in cur.items():
-        if v not in ucheck:
-            ucheck[v] = g.path_exists(v, u) is not None
-        if ucheck[v]:
-            total += cnt
-    return total
+    return sum(cnt for s, cnt in cur.items() if rows.follow(rows.vertex[s], rows.u) >= 0)
+
+
+def _kmp_table(u, symbols):
+    """Knuth-Morris-Pratt automaton of ``u`` over the symbol indices:
+    ``table[j][a]`` is the length of the longest suffix of u[:j] followed by
+    ``symbols[a]`` that is a prefix of u, for j in 0..len(u); from j = len(u)
+    it moves on as from the longest proper border of u."""
+    index = {a: i for i, a in enumerate(symbols)}
+    table = [[0] * len(symbols)]
+    border = 0  # the state after u[1:j]
+    for j, x in enumerate(u):
+        a = index.get(x)
+        if j:
+            table.append(list(table[border]))
+            border = table[border][a] if a is not None else 0
+        if a is not None:
+            table[j][a] = j + 1
+    table.append(list(table[border]))
+    return table
+
+
+class _RowAutomaton:
+    """The rows of H read one symbol at a time, with the marker u tracked.
+
+    The product of H's pruned Rauzy graph (order m) and the KMP automaton of
+    u, on integer states numbered as they are first reached.  State 0 has
+    read nothing; the states of the first m - 1 symbols hold proper prefixes
+    of Rauzy vertices, and every later state is a pair (vertex, j), j the
+    length of the longest suffix of the row that is a prefix of u.  A state
+    with j = |u| has just completed u and is ``marked``.  ``delta[s][a]`` is
+    the state after the symbol of index a, or -1 when the row leaves the
+    language; ``vertex[s]`` is the vertex rank of s (-1 for a prefix), and
+    ``symbol_index`` maps each symbol to its index.  Only the states
+    reachable from 0 and from those asked of ``state`` are built.
+    """
+
+    def __init__(self, H, u):
+        g = build_rauzy(H)  # raises EmptyLanguage
+        self.u = tuple(u)
+        self.order = g.order
+        self.symbols = H.alphabet.symbols
+        self.symbol_index = index = {a: i for i, a in enumerate(self.symbols)}
+        gi = g.graph.index
+        self.rank = gi.rank
+        # _succ[v][a]: the vertex after symbol index a from vertex v, or -1
+        self._succ = [[-1] * len(self.symbols) for _ in g.vertices]
+        for v, row in enumerate(gi.succ):
+            for w in row:
+                self._succ[v][index[g.vertices[w][-1]]] = w
+        self._prefixes = {v[:j] for v in g.vertices for j in range(g.order)}
+        self._kmp = _kmp_table(self.u, self.symbols)
+        self.delta, self.marked, self.vertex = [], [], []
+        self._keys, self._ids, self._todo = [], {}, []
+        self._intern(((), 0))
+        self._close()
+
+    def follow(self, v, word):
+        """The vertex reached from vertex rank v along ``word``, or -1."""
+        for x in word:
+            if v < 0 or x not in self.symbol_index:
+                return -1
+            v = self._succ[v][self.symbol_index[x]]
+        return v
+
+    def state(self, v, j):
+        """The state (vertex rank v, marker progress j)."""
+        s = self._intern((v, j))
+        self._close()
+        return s
+
+    def _intern(self, key):
+        s = self._ids.get(key)
+        if s is None:
+            s = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            self.delta.append(None)
+            self.marked.append(key[1] == len(self.u))
+            self.vertex.append(key[0] if isinstance(key[0], int) else -1)
+            self._todo.append(s)
+        return s
+
+    def _close(self):
+        m, kmp = self.order, self._kmp
+        while self._todo:
+            s = self._todo.pop()
+            head, j = self._keys[s]
+            row = []
+            for a, x in enumerate(self.symbols):
+                if isinstance(head, int):  # a vertex
+                    w = self._succ[head][a]
+                elif len(head) + 1 < m:  # a prefix of one
+                    w = head + (x,) if head + (x,) in self._prefixes else -1
+                else:
+                    w = self.rank.get(head + (x,), -1)
+                row.append(-1 if w == -1 else self._intern((w, kmp[j][a])))
+            self.delta[s] = row
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +528,11 @@ class RealizationSystem:
 
     plan: RealizationPlan
 
+    @cached_property
+    def rows(self):
+        """The row automaton of (H, u), built on first use."""
+        return _RowAutomaton(self.plan.H, self.plan.u)
+
 
 def build_realization(plan):
     """Validate the plan and wrap it as a countable system."""
@@ -471,161 +562,148 @@ def count_realization(system, width, height):
     )
     if not free_w and height > 1:
         raise NotImplementedError("coupled payloads are counted row by row only")
-    total = 0
-    for phase in range(n):
-        rc = _row_count(system, width, phase)
-        total += rc ** height
-    return total
+    table = _RowTable(system)
+    return sum(_row_count(table, width, phase) ** height for phase in range(n))
 
 
-class _KMP:
-    def __init__(self, u):
-        self.u = u
-        fail = [0] * len(u)
-        for i in range(1, len(u)):
-            j = fail[i - 1]
-            while j and u[i] != u[j]:
-                j = fail[j - 1]
-            fail[i] = j + 1 if u[i] == u[j] else 0
-        self.fail = fail
-
-    def step(self, state, a):
-        u, fail = self.u, self.fail
-        while state and (state == len(u) or u[state] != a):
-            state = fail[state - 1]
-        return state + 1 if u[state] == a else 0
+_BOTH = 2  # a code bit that the visible cells of its block do not decide
 
 
-def _row_count(system, width, phase):
+class _RowTable:
+    """The moves of the row DP of one realization system, shared by every
+    marker phase of one ``count_realization``.
+
+    Column c of a row at phase p sits at offset o = (c - p) mod n of the
+    period.  A DP state pairs a row automaton state with a code register:
+    None outside code blocks, else (bits, bit), where ``bits`` holds the bits
+    of the finished blocks of this R-group (None: before the window) and
+    ``bit`` is the current block's bit, or _BOTH while its visible cells
+    agree with both w1 and w2.  DP states are interned as ints.
+    ``moves[o][d]`` lists the DP states one column after d at offset o; it
+    is filled on first use from ``options`` and the automaton's successor
+    table, so each phase's DP only looks moves up.
+    """
+
+    def __init__(self, system):
+        plan = system.plan
+        self.rows = system.rows
+        self.n, self.alpha = plan.period, plan.alpha
+        self._plan = plan
+        self.moves = [{} for _ in range(self.n)]
+        self._option_table = [{} for _ in range(self.n)]
+        self._states, self._ids = [], {}
+
+    def _zone(self, o):
+        """("u" | "w1" | "free", pos) or ("code", block, pos) at offset o."""
+        plan = self._plan
+        alpha = plan.alpha
+        if o < alpha:
+            return ("u", o)
+        if o < (1 + plan.R) * alpha:
+            return ("code", (o - alpha) // alpha, (o - alpha) % alpha)
+        if o < plan.r * alpha:
+            return ("w1", (o - alpha) % alpha)
+        return ("free", o - plan.r * alpha)
+
+    def start(self, phase):
+        """The DP state before column 0 at the given phase."""
+        z = self._zone(-phase % self.n)
+        return self._intern((0, ((None,) * z[1], _BOTH) if z[0] == "code" else None))
+
+    def options(self, o, reg):
+        """(symbol index, next register) pairs at offset o from register reg."""
+        opts = self._option_table[o].get(reg)
+        if opts is None:
+            index = self.rows.symbol_index
+            opts = self._option_table[o][reg] = tuple(
+                (index[a], reg2) for a, reg2 in self._symbols(o, reg) if a in index
+            )
+        return opts
+
+    def _symbols(self, o, reg):
+        plan = self._plan
+        z = self._zone(o)
+        if z[0] == "u":
+            return [(plan.u[z[1]], None)]
+        if z[0] == "w1":
+            return [(plan.w1[z[1]], None)]
+        if z[0] == "free":
+            return [(a, None) for a in self.rows.symbols]
+        blk, pos = z[1], z[2]
+        bits, bit = reg if reg is not None else ((None,) * blk, _BOTH)  # (re-)entering
+        w1, w2 = plan.w1, plan.w2
+        if bit != _BOTH:
+            choices = [((w1, w2)[bit][pos], bit)]
+        elif w1[pos] == w2[pos]:
+            choices = [(w1[pos], _BOTH)]
+        else:
+            choices = [(w1[pos], 0), (w2[pos], 1)]
+        if pos < self.alpha - 1:
+            return [(a, (bits, b)) for a, b in choices]
+        out = []  # the block closes
+        for a, b in choices:
+            done = bits + (None if b == _BOTH else b,)
+            if self._addresses_a_tile(done):
+                out.append((a, None if len(done) == plan.R else (done, _BOTH)))
+        return out
+
+    def _addresses_a_tile(self, bits):
+        """Can the bit prefix (None: unknown) address a payload tile?  Unknown
+        and missing bits read as 0, which gives the smallest tile index."""
+        val = 0
+        for b in bits:
+            val = 2 * val + (b or 0)
+        return (val << (self._plan.R - len(bits))) < self._plan.payload.N
+
+    def expand(self, o, d):
+        """The DP states one column after DP state d at offset o."""
+        s, reg = self._states[d]
+        row, marked = self.rows.delta[s], self.rows.marked
+        out = []
+        for a, reg2 in self.options(o, reg):
+            t = row[a]
+            # u may end only where a marker ends
+            if t >= 0 and (o == self.alpha - 1 or not marked[t]):
+                out.append(self._intern((t, reg2)))
+        out = self.moves[o][d] = tuple(out)
+        return out
+
+    def _intern(self, key):
+        d = self._ids.get(key)
+        if d is None:
+            d = self._ids[key] = len(self._states)
+            self._states.append(key)
+        return d
+
+
+def _row_count(table, width, phase):
     """Rows of the given width whose marker grid sits at i = phase mod n.
 
     The DP emits one symbol per column, so distinct states always emit
     distinct words: a code block whose visible part does not yet distinguish
     w1 from w2 is kept in an "ambiguous" register instead of branching.
     """
-    plan = system.plan
-    H, u, w1, w2 = plan.H, plan.u, plan.w1, plan.w2
-    alpha, r, R = plan.alpha, plan.r, plan.R
-    n = plan.period
-    N = plan.payload.N
-    g = build_rauzy(H)
-    m = g.order
-    vset = set(g.vertices)
-    kmp = _KMP(u)
-    BOTH = 2
-
-    def zone(c):
-        o = (c - phase) % n
-        if o < alpha:
-            return ("u", o)
-        if o < (1 + R) * alpha:
-            return ("code", (o - alpha) // alpha, (o - alpha) % alpha)
-        if o < r * alpha:
-            return ("w1", (o - alpha) % alpha)
-        return ("free", o - r * alpha)
-
-    def marker_end_ok(c):
-        return (c - phase) % n == alpha - 1
-
-    def group_feasible(done, last_bit=None):
-        # can the (possibly existential) bit prefix address a real tile?
-        bits = list(done) + ([last_bit] if last_bit is not None else [])
-        missing = R - len(bits)
-        known = [0 if b is None else b for b in bits]
-        val = 0
-        for b in known:
-            val = 2 * val + b
-        val <<= missing  # zeros minimize the addressed tile
-        return val + 1 <= N
-
-    # state: (vertex | prefix-under-construction, kmp state, code register)
-    # code register: None outside code blocks, else (bits_done, bitstate)
-    # where bits_done is a tuple over finished blocks of this R-group (None =
-    # unknown, pre-window) and bitstate in {0, 1, BOTH}.
-    start_zone = zone(0)
-    if start_zone[0] == "code":
-        done = (None,) * start_zone[1]
-        ctx0 = (done, BOTH)
-    else:
-        ctx0 = None
-    states = {((), 0, ctx0): 1}
-
+    n = table.n
+    cur = {table.start(phase): 1}
     for c in range(width):
-        z = zone(c)
+        o = (c - phase) % n
+        moves = table.moves[o]
         nxt = {}
-        for (v, ks, ctx), cnt in states.items():
-            if z[0] == "u":
-                options = [(u[z[1]], None)]
-            elif z[0] == "w1":
-                options = [(w1[z[1]], None)]
-            elif z[0] == "free":
-                options = [(a, None) for a in H.alphabet.symbols]
-            else:
-                blk, pos = z[1], z[2]
-                if ctx is None:  # (re-)entering the code zone
-                    ctx = ((None,) * blk, BOTH)
-                done, bitstate = ctx
-                if bitstate == BOTH:
-                    if w1[pos] == w2[pos]:
-                        options = [(w1[pos], (done, BOTH))]
-                    else:
-                        options = [(w1[pos], (done, 0)), (w2[pos], (done, 1))]
-                else:
-                    wsel = w1 if bitstate == 0 else w2
-                    options = [(wsel[pos], (done, bitstate))]
-                # close the block at its last cell
-                closed = []
-                for a, (d, b) in options:
-                    if pos == alpha - 1:
-                        nb = None if b == BOTH else b
-                        d2 = d + (nb,)
-                        if len(d2) == R:
-                            if not group_feasible(d2):
-                                continue
-                            closed.append((a, None))
-                        else:
-                            if not group_feasible(d2):
-                                continue
-                            closed.append((a, (d2, BOTH)))
-                    else:
-                        closed.append((a, (d, b)))
-                options = closed
-
-            for a, ctx2 in options:
-                if isinstance(v, tuple) and (not v or len(v) < m):
-                    word = v + (a,)
-                    if not H.word_locally_admissible(word):
-                        continue
-                    if len(word) == m:
-                        if word not in vset:
-                            continue
-                        k2 = 0
-                        for x in word:
-                            k2 = kmp.step(k2, x)
-                        key = (word, k2, ctx2)
-                    else:
-                        key = (word, 0, ctx2)
-                    nxt[key] = nxt.get(key, 0) + cnt
-                    continue
-                w = v[1:] + (a,)
-                if not g.has_edge(v, w):
-                    continue
-                k2 = kmp.step(ks, a)
-                if k2 == len(u):
-                    if not marker_end_ok(c):
-                        continue
-                    k2 = kmp.fail[k2 - 1]
-                key = (w, k2, ctx2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    return sum(states.values())
+        for d, cnt in cur.items():
+            targets = moves.get(d)
+            if targets is None:
+                targets = table.expand(o, d)
+            for t in targets:
+                nxt[t] = nxt.get(t, 0) + cnt
+        cur = nxt
+    return sum(cur.values())
 
 
 def realization_sandwich(system, k, budget=None):
     """Exact two-sided bounds around the window count at aspect (k*n) x k."""
     plan = system.plan
     n = plan.period
-    nt = ntilde_count(plan.H, plan.u, plan.w1, plan.q * plan.alpha)
+    nt = _ntilde(system.rows, plan.w1, plan.q * plan.alpha)
     nw = lambda a, b: _payload_count(plan.payload, a, b)
     nx = count_realization(system, k * n, k)
     lower = nt ** (k * (k - 1)) * nw(k - 1, k)
@@ -642,17 +720,39 @@ def realization_sandwich(system, k, budget=None):
 
 
 def _payload_count(tiles, a, b):
-    """Locally valid a x b payload patterns (brute force; payloads are tiny)."""
+    """Exact number of locally valid a x b payload patterns, by a column
+    transfer along the longer side.
+
+    The states are the valid columns along the shorter side, at most
+    N^min(a, b) of them; each step appends a column whose cells may each
+    follow the matching cell of the last one (``horizontal_ok``; with a < b
+    the grid is transposed and the two directions swap roles).  A step
+    replaces one cell at a time, so it costs about min(a, b) * N operations
+    per state instead of one per pair of columns.
+    """
     if a <= 0 or b <= 0:
         return 1
-    from itertools import product as iproduct
-
-    total = 0
-    for flat in iproduct(range(1, tiles.N + 1), repeat=a * b):
-        grid = [[flat[x * b + y] for y in range(b)] for x in range(a)]
-        if tiles.pattern_valid(grid):
-            total += 1
-    return total
+    along, across = tiles.vertical_ok, tiles.horizontal_ok
+    if a < b:
+        a, b = b, a
+        along, across = across, along
+    ks = range(1, tiles.N + 1)
+    # fits[k][j]: the tiles that may follow tile k across and sit after
+    # tile j along the column; tile 0 stands for no neighbour
+    fits = [
+        [[l for l in ks if (k == 0 or across(k, l)) and (j == 0 or along(j, l))] for j in range(tiles.N + 1)]
+        for k in range(tiles.N + 1)
+    ]
+    counts = {(0,) * b: 1}  # a column of no tiles stands before the first
+    for _ in range(a):
+        for y in range(b):
+            nxt = {}
+            for col, c in counts.items():
+                for l in fits[col[y]][col[y - 1] if y else 0]:
+                    key = col[:y] + (l,) + col[y + 1 :]
+                    nxt[key] = nxt.get(key, 0) + c
+            counts = nxt
+    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------

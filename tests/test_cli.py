@@ -320,6 +320,70 @@ class TestEntropyCommands:
         assert len(json.loads(out)["samples"]) == 3
 
 
+    # each entropy subcommand takes only the options it reads
+    @pytest.mark.parametrize(
+        "what, unread",
+        [
+            ("1d", (("--bound", "3"), ("--budget", "10"))),
+            ("2d", (("--tol", "1e-8"),)),
+            ("statesplit", (("--budget", "10"), ("--tol", "1e-8"))),
+            ("realize", (("--bound", "3"), ("--budget", "10"), ("--tol", "1e-8"))),
+            ("bezout", (("--bound", "3"), ("--budget", "10"), ("--tol", "1e-30"))),
+        ],
+    )
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, tmp_path, what, unread):
+        argv = _json_commands(tmp_path)[f"entropy {what}"]
+        capsys.readouterr()
+        assert run(capsys, *argv)[0] == 0
+        for option in unread:
+            code, out, err = run(capsys, *argv, *option)
+            assert code == 2 and out == "" and f"unrecognized arguments: {option[0]}" in err, option
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; calls in a row must
+    behave as separate calls, each with a freshly built parser."""
+
+    def test_back_to_back_calls_match_separate_calls(self, capsys, tmp_path):
+        from sftkit.cli import _parser
+
+        commands = _json_commands(tmp_path)
+        golden = path("golden.json")
+        outfile = tmp_path / "first.json"
+        sequence = [
+            commands["entropy 2d"] + ["--out", str(outfile)],
+            ["entropy", "2d", "--h", golden, "--v", golden],  # default --bound, no --out
+            commands["entropy bezout"] + ["--tol", "1e-30"],  # usage error
+            commands["entropy bezout"],
+            ["solve", "empty", "--h", path("forbid0011.json"), "--v", path("alt011.json"), "--bound", "1"],
+            ["solve", "empty", "--h", path("forbid0011.json"), "--v", path("alt011.json")],
+            commands["entropy 1d"] + ["--tol", "1e-6"],
+            commands["entropy 1d"],
+            commands["rauzy"] + ["--dot"],
+            commands["rauzy"],
+            commands["entropy realize"],
+            commands["cycles find"],
+        ]
+        capsys.readouterr()
+        separate = []
+        for argv in sequence:
+            _parser.cache_clear()
+            separate.append(run(capsys, *argv))
+        _parser.cache_clear()
+        in_a_row = [run(capsys, *argv) for argv in sequence]
+        assert _parser() is _parser()
+        assert in_a_row == separate
+        codes = [code for code, _, _ in in_a_row]
+        assert codes == [0, 0, 2, 0, 1] + [0] * 7
+        # neither --out nor --bound of the first call carries over
+        assert in_a_row[0][1] == "" and outfile.read_text() != in_a_row[1][1]
+        assert len(json.loads(in_a_row[1][1])["samples"]) == 4
+        assert json.loads(outfile.read_text())["samples"] == json.loads(in_a_row[1][1])["samples"][:3]
+        one, default = (json.loads(out)["status"] for _, out, _ in in_a_row[4:6])
+        assert (one, default) == ("unknown", "empty")
+        assert in_a_row[8][1].startswith("digraph") and json.loads(in_a_row[9][1])["order"] == 1
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys):
         outputs = []
