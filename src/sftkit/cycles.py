@@ -21,6 +21,7 @@ from math import lcm
 from .core import (
     ConditionDHolds,
     Digraph,
+    EmptyLanguage,
     NotStronglyConnected,
     SearchExhausted,
     as_digraph,
@@ -443,10 +444,13 @@ def find_cycle_pair(graph):
     first) and must fail the decidability condition.  The returned report
     carries the dispatch branch in ``case_tag``; for exceptional branches
     ``passes`` may be false while ``admissible`` is true with the exemption
-    recorded.  Raises SearchExhausted if neither the dispatch nor the
-    brute-force fallback produces an admissible pair.
+    recorded.  Raises EmptyLanguage for a graph with no edge (it has no
+    cycle), and SearchExhausted if neither the dispatch nor the brute-force
+    fallback produces an admissible pair.
     """
     g = as_digraph(graph)
+    if not g.edges:
+        raise EmptyLanguage("the graph has no edge, so no cycle")
     if not g.is_strongly_connected():
         raise NotStronglyConnected("find_cycle_pair needs a strongly connected graph")
     if check_condition_d(g).holds:

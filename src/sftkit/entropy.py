@@ -208,13 +208,22 @@ class EntropyBounds:
 
 def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
     """Square-count samples plus strip-eigenvalue upper bounds, each from the
-    upper end of the strip's certified spectral-radius bracket."""
+    upper end of the strip's certified spectral-radius bracket.  The strip
+    of height n that counts the n x n square also gives the bound at n."""
     if max_n < 1 or max_strip_h < 1:
         raise ValueError("budgets must be >= 1")
     samples = []
     upper = inf
+    strips = {}  # height -> strip built for a sample, until its bound is taken
     for n in range(1, max_n + 1):
-        c = count_rectangles(H, V, n, n, budget)
+        try:
+            sa = StripAutomaton.build(H, V, n, budget)
+        except EmptyLanguage:
+            c = 0
+        else:
+            c = sa.count_width(n)
+            if n <= max_strip_h:
+                strips[n] = sa
         if c == 0:
             samples.append((n, -inf))
             upper = -inf
@@ -224,7 +233,7 @@ def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
         upper = min(upper, v)
     strip = []
     for h in range(1, max_strip_h + 1):
-        sa = StripAutomaton.build(H, V, h, budget)
+        sa = strips.pop(h) if h in strips else StripAutomaton.build(H, V, h, budget)
         hi = sa.spectral_radius()[1][1]
         strip.append((h, _log2(hi) / h))
     return EntropyBounds(tuple(samples), upper, tuple(strip))
@@ -647,6 +656,15 @@ class _RowTable:
                 out.append((a, None if len(done) == plan.R else (done, _BOTH)))
         return out
 
+    def open_group_ok(self, d):
+        """Can the code group open in DP state d, if any, still address a
+        payload tile when the row goes on past the window?"""
+        reg = self._states[d][1]
+        if reg is None:
+            return True
+        bits, bit = reg
+        return self._addresses_a_tile(bits + (None if bit == _BOTH else bit,))
+
     def _addresses_a_tile(self, bits):
         """Can the bit prefix (None: unknown) address a payload tile?  Unknown
         and missing bits read as 0, which gives the smallest tile index."""
@@ -681,7 +699,9 @@ def _row_count(table, width, phase):
 
     The DP emits one symbol per column, so distinct states always emit
     distinct words: a code block whose visible part does not yet distinguish
-    w1 from w2 is kept in an "ambiguous" register instead of branching.
+    w1 from w2 is kept in an "ambiguous" register instead of branching.  A
+    code group cut off by the right end of the window counts only if it can
+    still address a payload tile.
     """
     n = table.n
     cur = {table.start(phase): 1}
@@ -696,7 +716,7 @@ def _row_count(table, width, phase):
             for t in targets:
                 nxt[t] = nxt.get(t, 0) + cnt
         cur = nxt
-    return sum(cur.values())
+    return sum(cnt for d, cnt in cur.items() if table.open_group_ok(d))
 
 
 def realization_sandwich(system, k, budget=None):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sftkit.core import ConditionDHolds, Digraph, build_rauzy, sft_from_edges
+from sftkit.core import ConditionDHolds, Digraph, EmptyLanguage, build_rauzy, sft_from_edges
 from sftkit.classify import check_condition_d
 from sftkit.compiler import SliceGrammar
 from sftkit.cycles import (
@@ -163,6 +163,11 @@ class TestFindCyclePair:
     def test_condition_d_rejected(self, golden):
         with pytest.raises(ConditionDHolds):
             find_cycle_pair(build_rauzy(golden))
+
+    @pytest.mark.parametrize("vertices", [(0,), (0, 1)])
+    def test_graph_without_edges_has_no_cycle(self, vertices):
+        with pytest.raises(EmptyLanguage):
+            find_cycle_pair(Digraph(vertices, frozenset()))
 
     def test_table_tags(self, exemplars):
         for tag, g in exemplars.items():

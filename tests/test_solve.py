@@ -3,6 +3,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftkit.core import (
     BudgetExceeded,
@@ -18,7 +19,7 @@ from sftkit.core import (
     word_in_language,
 )
 from sftkit.cycles import find_cycle_pair
-from sftkit.compiler import compile_wang
+from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     count_rectangles,
@@ -51,6 +52,11 @@ def brute_count(H, V, w, h):
     def col_ok(word, complete):
         if V is None:
             return True
+        if isinstance(V, VerticalPresentation):
+            # a prefix of a factor is one too
+            if word not in col_cache:
+                col_cache[word] = V.is_factor(word)
+            return col_cache[word]
         if not V.word_locally_admissible(word):
             return False
         if not complete:
@@ -225,6 +231,92 @@ class TestCountRectangles:
         assert first_zero is not None
         for w, h in ((first_zero + 1, first_zero), (first_zero, first_zero + 2)):
             assert count_rectangles(H, V, w, h) == 0
+
+
+def sfts(symbols, order):
+    """SFTs over ``symbols`` forbidding one word of length order + 1 and up
+    to two words of length 1 to order + 1."""
+
+    def words(n):
+        return st.tuples(*[st.sampled_from(symbols)] * n)
+
+    return st.builds(
+        lambda w, more: Sft1D(tuple(symbols), frozenset({w, *more})),
+        words(order + 1),
+        st.lists(st.integers(1, order + 1).flatmap(words), max_size=2),
+    )
+
+
+@functools.cache
+def coding_presentation(n_tiles):
+    coding = sft_from_edges("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "b"), ("c", "c")])
+    pair, _ = find_cycle_pair(build_rauzy(coding))
+    return compile_wang(coding, free_tile_set(n_tiles), pair)[0]
+
+
+@st.composite
+def rectangle_cases(draw):
+    """(H, columns, w, h) with w, h <= 4: H of order 1 or 2; columns free, an
+    SFT of order 1 or 2, or a compiled presentation, and then H is over its
+    symbols abc.  The free-2 presentation has 20 columns of height 3 under
+    rows that may forbid almost nothing, so its shapes stop at 3 x 3 to keep
+    the enumeration short."""
+    columns = draw(st.sampled_from(["none", "sft", "presentation"]))
+    order = draw(st.sampled_from([1, 2]))
+    side = 4
+    if columns == "presentation":
+        H = draw(sfts("abc", order))
+        n_tiles = draw(st.sampled_from([1, 2]))
+        V = coding_presentation(n_tiles)
+        side = 5 - n_tiles
+    else:
+        H = draw(sfts("01", order))
+        V = draw(sfts("01", draw(st.sampled_from([1, 2])))) if columns == "sft" else None
+    return H, V, draw(st.integers(1, side)), draw(st.integers(1, side))
+
+
+def bitmask_rectangles(w, h, run):
+    """Binary w x h rectangles whose rows hold no ``run`` adjacent 1s and
+    whose columns hold no two stacked 1s: a row transfer over w-bit masks,
+    one cell at a time.  The mask holds the new row's cells left of the
+    current one and the old row's cells from it on."""
+    counts = {0: 1}  # an all-0 row stands below the first
+    left = (1 << (run - 1)) - 1
+    for _ in range(h):
+        for i in range(w):
+            bit = 1 << i
+            block = left << (i - run + 1) if i >= run - 1 else None
+            nxt = {}
+            for mask, c in counts.items():
+                zero = mask & ~bit
+                nxt[zero] = nxt.get(zero, 0) + c
+                if not mask & bit and (block is None or mask & block != block):
+                    nxt[mask | bit] = nxt.get(mask | bit, 0) + c
+            counts = nxt
+    return sum(counts.values())
+
+
+class TestCountRectanglesDifferential:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rectangle_cases())
+    def test_matches_brute_force(self, case):
+        H, V, w, h = case
+        assert count_rectangles(H, V, w, h) == brute_count(H, V, w, h)
+
+    def test_hard_square_squares_match_bitmask_transfer(self, golden):
+        for n in range(1, 16):
+            strip = StripAutomaton.build(golden, golden, n)
+            assert strip.count_width(n) == bitmask_rectangles(n, n, 2), n
+            # from height 6 on the row layers hold fewer edges than the list
+            assert len(strip.layers) == (n if n >= 6 else 1)
+
+    def test_no_111_rows_under_golden_columns_match_bitmask_transfer(self, golden):
+        no111 = Sft1D.from_words("01", "111")
+        for h in range(1, 11):
+            strip = StripAutomaton.build(no111, golden, h)
+            for w in range(1, 9):
+                assert strip.count_width(w) == bitmask_rectangles(w, h, 3), (w, h)
+            assert len(strip.layers) == (h if h >= 5 else 1)
 
 
 class TestStripAutomaton:
