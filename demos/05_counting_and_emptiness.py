@@ -2,8 +2,9 @@
 
 Counts are exact integers from a transfer structure on valid columns.  A
 doubly periodic witness proves nonemptiness; in the decidable regimes
-(all component types shared, or only periodic points) the block-graph
-pigeonhole argument decides emptiness outright.
+(all component types shared, or only periodic points) a walk over stacks
+of rows, which stops at the first repeated stack, decides emptiness
+outright.
 """
 
 from sftkit.core import Pattern2D, Sft1D, full_shift, sft_from_edges

@@ -1,8 +1,8 @@
 """Command-line surface: reproducible JSON in, JSON out.
 
-Exit codes: 0 on a decisive answer, 1 on Unknown/SearchExhausted or an
-internal failure such as a witness that fails replay, 2 on bad input or
-usage.  All outputs are deterministic given the inputs.
+Exit codes: 0 on a decisive answer, 1 on Unknown/SearchExhausted, a blown
+budget or an internal failure such as a witness that fails replay, 2 on bad
+input or usage.  All outputs are deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import sys
 
 from .core import (
+    BudgetExceeded,
     Pattern2D,
     RauzyGraph,
     SearchExhausted,
@@ -187,7 +188,7 @@ def _cmd_solve(args):
     else:  # decide
         if constraint is None:
             constraint = ()
-        out = decide_with_certificate(sft, constraint, args.budget or 200000)
+        out = decide_with_certificate(sft, constraint, 200000 if args.budget is None else args.budget)
     if out.witness is not None:
         _check_witness(sft, constraint if isinstance(constraint, Sft1D) else None, out.witness)
     _emit(out.to_json(), args.out)
@@ -286,6 +287,17 @@ def _cmd_decode(args):
     return 0
 
 
+def _budget(text):
+    """A ``--budget`` value: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once per process: parsing leaves it
@@ -333,7 +345,7 @@ def _parser():
         qa.add_argument("--h", required=True)
         qa.add_argument("--v")
         qa.add_argument("--bound", type=int, default=6)
-        qa.add_argument("--budget", type=int)
+        qa.add_argument("--budget", type=_budget)
         qa.add_argument("--out")
         if name == "count":
             qa.add_argument("--width", type=int, required=True)
@@ -351,7 +363,7 @@ def _parser():
             qa.add_argument("--v", required=name == "statesplit")
             qa.add_argument("--bound", type=int, default=4)
         if name == "2d":
-            qa.add_argument("--budget", type=int)
+            qa.add_argument("--budget", type=_budget)
         if name == "1d":
             qa.add_argument(
                 "--tol",
@@ -386,7 +398,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SearchExhausted, RuntimeError) as e:
+    except (SearchExhausted, BudgetExceeded, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (SftError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:

@@ -473,10 +473,17 @@ def decide_with_certificate(H, constraint, budget=200000):
 
     With an SFT column constraint, H must satisfy the decidability condition
     (all components share a type); with a set of 2D forbidden patterns, H
-    must have only periodic points.  The search runs over blocks of the
-    theoretical pigeonhole size; a repeated block closes a cycle from which a
-    replayable torus witness is extracted, and emptiness is reported only
-    when the block graph is exhausted (or no block exists at all).  An SFT
+    must have only periodic points.  Either way a torus is a stack of
+    cyclically valid H-rows of one width, and a new row is checked only
+    against the top mv - 1 rows below it, mv being the height of the
+    tallest column word or pattern.  So the search is one depth-first walk
+    from the empty stack over stacks of at most mv - 1 rows (at most
+    |rows|^(mv-1) of them): an edge appends a row whose new column words
+    and patterns are legal and keeps the top mv - 1 rows.  A stack's
+    successors are built as the walk reaches them, and the first back edge
+    closes a cycle whose rows are a torus witness, replayed before it is
+    returned.  Emptiness is reported only when the walk is exhausted.
+    ``budget`` caps the stacks expanded; overflow gives ``unknown``.  An SFT
     constraint over other symbols than H is a ValueError.
     """
     is_vertical = isinstance(constraint, Sft1D)
@@ -500,144 +507,86 @@ def decide_with_certificate(H, constraint, budget=200000):
                 t = scc_types(g.graph.subgraph(comp))
                 width = lcm(width, len(t.state_split_partition))
         mv = max([len(wd) for wd in constraint.forbidden], default=1)
-        mv = max(mv, 1)
         col_ok = constraint.word_locally_admissible
-        bound_desc = f"{width} x {mv}*(|A|^{width * mv}+1)"
         forbidden2d = ()
     else:
         per = has_only_periodic_points(H)
         if not per.holds:
             raise PreconditionUnmet("H does not have only periodic points")
-        patterns = tuple(constraint)
+        forbidden2d = tuple(constraint)
         p = per.period
-        maxw = max([q.width for q in patterns], default=1)
-        mv = max([q.height for q in patterns], default=1)
+        maxw = max([q.width for q in forbidden2d], default=1)
+        mv = max([q.height for q in forbidden2d], default=1)
         width = p * max(1, -(-maxw // p))
         col_ok = None
-        bound_desc = f"{width} x {mv}*(|A|^{width * mv}+1)"
-        forbidden2d = patterns
+    keep = max(mv, 1) - 1
 
     rows = [r for r in _global_words(H, width) if _cyclic_ok(H, r)]
-    if not rows:
-        return DecisionOutcome("empty", rationale=f"no cyclically valid row of width {width}")
+    bound_desc = f"stacks of at most {keep} of the {len(rows)} cyclically valid rows of width {width}"
+    # each pattern as its height and its fixed cells (di, dj, symbol)
+    pattern_cells = [
+        (q.height, [(i % q.width, i // q.width, s) for i, s in enumerate(q.cells) if s != WILDCARD])
+        for q in forbidden2d
+    ]
+    col_memo = {}
 
-    def columns_ok(block):
-        # block: list of rows bottom-to-top; check every column's new suffix
-        if col_ok is None:
-            return True
-        h = len(block)
-        lo = max(0, h - mv)
-        for i in range(width):
-            word = tuple(block[j][i] for j in range(lo, h))
-            if not col_ok(word):
-                return False
-        return True
-
-    def _wrap_match(q, pat, i, j):
-        # horizontal wraparound only (the strip is horizontally periodic)
-        for dj in range(q.height):
-            for di in range(q.width):
-                s = q[di, dj]
-                if s == WILDCARD:
-                    continue
-                if pat[(i + di) % pat.width, j + dj] != s:
-                    return False
-        return True
+    def column_ok(word):
+        ok = col_memo.get(word)
+        if ok is None:
+            ok = col_memo[word] = col_ok(word)
+        return ok
 
     def patterns_ok(block):
-        if not forbidden2d:
-            return True
+        # patterns whose top row is the block's top row, wrapping horizontally
         h = len(block)
-        pat = Pattern2D.from_rows(block)
-        for q in forbidden2d:
-            if q.height > h:
+        for qh, fixed in pattern_cells:
+            if qh > h:
                 continue
-            j = h - q.height
+            base = h - qh
             for i in range(width):
-                if _wrap_match(q, pat, i, j):
+                if all(block[base + dj][(i + di) % width] == s for di, dj, s in fixed):
                     return False
         return True
 
-    # enumerate valid height-mv blocks
-    blocks = []
-    state_index = {}
+    def successors(stack):
+        """(next stack, row index) for each row that may go on ``stack``."""
+        below = [rows[k] for k in stack]
+        cols = list(zip(*below)) if below else [()] * width
+        for k, r in enumerate(rows):
+            if col_ok is not None and not all(column_ok(c + (x,)) for c, x in zip(cols, r)):
+                continue
+            if pattern_cells and not patterns_ok(below + [r]):
+                continue
+            yield (stack + (k,))[-keep:] if keep else (), k
 
-    def grow(block):
-        if len(state_index) > budget:
-            raise BudgetExceeded("block budget exceeded")
-        if len(block) == mv:
-            key = tuple(block)
-            if key not in state_index:
-                state_index[key] = len(blocks)
-                blocks.append(key)
-            return
-        for r in rows:
-            block.append(r)
-            if columns_ok(block) and patterns_ok(block):
-                grow(block)
-            block.pop()
-
-    try:
-        grow([])
-    except BudgetExceeded:
-        return DecisionOutcome("unknown", rationale="state budget exceeded while enumerating blocks")
-    if not blocks:
-        return DecisionOutcome(
-            "empty",
-            rationale=f"no valid block of size {width} x {mv}; bound {bound_desc} exhausted",
-        )
-
-    # block graph: append one row, keep the top mv rows
-    succ = {}
-    for bi, block in enumerate(blocks):
-        outs = []
-        for r in rows:
-            stacked = list(block) + [r]
-            if columns_ok(stacked) and patterns_ok(stacked):
-                key = tuple(stacked[1:])
-                if key in state_index:
-                    outs.append((state_index[key], r))
-        succ[bi] = outs
-
-    # cycle detection with path recovery (iterative DFS, colors)
-    color = {}
-    parent = {}
-    for start in range(len(blocks)):
-        if color.get(start):
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for (nxt, r) in it:
-                if color.get(nxt) == 1:
-                    # found a cycle nxt -> ... -> node -> nxt
-                    cyc_rows = [r]
-                    cur = node
-                    while cur != nxt:
-                        pr, prow = parent[cur]
-                        cyc_rows.append(prow)
-                        cur = pr
-                    cyc_rows.reverse()
-                    # the torus is the cycle part alone
-                    torus = Pattern2D.from_rows(cyc_rows)
-                    wit = TorusWitness(width, len(cyc_rows), torus)
-                    hcons = constraint if is_vertical else None
-                    if not validate_torus(H, hcons, torus, forbidden2d):
-                        raise RuntimeError("a block-graph cycle gave a torus that fails replay")
-                    return DecisionOutcome(
-                        "nonempty", wit, f"pigeonhole block repeat at height <= {bound_desc}"
-                    )
-                if color.get(nxt) is None:
-                    color[nxt] = 1
-                    parent[nxt] = (node, r)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return DecisionOutcome(
-        "empty", rationale=f"block graph acyclic; theoretical bound {bound_desc} exhausted"
-    )
+    # iterative DFS: the path holds (stack, the row that led to it, its
+    # successors), and depth[s] is the position of stack s on the path
+    overflow = DecisionOutcome("unknown", rationale=f"more than {budget} row stacks to expand")
+    if budget < 1:
+        return overflow
+    depth = {(): 0}
+    done = set()
+    walk = [((), None, successors(()))]
+    while walk:
+        node, _, it = walk[-1]
+        for nxt, k in it:
+            d = depth.get(nxt)
+            if d is not None:
+                # the torus is the cycle part alone
+                torus = Pattern2D.from_rows([rows[j] for _, j, _ in walk[d + 1 :]] + [rows[k]])
+                wit = TorusWitness(width, torus.height, torus)
+                if not validate_torus(H, constraint if is_vertical else None, torus, forbidden2d):
+                    raise RuntimeError("a row-stack cycle gave a torus that fails replay")
+                why = f"torus of height {torus.height} from a cycle over {bound_desc}"
+                return DecisionOutcome("nonempty", wit, why)
+            if nxt not in done:
+                if len(done) + len(walk) >= budget:
+                    return overflow
+                depth[nxt] = len(walk)
+                walk.append((nxt, k, successors(nxt)))
+                break
+        else:
+            walk.pop()
+            del depth[node]
+            done.add(node)
+    return DecisionOutcome("empty", rationale=f"no cycle over {bound_desc}: the walk is exhausted")

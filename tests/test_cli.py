@@ -231,6 +231,55 @@ class TestErrors:
         assert main(["solve"]) == 2 or main(["solve"]) == 2
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        golden = path("golden.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "sftkit", "solve", "decide", "--h", golden, "--v", golden],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and json.loads(done.stdout)["status"] == "nonempty"
+
+
+class TestBudget:
+    """A blown budget is ``unknown`` (exit 1); a negative one is a usage
+    error (exit 2)."""
+
+    def test_blown_budget_exits_1(self, capsys):
+        golden = path("golden.json")
+        for argv, message in (
+            (["solve", "count", "--width", "15", "--height", "15", "--budget", "100000"], "100000 strip transitions"),
+            (["entropy", "2d", "--budget", "10"], "10 strip transitions"),
+        ):
+            code, out, err = run(capsys, *argv, "--h", golden, "--v", golden)
+            assert code == 1 and out == "" and err == f"error: more than {message}\n", argv
+
+    def test_decide_honours_a_zero_budget(self, capsys):
+        golden = path("golden.json")
+        code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", "0")
+        assert code == 1 and json.loads(out)["status"] == "unknown"
+        code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", "2")
+        assert code == 0 and json.loads(out)["status"] == "nonempty"
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        golden = path("golden.json")
+        for argv in (
+            ["solve", "count", "--width", "2", "--height", "2"],
+            ["solve", "torus"],
+            ["solve", "empty"],
+            ["solve", "decide"],
+            ["entropy", "2d"],
+        ):
+            for budget in ("-1", "ten"):
+                code, out, err = run(capsys, *argv, "--h", golden, "--v", golden, "--budget", budget)
+                assert code == 2 and out == "" and "--budget" in err, (argv, budget)
+
+
 class TestTallColumns:
     def test_count_beyond_the_recursion_limit(self, capsys):
         # alt011 has 3 legal columns at every height

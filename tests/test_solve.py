@@ -1,11 +1,13 @@
 import functools
 import random
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftkit.core import (
+    WILDCARD,
     BudgetExceeded,
     EmptyLanguage,
     Pattern2D,
@@ -18,6 +20,7 @@ from sftkit.core import (
     sft_from_edges,
     word_in_language,
 )
+from sftkit.classify import check_condition_d, scc_types
 from sftkit.cycles import find_cycle_pair
 from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
@@ -502,6 +505,15 @@ class TestDecide:
                     col[x : x + 3] == f for f in V.forbidden for x in range(len(col) - 2)
                 )
 
+    def test_budget_counts_expanded_stacks(self):
+        # an exhaustive walk expands at most 1 + 5 + 25 stacks of the five
+        # rows; any smaller budget gives unknown, never empty
+        H, V = cycle_instance(random.Random(5000), 5, "empty")
+        statuses = [decide_with_certificate(H, V, budget=b).status for b in range(40)]
+        n = statuses.index("empty")
+        assert 1 < n <= 31
+        assert set(statuses[:n]) == {"unknown"} and set(statuses[n:]) == {"empty"}
+
     def test_mismatched_alphabets_are_input_errors(self, golden):
         two_cycle = sft_from_edges("ab", [("a", "b"), ("b", "a")])
         with pytest.raises(ValueError, match="different alphabets: a, b and 0, 1"):
@@ -512,3 +524,106 @@ class TestDecide:
             decide_with_certificate(coding_sft, Sft1D.from_words("abc", "aa"))
         with pytest.raises(PreconditionUnmet):
             decide_with_certificate(golden, ())
+
+
+@st.composite
+def decision_cases(draw):
+    """(H, constraint, cycles): H is a union of one or two disjoint cycles of
+    lengths 1 to 4 (``cycles`` lists their words), and the constraint is a
+    column SFT of order 1 to 3 over H's symbols, or a set of one to four
+    Pattern2D of height 1 to 3 and width 1 or 2 whose cells are H's symbols
+    or the wildcard."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    cycles, start = [], 0
+    for n in lengths:
+        cycles.append("abcdefgh"[start : start + n])
+        start += n
+    symbols = "".join(cycles)
+    H = sft_from_edges(symbols, [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))])
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 3))
+
+        def words(n):
+            return st.tuples(*[st.sampled_from(symbols)] * n)
+
+        longest = draw(words(order + 1))
+        more = draw(st.lists(st.integers(1, order + 1).flatmap(words), max_size=8))
+        return H, Sft1D(tuple(symbols), frozenset({longest, *more})), cycles
+    cell = st.sampled_from(symbols + WILDCARD)
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
+        w, h = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        patterns.append(Pattern2D(w, h, tuple(draw(cell) for _ in range(w * h))))
+    return H, tuple(patterns), cycles
+
+
+def eager_block_verdict(H, constraint, cycles):
+    """The verdict of the eager search: every block of mv rows whose every
+    prefix is valid, an edge for each row that goes on a block and keeps the
+    top mv rows, and "nonempty" when that block graph has a cycle anywhere.
+
+    The rows are the rotations of the cycle words repeated to the width, and
+    the width is the one the decision takes: from the component types for a
+    column SFT, from the period and the widest pattern otherwise."""
+    if isinstance(constraint, Sft1D):
+        g = build_rauzy(H)
+        kind = check_condition_d(g).common_type
+        if kind == "reflexive":
+            width = 1
+        elif kind == "symmetric":
+            width = 2
+        else:
+            width = lcm(*(len(scc_types(g.graph.subgraph(c)).state_split_partition) for c in g.scc))
+        mv = max(map(len, constraint.forbidden))
+        patterns = ()
+    else:
+        period = lcm(*map(len, cycles))
+        width = period * -(-max(q.width for q in constraint) // period)
+        mv = max(q.height for q in constraint)
+        patterns = constraint
+    rows = [
+        tuple((c * (width // len(c)))[i:] + (c * (width // len(c)))[:i])
+        for c in cycles
+        if width % len(c) == 0
+        for i in range(len(c))
+    ]
+
+    def ok(block):
+        """The top row's column words of at most mv rows, and the patterns
+        whose top is the top row, wrapping horizontally."""
+        h = len(block)
+        pat = Pattern2D.from_rows(block)
+        if patterns:
+            return not any(
+                q.height <= h and q.matches_at(pat, i, h - q.height, wrap=True)
+                for q in patterns
+                for i in range(width)
+            )
+        top = block[max(0, h - mv) :]
+        return all(constraint.word_locally_admissible(tuple(r[i] for r in top)) for i in range(width))
+
+    blocks = {
+        b for b in product(rows, repeat=mv) if all(ok(b[: j + 1]) for j in range(mv))
+    }
+    succ = {b: {b[1:] + (r,) for r in rows if ok(b + (r,))} & blocks for b in blocks}
+    # peel blocks without successors; a cycle is what remains
+    while True:
+        sinks = {b for b, out in succ.items() if not out}
+        if not sinks:
+            return "nonempty" if succ else "empty"
+        succ = {b: out - sinks for b, out in succ.items() if b not in sinks}
+
+
+class TestDecideDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(decision_cases())
+    def test_matches_eager_block_graph(self, case):
+        H, constraint, cycles = case
+        vertical = isinstance(constraint, Sft1D)
+        out = decide_with_certificate(H, constraint)
+        assert out.status == eager_block_verdict(H, constraint, cycles)
+        if out.nonempty:
+            assert validate_torus(
+                H, constraint if vertical else None, out.witness.pattern, () if vertical else constraint
+            )
+        assert decide_with_certificate(H, constraint, budget=0).status == "unknown"
