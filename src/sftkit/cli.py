@@ -344,8 +344,10 @@ def _parser():
         qa = qq.add_parser(name)
         qa.add_argument("--h", required=True)
         qa.add_argument("--v")
-        qa.add_argument("--bound", type=int, default=6)
-        qa.add_argument("--budget", type=_budget)
+        if name in ("torus", "empty"):
+            qa.add_argument("--bound", type=int, default=6)
+        if name != "torus":
+            qa.add_argument("--budget", type=_budget)
         qa.add_argument("--out")
         if name == "count":
             qa.add_argument("--width", type=int, required=True)

@@ -21,9 +21,10 @@ Two constructions live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from math import lcm
+from operator import or_
 
 from .core import (
     ConditionDHolds,
@@ -35,6 +36,7 @@ from .core import (
     Pattern2D,
     Sft1D,
     WangTileSet,
+    _bits,
     as_digraph,
     build_rauzy,
     essential_states,
@@ -72,11 +74,11 @@ class SliceGrammar:
     N: int
     anchor: tuple | None  # (i0, j0, run_length) of the chosen orbit, None if N == 1
 
-    @property
+    @cached_property
     def M(self):
         return lcm(len(self.c1), len(self.c2))
 
-    @property
+    @cached_property
     def K(self):
         return 2 * len(self.c1) + len(self.c2) + 3
 
@@ -221,20 +223,21 @@ class VerticalPresentation:
 
     Bi-infinite label paths are exactly the legal columns: vertical stacks of
     macro-slices of one phase, with code registers constrained by the Wang
-    tile rules.  The constructor takes an NFA over macro-slice positions and
-    keeps only the essential part of its subset construction; every query
-    runs on that DFA, where ``transitions[s][a]`` is the unique a-successor
-    of state s.  A legal column word is a factor of a bi-infinite column.
+    tile rules.  The constructor takes a block NFA: ``blocks`` lists the
+    macro-slices (p, k, l, word), each a chain of cells that reads its word
+    bottom to top, and ``follow[b]`` the blocks that may sit on top of block
+    b.  It keeps only the essential part of the subset construction
+    (``_determinize``); every query runs on that DFA, where
+    ``transitions[s][a]`` is the unique a-successor of state s.  A legal
+    column word is a factor of a bi-infinite column.
     """
 
-    def __init__(self, alphabet, nfa_states, nfa_next, annotations, allowed_succession, grammar=None, tiles=None):
+    def __init__(self, alphabet, blocks, follow, allowed_succession, grammar=None, tiles=None):
         self.alphabet = tuple(alphabet)
         self.allowed_succession = allowed_succession
         self.grammar = grammar
         self.tiles = tiles
-        self.states, self.transitions, self.decode_annotations = _determinize(
-            nfa_states, nfa_next, annotations
-        )
+        self.states, self.transitions, self.decode_annotations = _determinize(blocks, follow)
 
     def scan(self, word, states=None):
         """States reached by reading ``word`` from ``states`` (default: all);
@@ -300,61 +303,64 @@ class VerticalPresentation:
         }
 
 
-def _bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _determinize(blocks, follow):
+    """Essential part of the subset construction of a block NFA.
 
-
-def _determinize(nfa_states, nfa_next, nfa_annotations):
-    """Essential part of the subset construction from the full state set.
-
-    The NFA states are 0..n-1; ``nfa_next[q]`` is (label, targets) and
-    ``nfa_annotations[q]`` is (p, t, k, l).  A subset is an int with bit q
-    set for state q.  Most states (every cell of a macro-slice but the last)
-    have q + 1 as their only target; they form the ``shift`` mask and
-    advance together in one shift, and every other state ORs in its own
-    target mask.  Subsets are numbered breadth-first from the full set,
-    labels in sorted order.  Returns (states, transitions, annotations); a
-    state's annotations list its subset's when it has at most 8 members.
+    Block b is (p, k, l, word): its cell t reads ``word[t]`` and steps to
+    cell t + 1, and its last cell steps to cell 0 of every block in
+    ``follow[b]``.  A subset is a tuple of rows (t, mask), t ascending, with
+    bit b of ``mask`` set when cell t of block b is a member, so a mask is
+    at most one bit per block wide.  Reading a label keeps the members
+    ``carry[t]`` selects; the rows of blocks that do not end at t move to
+    t + 1, and the blocks that end there (``ends[t]``) OR their successor
+    masks into row 0.  Subsets are numbered breadth-first from the full
+    set, labels in sorted order.  Returns (states, transitions,
+    annotations); a state's annotations list its subset's members as
+    sorted (p, t, k, l) when it has at most 8.
     """
-    n = len(nfa_states)
-    carries = {}  # label -> mask of the states that read it
-    shift = 0
-    jump = [0] * n  # target mask of each state outside ``shift``
-    for q in range(n):
-        a, targets = nfa_next[q]
-        carries[a] = carries.get(a, 0) | 1 << q
-        if targets == (q + 1,):
-            shift |= 1 << q
-        else:
-            for t in targets:
-                jump[q] |= 1 << t
-    by_label = [(a, carries[a]) for a in sorted(carries)]
-    start = (1 << n) - 1
-    rest = start & ~shift
+    height = max((len(word) for *_, word in blocks), default=0)
+    reads = [{} for _ in range(height)]  # t -> {label: mask of the blocks whose cell t reads it}
+    ends = [0] * height
+    for b, (*_, word) in enumerate(blocks):
+        for t, a in enumerate(word):
+            reads[t][a] = reads[t].get(a, 0) | 1 << b
+        ends[len(word) - 1] |= 1 << b
+    carry = [list(row.items()) for row in reads]
+    succ = [sum(1 << c for c in nxt) for nxt in follow]
+    jump = {}  # mask of ending blocks -> the OR of their successor masks
+    start = tuple((t, sum(m for _, m in carry[t])) for t in range(height))
 
     ids = {start: 0}
     order = [start]
     trans = []
     for subset in order:
+        step = {}  # label -> [row 0 mask, moved rows...]
+        for t, mask in subset:
+            end_t = ends[t]
+            for a, selects in carry[t]:
+                here = mask & selects
+                if not here:
+                    continue
+                entry = step.get(a)
+                if entry is None:
+                    entry = step[a] = [0]
+                end = here & end_t
+                if end:
+                    here ^= end
+                    if end not in jump:
+                        jump[end] = reduce(or_, [succ[b] for b in _bits(end)])
+                    entry[0] |= jump[end]
+                if here:
+                    entry.append((t + 1, here))
         row = {}
-        for a, mask in by_label:
-            here = subset & mask
-            if not here:
-                continue
-            T = (here & shift) << 1
-            others = here & rest
-            while others:  # _bits inlined: a generator here costs a fifth of the loop
-                low = others & -others
-                T |= jump[low.bit_length() - 1]
-                others ^= low
-            if T not in ids:
-                ids[T] = len(order)
+        for a in sorted(step):
+            entry = step[a]
+            T = ((0, entry[0]), *entry[1:]) if entry[0] else tuple(entry[1:])
+            i = ids.get(T)
+            if i is None:
+                i = ids[T] = len(order)
                 order.append(T)
-            row[a] = ids[T]
+            row[a] = i
         trans.append(row)
 
     keep = essential_states([row.values() for row in trans])
@@ -362,17 +368,30 @@ def _determinize(nfa_states, nfa_next, nfa_annotations):
     transitions = [
         {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
     ]
-    annotations = [
-        tuple(sorted(nfa_annotations[q] for q in _bits(order[s]))) if order[s].bit_count() <= 8 else None
-        for s in keep
-    ]
+    annotations = []
+    tags = {}  # mask -> (p, k, l) of its blocks; few masks recur in many subsets
+    for s in keep:
+        subset = order[s]
+        if sum(mask.bit_count() for _, mask in subset) > 8:
+            annotations.append(None)
+            continue
+        members = []
+        for t, mask in subset:
+            if mask not in tags:
+                tags[mask] = [blocks[b][:3] for b in _bits(mask)]
+            members += [(p, t, k, l) for p, k, l in tags[mask]]
+        annotations.append(tuple(sorted(members)))
     return tuple(range(len(keep))), transitions, annotations
 
 
 def _grammar_nfa(grammar, tiles):
-    """NFA over macro-slice positions: (states, next, annotations, succession)."""
+    """Block NFA of the macro-slices: (blocks, follow, succession).
+
+    Block b is (p, k, l, word), the phase-p macro-slice coding (k, l), and
+    ``follow[b]`` lists the blocks that may sit on top of it: those of the
+    same phase whose main tile may sit above k.
+    """
     M, N = grammar.M, grammar.N
-    height = grammar.macro_height
 
     def pairs_for_phase(p):
         kr, lr = grammar.k_relevant(p), grammar.l_relevant(p)
@@ -389,36 +408,26 @@ def _grammar_nfa(grammar, tiles):
         for (k, l) in pairs_for_phase(p):
             blocks.append((p, k, l, grammar.macro_word(p, k, l)))
 
-    # state bi * height + t is cell t of block bi
-    states = list(range(len(blocks) * height))
-    annotations = {}
+    follow = []
     succession = set()
-    nfa_next = {}
-    for bi, (p, k, l, word) in enumerate(blocks):
-        base = bi * height
-        for t in range(height):
-            annotations[base + t] = (p, t, k, l)
-        for t in range(height - 1):
-            nfa_next[base + t] = (word[t], (base + t + 1,))
-        targets = []
+    for p, k, l, _ in blocks:
+        above = []
         for bj, (p2, k2, l2, _) in enumerate(blocks):
             if p2 != p:
                 continue
             if grammar.k_relevant(p) and not tiles.vertical_ok(k, k2):
                 continue
-            targets.append(bj * height)
+            above.append(bj)
             succession.add((p, k, l, k2, l2))
-        nfa_next[base + height - 1] = (word[height - 1], tuple(targets))
-    return states, nfa_next, annotations, frozenset(succession)
+        follow.append(tuple(above))
+    return blocks, follow, frozenset(succession)
 
 
 def _plain_cycle_nfa(grammar):
-    """Degenerate single-tile case: the vertical SFT is the C1 cycle shift."""
+    """Degenerate single-tile case: the vertical SFT is the C1 cycle shift,
+    one block that reads C1 rotated by one and follows itself."""
     c1 = grammar.c1
-    n = len(c1)
-    nfa_next = {i: (c1[(i + 1) % n], ((i + 1) % n,)) for i in range(n)}
-    annotations = {i: (0, i, 1, 1) for i in range(n)}
-    return list(range(n)), nfa_next, annotations, frozenset({(0, 1, 1, 1, 1)})
+    return [(0, 1, 1, c1[1:] + c1[:1])], [(0,)], frozenset({(0, 1, 1, 1, 1)})
 
 
 def compile_wang(H, tiles, pair):

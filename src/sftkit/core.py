@@ -532,6 +532,11 @@ def _locally_admissible_words(sft, n):
     return label_words(0, live.__getitem__, n)
 
 
+def _bits(mask):
+    """The positions of the set bits of ``mask`` (an int >= 0), ascending."""
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
 def essential_states(succ):
     """Indices of the states that lie on a bi-infinite path, ascending.
 
@@ -747,7 +752,9 @@ class Pattern2D:
         return self.cells[j * self.width : (j + 1) * self.width]
 
     def column(self, i):
-        return tuple(self.cells[j * self.width + i] for j in range(self.height))
+        if not 0 <= i < self.width:  # the slice would fail on width 0 and give () past the edge
+            raise IndexError(i)
+        return self.cells[i :: self.width]
 
     @classmethod
     def from_rows(cls, rows_bottom_to_top):

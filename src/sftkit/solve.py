@@ -32,6 +32,7 @@ from .core import (
     Pattern2D,
     PreconditionUnmet,
     Sft1D,
+    _bits,
     build_rauzy,
     label_words,
     require_same_alphabet,
@@ -76,11 +77,6 @@ def _global_words(sft, n):
 
 # ---------------------------------------------------------------------------
 # strip automaton and exact counting
-
-
-def _bits(mask):
-    """The positions of the set bits of ``mask`` (an int >= 0), ascending."""
-    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
 
 
 @dataclass

@@ -52,6 +52,19 @@ def graph_statesplit():
     return graph(edges, vertices=tuple("abcdef"))
 
 
+def block_cells(blocks, follow):
+    """The cell NFA of a block NFA whose blocks all have one height h, as
+    {state: (label, targets)}: cell t of block b is state b * h + t."""
+    height = len(blocks[0][-1])
+    assert all(len(word) == height for *_, word in blocks)
+    nfa_next = {}
+    for b, (*_, word) in enumerate(blocks):
+        for t in range(height - 1):
+            nfa_next[b * height + t] = (word[t], (b * height + t + 1,))
+        nfa_next[b * height + height - 1] = (word[-1], tuple(c * height for c in follow[b]))
+    return nfa_next
+
+
 # Table-of-main-cases exemplar graphs, keyed by the expected dispatch tag
 def table_exemplars():
     out = {}

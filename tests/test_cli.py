@@ -106,6 +106,23 @@ class TestSolve:
         assert json.loads(out) == {"bound": 6, "found": False}
         assert time.perf_counter() - start < 10
 
+    # each solve subcommand takes only the options it reads
+    @pytest.mark.parametrize(
+        "action, unread",
+        [
+            ("count", (("--bound", "3"),)),
+            ("torus", (("--budget", "10"),)),
+            ("decide", (("--bound", "3"),)),
+        ],
+    )
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, tmp_path, action, unread):
+        argv = _json_commands(tmp_path)[f"solve {action}"]
+        capsys.readouterr()
+        assert run(capsys, *argv)[0] == 0
+        for option in unread:
+            code, out, err = run(capsys, *argv, *option)
+            assert code == 2 and out == "" and f"unrecognized arguments: {option[0]}" in err, option
+
 
 class TestErrors:
     def test_empty_sft_is_input_error(self, capsys):
@@ -270,7 +287,6 @@ class TestBudget:
         golden = path("golden.json")
         for argv in (
             ["solve", "count", "--width", "2", "--height", "2"],
-            ["solve", "torus"],
             ["solve", "empty"],
             ["solve", "decide"],
             ["entropy", "2d"],
@@ -431,6 +447,33 @@ class TestParserReuse:
         one, default = (json.loads(out)["status"] for _, out, _ in in_a_row[4:6])
         assert (one, default) == ("unknown", "empty")
         assert in_a_row[8][1].startswith("digraph") and json.loads(in_a_row[9][1])["order"] == 1
+
+
+class TestTournamentPresentation:
+    """``compile wang --w free2`` on a strongly connected tournament on ten
+    symbols (the benchmark's seed-0 draw): a DFA of 4,136 states, pinned
+    byte for byte."""
+
+    # edge ij goes from t<i> to t<j>
+    EDGES = (
+        "04 06 07 08 09 10 13 15 17 18 19 20 21 23 24 29 30 34 35 39 41 49 50"
+        " 52 54 57 58 59 61 62 63 64 65 69 72 73 74 76 82 83 84 86 87 89 97"
+    ).split()
+
+    def test_output_is_pinned(self, capsys, tmp_path):
+        alphabet = [f"t{i}" for i in range(10)]
+        edges = {(f"t{e[0]}", f"t{e[1]}") for e in self.EDGES}
+        forbidden = [[a, b] for a in alphabet for b in alphabet if (a, b) not in edges]
+        sft = tmp_path / "tournament.json"
+        sft.write_text(json.dumps({"alphabet": alphabet, "forbidden": forbidden}))
+        outfile = tmp_path / "presentation.json"
+        code, _, _ = run(capsys, "compile", "wang", "--h", str(sft), "--w", path("free2.json"), "--out", str(outfile))
+        assert code == 0
+        data = outfile.read_bytes()
+        assert len(json.loads(data)["states"]) == 4136
+        assert hashlib.sha256(data).hexdigest() == (
+            "605fbe6e7711707085c3855d400c9496ab713237f2fe56249c22e0ad3f6594e0"
+        )
 
 
 class TestDeterminism:

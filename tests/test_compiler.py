@@ -33,6 +33,8 @@ from sftkit.compiler import (
 )
 from sftkit.solve import count_rectangles
 
+from conftest import block_cells
+
 
 @pytest.fixture(scope="module")
 def coding_pair(coding_sft):
@@ -447,8 +449,8 @@ def _nfa_oracle(grammar, tiles):
     word repeated forever labels a bi-infinite path, and ``words(h)`` is the
     set of labels of length-h paths between essential states.
     """
-    states, nfa_next, _, _ = _grammar_nfa(grammar, tiles)
-    keep = set(states)
+    nfa_next = block_cells(*_grammar_nfa(grammar, tiles)[:2])
+    keep = set(nfa_next)
     while True:
         has_pred = {t for q in keep for t in nfa_next[q][1] if t in keep}
         kept = {q for q in keep if q in has_pred and any(t in keep for t in nfa_next[q][1])}
@@ -603,8 +605,34 @@ def _two_cycles(m, n):
     return nfa_next, {q: (q % 3, q) for q in range(m + n)}
 
 
+def _cut_into_blocks(nfa_next):
+    """The block NFA of a cell NFA over states 0..n-1 in which a cell whose
+    only target is the next cell steps to it.  Chains are cut at every cell
+    that some cell jumps to, so every target is a block start.  Block
+    b starting at cell s is (s, 0, 0, word), so the annotation (s, t, 0, 0)
+    of a subset member names cell s + t."""
+    n = len(nfa_next)
+    steps = {q for q, (_, targets) in nfa_next.items() if targets == (q + 1,)}
+    cuts = {0} | {t for q, (_, targets) in nfa_next.items() if q not in steps for t in targets}
+    cuts |= {q + 1 for q in range(n - 1) if q not in steps}
+    starts = sorted(cuts)
+    block_of = {s: b for b, s in enumerate(starts)}
+    blocks, follow = [], []
+    for s, e in zip(starts, starts[1:] + [n]):
+        blocks.append((s, 0, 0, tuple(nfa_next[q][0] for q in range(s, e))))
+        follow.append(tuple(block_of[t] for t in nfa_next[e - 1][1]))
+    return blocks, follow
+
+
+def _determinize_cells(nfa_next, annotations):
+    """``_determinize`` on a cell NFA, its annotations mapped back to cells."""
+    states, transitions, ann = _determinize(*_cut_into_blocks(nfa_next))
+    cells = [None if a is None else tuple(sorted(annotations[s + t] for s, t, _, _ in a)) for a in ann]
+    return states, transitions, cells
+
+
 class TestDeterminize:
-    """The bitmask subset construction against a set-based one."""
+    """The block subset construction against a set-based one over cells."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(block_nfas())
@@ -613,12 +641,11 @@ class TestDeterminize:
     @example(({0: ("a", ()), 1: ("a", (1,)), 2: ("b", (0, 1, 2))}, {0: (0,), 1: (1,), 2: (2,)}))
     def test_matches_set_construction(self, nfa):
         nfa_next, annotations = nfa
-        states = list(range(len(nfa_next)))
-        assert _determinize(states, nfa_next, annotations) == _subset_construction(nfa_next, annotations)
+        assert _determinize_cells(nfa_next, annotations) == _subset_construction(nfa_next, annotations)
 
     def test_annotation_limit_is_eight_members(self):
         nfa_next, annotations = _two_cycles(9, 8)
-        states, transitions, ann = _determinize(list(range(17)), nfa_next, annotations)
+        states, transitions, ann = _determinize_cells(nfa_next, annotations)
         # the trim keeps the 9-cycle and the 8-cycle, not the full set
         assert states == (0, 1) and transitions == [{"a": 0}, {"b": 1}]
         assert ann == [None, tuple(sorted(annotations[q] for q in range(9, 17)))]

@@ -23,6 +23,8 @@ from sftkit.core import (
     word_in_language,
 )
 
+from conftest import block_cells
+
 
 def brute_words(sft, n):
     """Independent oracle: n-words extendable far enough on both sides."""
@@ -414,9 +416,10 @@ class TestEssentialTrim:
 
         pair = find_cycle_pair(build_rauzy(coding_sft))[0]
         pres, _ = compile_wang(coding_sft, free_tile_set(2), pair)
-        # the subset construction again, untrimmed, from the NFA
-        nfa_states, nfa_next, _, _ = _grammar_nfa(pres.grammar, pres.tiles)
-        start = frozenset(nfa_states)
+        # the subset construction again, untrimmed, from the cell NFA
+        blocks, follow, _ = _grammar_nfa(pres.grammar, pres.tiles)
+        nfa_next = block_cells(blocks, follow)
+        start = frozenset(nfa_next)
         ids, order, rows = {start: 0}, [start], []
         for subset in order:
             by_label = {}
