@@ -10,12 +10,11 @@ least one type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from .core import (
     Digraph,
-    EmptyLanguage,
     NotStronglyConnected,
     as_digraph,
     build_rauzy,

@@ -15,7 +15,6 @@ import sys
 from .core import (
     BudgetExceeded,
     Pattern2D,
-    RauzyGraph,
     SearchExhausted,
     Sft1D,
     SftError,

@@ -43,7 +43,7 @@ from .core import (
     label_words,
 )
 from .classify import check_condition_d
-from .cycles import Cycle, CyclePair, _return_paths, good_pairs
+from .cycles import CyclePair, _return_paths, good_pairs
 
 
 def _sym(v):
@@ -505,6 +505,7 @@ def encode_pattern(grid, grammar, tiles, phase=0):
             cols.append(tuple(grammar.c1[(c + j) % L1] for j in range(height)))
         return Pattern2D.from_columns(cols)
 
+    macro_words = {}  # (p, k, l) -> cells; a grid repeats few of them
     cols = []
     for c in range(a * M):
         p = c % M
@@ -513,7 +514,10 @@ def encode_pattern(grid, grammar, tiles, phase=0):
         for y in range(b):
             k = grid[x][y]
             l = grid[x + 1][y] if x + 1 < a else _right_fill(tiles, grid[x][y])
-            col.extend(grammar.macro_word(p, k, l))
+            word = macro_words.get((p, k, l))
+            if word is None:
+                word = macro_words[p, k, l] = grammar.macro_word(p, k, l)
+            col.extend(word)
         cols.append(tuple(col))
     return Pattern2D.from_columns(cols)
 

@@ -297,7 +297,7 @@ def _has_alignment_vertex(g, c1, c2):
     return False
 
 
-def _exemption(g, c1, c2, report, context=None):
+def _exemption(g, c1, c2, report):
     """Which documented exceptional pattern (if any) excuses the failures."""
     failed = set(report.failed())
     if not failed:

@@ -26,7 +26,6 @@ from .core import (
     WangTileSet,
     ZeroEntropy,
     build_rauzy,
-    language_count,
     sft_from_edges,
     strong_components,
     word_in_language,

@@ -15,7 +15,9 @@ step either follows that transition list or, when they hold fewer edges,
 runs through h row layers that move one row of the window at a time: for
 hard squares of height 15, 38,760 layer edges instead of 665,857
 transitions.  One check, ``_cyclic_ok``, decides whether a row or column
-repeats periodically, for torus search, replay and decisions alike.
+repeats periodically, for cylinder strips (``cyclic=True``: only such
+columns, so the closed walks are the tori of ``find_torus``), replay and
+decisions alike.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import (
     label_words,
     require_same_alphabet,
 )
-from .classify import check_condition_d, has_only_periodic_points, scc_types
+from .classify import check_condition_d, has_only_periodic_points
 from .compiler import VerticalPresentation
 
 
@@ -90,10 +92,16 @@ class StripAutomaton:
     ``narrow[k - 1]`` is the number of k-column windows for k < m: windows
     whose every row is a prefix of a vertex.
 
+    With ``cyclic=True`` only the columns ``_cyclic_ok`` accepts are kept
+    (a cylinder strip).  Then a closed walk of w edges is exactly a
+    w-periodic column sequence, the first column of each state on it, whose
+    rows all repeat into legal H-words: a periodic row is legal iff its
+    m + 1 windows are Rauzy edges, and pruning keeps every cycle.
+
     ``successors`` lists the successor states of each state in ascending
-    order.  The build keeps it as one int bitmask per state over the columns
-    (popcounts give the transition count for the budget) and decodes it on
-    first use.
+    order, so by ascending appended column.  The build keeps it as one int
+    bitmask per state over the columns (popcounts give the transition count
+    for the budget) and decodes it on first use.
 
     ``count_width`` sweeps a count vector through ``layers``, each a triple
     (src, dst, size): edge e adds the count of state src[e] of its layer to
@@ -110,7 +118,7 @@ class StripAutomaton:
     _code: tuple = field(repr=False)  # ``successors`` before decoding, see ``_decode``
 
     @classmethod
-    def build(cls, H, constraint, h, budget=None):
+    def build(cls, H, constraint, h, budget=None, cyclic=False):
         if h < 1:
             raise ValueError("h must be >= 1")
         g = build_rauzy(H)
@@ -133,7 +141,7 @@ class StripAutomaton:
         if budget is not None and len(cols) > budget:
             raise BudgetExceeded(f"{len(cols)} columns exceed the budget")
         symbols = step[root].keys()  # each symbol of a vertex starts one
-        cols = [c for c in cols if symbols >= set(c)]
+        cols = [c for c in cols if symbols >= set(c) and (not cyclic or _cyclic_ok(constraint, c))]
         # follow[r][x]: the columns whose row-r symbol may follow row word x
         at = [{} for _ in range(h)]
         for c, col in enumerate(cols):
@@ -352,75 +360,44 @@ def validate_torus(H, column_constraint, pattern, forbidden2d=()):
 def find_torus(H, column_constraint, max_w, max_h, forbidden2d=()):
     """Smallest-area doubly periodic witness within the bounds, or None.
 
-    The witness is replay-validated with wraparound before being returned.
+    Sizes go by area, then width, then height.  A w x h torus is a closed
+    walk of w edges in the cylinder strip of height h, built once per
+    height.  Walks go by first state, then by ascending successor, i.e. in
+    lexicographic column order, and the first pattern that passes replay
+    (``validate_torus``, which also rules out ``forbidden2d``) is returned.
     """
-    try:
-        g = build_rauzy(H)
-    except EmptyLanguage:
-        return None
-    sizes = sorted(
-        ((w, h) for w in range(1, max_w + 1) for h in range(1, max_h + 1)),
-        key=lambda s: (s[0] * s[1], s[0], s[1]),
-    )
-    cyclic = {}  # height -> cyclic columns, shared by every width
-    for (w, h) in sizes:
-        if h not in cyclic:
-            cyclic[h] = [
-                c
-                for c in _columns_for(column_constraint, h, H.alphabet.symbols)
-                if _cyclic_ok(column_constraint, c)
-            ]
-        cols = cyclic[h]
-        if not cols:
-            continue
-        pat = _search_torus(H, cols, w, h, forbidden2d)
-        if pat is not None:
-            wit = TorusWitness(w, h, pat)
+    sizes = sorted(product(range(1, max_w + 1), range(1, max_h + 1)), key=lambda s: (s[0] * s[1], s))
+    strips = {}
+    for w, h in sizes:
+        if h not in strips:
+            try:
+                strips[h] = StripAutomaton.build(H, column_constraint, h, cyclic=True)
+            except EmptyLanguage:
+                return None
+        strip = strips[h]
+        for walk in _closed_walks(strip.successors, w):
+            pat = Pattern2D.from_columns([strip.states[i][:h] for i in walk])
             if validate_torus(H, column_constraint, pat, forbidden2d):
-                return wit
+                return TorusWitness(w, h, pat)
     return None
 
 
-def _search_torus(H, cols, w, h, forbidden2d):
-    chosen = []
-
-    def rows_ok(c):
-        # each row's newest order + 1 cells are a factor of the cyclic row
-        k = min(len(chosen), H.order)
-        tail = chosen[len(chosen) - k :]
-        return all(
-            H.word_locally_admissible(tuple(col[j] for col in tail) + (c[j],)) for j in range(h)
-        )
-
-    def pairs_ok(c1, c2):
-        return all(H.word_locally_admissible((x, y)) for x, y in zip(c1, c2))
-
-    def full_check():
-        pat = Pattern2D.from_columns(chosen)
-        for j in range(h):
-            if not _cyclic_ok(H, pat.row(j)):
-                return None
-        for p in forbidden2d:
-            if p.occurs_in(pat, wrap=True):
-                return None
-        return pat
-
-    def rec():
-        if len(chosen) == w:
-            return full_check()
-        for c in cols:
-            if not rows_ok(c):
-                continue
-            if len(chosen) == w - 1 and not pairs_ok(c, chosen[0] if chosen else c):
-                continue
-            chosen.append(c)
-            got = rec()
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    return rec()
+def _closed_walks(succ, w):
+    """The closed walks of w edges in the successor lists, each as its w
+    states from the first: by first state, then by ascending successor."""
+    for first in range(len(succ)):
+        path, todo = [first], [iter(succ[first])]
+        while todo:
+            if len(path) < w:
+                nxt = next(todo[-1], None)
+                if nxt is not None:
+                    path.append(nxt)
+                    todo.append(iter(succ[nxt]))
+                    continue
+            elif first in succ[path[-1]]:
+                yield list(path)
+            path.pop()
+            todo.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +468,12 @@ def decide_with_certificate(H, constraint, budget=200000):
         verdict = check_condition_d(g)
         if not verdict.holds:
             raise PreconditionUnmet("the horizontal graph fails the decidability condition")
-        transient = set(g.transient)
-        comps = [c for c in g.scc if not (len(c) == 1 and c[0] in transient)]
         if verdict.common_type == "reflexive":
             width = 1
         elif verdict.common_type == "symmetric":
             width = 2
         else:
-            width = 1
-            for comp in comps:
-                t = scc_types(g.graph.subgraph(comp))
-                width = lcm(width, len(t.state_split_partition))
+            width = lcm(*(len(t.state_split_partition) for t in verdict.per_scc))
         mv = max([len(wd) for wd in constraint.forbidden], default=1)
         col_ok = constraint.word_locally_admissible
         forbidden2d = ()

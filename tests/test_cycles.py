@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -212,3 +213,51 @@ class TestAdmissibilityOracle:
         for g in random_non_decidable_graphs(987, 60):
             pair, report = find_cycle_pair(g)
             assert verify_pair_admissible(g, pair.c1, pair.c2), sorted(g.edges)
+
+
+def digraph_classes(n):
+    """One edge mask per isomorphism class of digraphs on n vertices, loops
+    allowed: the least mask of the class, where bit u * n + v is the edge
+    u -> v."""
+    images = [[1 << (p[u] * n + p[v]) for u in range(n) for v in range(n)] for p in permutations(range(n))]
+    seen = bytearray(1 << n * n)
+    for mask in range(1 << n * n):
+        if not seen[mask]:
+            yield mask
+            bits = [b for b in range(n * n) if mask >> b & 1]
+            for image in images:
+                seen[sum(image[b] for b in bits)] = 1
+
+
+def mask_graph(mask, n):
+    return graph([f"{u}{v}" for u in range(n) for v in range(n) if mask >> (u * n + v) & 1], tuple("0123"[:n]))
+
+
+# the one class whose case1.3-special pair has cross bridges that no
+# documented exemption excuses (ROADMAP item 3)
+CASE13_SPECIAL_GAP = graph("00 01 02 03 10 11 13 20 21 22 30 31".split())
+
+
+class TestEverySmallGraph:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_find_cycle_pair(self, n):
+        classes = list(digraph_classes(n))
+        assert len(classes) == (2, 10, 104, 3044)[n - 1]  # OEIS A000595
+        graphs = [mask_graph(mask, n) for mask in classes]
+        assert graphs.count(CASE13_SPECIAL_GAP) == (n == 4)  # the least mask of its class
+        for g in graphs:
+            if not g.edges or not g.is_strongly_connected() or g == CASE13_SPECIAL_GAP:
+                continue
+            if check_condition_d(g).holds:
+                with pytest.raises(ConditionDHolds):
+                    find_cycle_pair(g)
+                continue
+            pair, _ = find_cycle_pair(g)  # never SearchExhausted
+            assert verify_pair_admissible(g, pair.c1, pair.c2), sorted(g.edges)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="case1.3-special pair fails the oracle")
+    def test_case13_special_gap(self):
+        g = CASE13_SPECIAL_GAP
+        pair, report = find_cycle_pair(g)
+        assert report.case_tag == "case1.3-special"
+        assert verify_pair_admissible(g, pair.c1, pair.c2)
