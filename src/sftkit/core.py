@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 WILDCARD = "·"  # "·" in 2D forbidden patterns: matches any symbol
 
@@ -198,6 +199,11 @@ class Sft1D:
             if q < 0:
                 return False
         return True
+
+    @cached_property
+    def _rauzy_graphs(self):
+        """``build_rauzy``'s results by order; None marks an empty language."""
+        return {}
 
     @cached_property
     def _factor_automaton(self):
@@ -628,11 +634,23 @@ def strong_components(succ):
 def build_rauzy(sft, order=None):
     """Rauzy graph of ``sft`` at the given order (default: the SFT's order).
 
-    Raises EmptyLanguage when pruning removes every vertex.
+    Raises EmptyLanguage when pruning removes every vertex.  Each graph is
+    built once per SFT object and order: the result, or None for an empty
+    language, is kept in ``sft._rauzy_graphs``.
     """
     m = sft.order if order is None else order
     if m < sft.order:
         raise ValueError(f"order {m} below the SFT order {sft.order}")
+    built = sft._rauzy_graphs
+    if m not in built:
+        built[m] = _build_rauzy(sft, m)
+    if built[m] is None:
+        raise EmptyLanguage("every vertex was pruned; the SFT is empty")
+    return built[m]
+
+
+def _build_rauzy(sft, m):
+    """The Rauzy graph of ``sft`` at order m, or None when it is empty."""
     sym_index = {s: i for i, s in enumerate(sft.alphabet.symbols)}
     vertices = sorted(_locally_admissible_words(sft, m), key=lambda w: [sym_index[s] for s in w])
     index = {v: i for i, v in enumerate(vertices)}
@@ -647,7 +665,7 @@ def build_rauzy(sft, order=None):
 
     keep = essential_states(succ)
     if not keep:
-        raise EmptyLanguage("every vertex was pruned; the SFT is empty")
+        return None
     alive = set(keep)
     edges = frozenset(
         (vertices[i], vertices[j]) for i in keep for j in succ[i] if j in alive
@@ -697,7 +715,7 @@ def word_in_language(sft, word):
             v[i : i + len(word)] == word for v in g.vertices for i in range(m - len(word) + 1)
         )
     start = word[:m]
-    if start not in set(g.vertices):
+    if start not in g.graph.index.rank:
         return False
     return g.path_exists(start, word[m:]) is not None
 
@@ -736,7 +754,12 @@ class Pattern2D:
     cells: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(str(s) for s in self.cells))
+        cells = tuple(self.cells)
+        try:
+            "".join(cells)  # one pass in C: every cell is already a str
+        except TypeError:  # such as int cells from JSON
+            cells = tuple(str(s) for s in cells)
+        object.__setattr__(self, "cells", cells)
         if self.width < 0 or self.height < 0:
             raise ValueError("negative dimensions")
         if len(self.cells) != self.width * self.height:
@@ -764,7 +787,7 @@ class Pattern2D:
         w = len(rows[0])
         if any(len(r) != w for r in rows):
             raise ValueError("ragged rows")
-        return cls(w, len(rows), tuple(s for r in rows for s in r))
+        return cls(w, len(rows), tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_columns(cls, cols_bottom_to_top):
@@ -774,7 +797,7 @@ class Pattern2D:
         h = len(cols[0])
         if any(len(c) != h for c in cols):
             raise ValueError("ragged columns")
-        return cls(len(cols), h, tuple(cols[i][j] for j in range(h) for i in range(len(cols))))
+        return cls(len(cols), h, tuple(chain.from_iterable(zip(*cols))))
 
     def matches_at(self, other, i0, j0, wrap=False):
         """True iff self occurs in ``other`` anchored at (i0, j0)."""

@@ -14,7 +14,11 @@ of the columns whose symbol in that row may follow the row's word.  A width
 step either follows that transition list or, when they hold fewer edges,
 runs through h row layers that move one row of the window at a time: for
 hard squares of height 15, 38,760 layer edges instead of 665,857
-transitions.  One check, ``_cyclic_ok``, decides whether a row or column
+transitions.  With an SFT column constraint, ``count_rectangles`` builds the
+strip of the transposed rectangles (column words as rows) when its bound on
+the windows is smaller: 4 x 30 no-111 rows over golden-mean columns then
+need 13 rows of width 4 as columns, not the 2.2 million golden columns of
+height 30.  One check, ``_cyclic_ok``, decides whether a row or column
 repeats periodically, for cylinder strips (``cyclic=True``: only such
 columns, so the closed walks are the tori of ``find_torus``), replay and
 decisions alike.
@@ -37,6 +41,7 @@ from .core import (
     _bits,
     build_rauzy,
     label_words,
+    language_count,
     require_same_alphabet,
 )
 from .classify import check_condition_d, has_only_periodic_points
@@ -101,7 +106,8 @@ class StripAutomaton:
     ``successors`` lists the successor states of each state in ascending
     order, so by ascending appended column.  The build keeps it as one int
     bitmask per state over the columns (popcounts give the transition count
-    for the budget) and decodes it on first use.
+    for the budget) and decodes it on first use, or at once when the width
+    step follows it.
 
     ``count_width`` sweeps a count vector through ``layers``, each a triple
     (src, dst, size): edge e adds the count of state src[e] of its layer to
@@ -187,11 +193,13 @@ class StripAutomaton:
         code = (masks, shifts, slot)
         transitions = sum(mask.bit_count() for mask in masks)
         layers = _row_layers([rows for _, rows in windows], succ, h, transitions)
-        if layers is None:
-            lists = _decode(*code)
-            src = [i for i, out in enumerate(lists) for _ in out]
-            layers = ((src, [j for out in lists for j in out], len(states)),)
-        return cls(h, states, tuple(narrow), layers, code)
+        if layers is not None:
+            return cls(h, states, tuple(narrow), layers, code)
+        lists = tuple(map(tuple, _decode(*code)))
+        src = [i for i, out in enumerate(lists) for _ in out]
+        strip = cls(h, states, tuple(narrow), ((src, [j for out in lists for j in out], len(states)),), code)
+        strip.successors = lists  # fills the cached property: decoded once
+        return strip
 
     @cached_property
     def successors(self):
@@ -299,9 +307,24 @@ def _row_layers(windows, succ, h, cap):
 
 
 def count_rectangles(H, column_constraint, w, h, budget=None):
-    """Exact count of w x h rectangles with H-rows and constrained columns."""
+    """Exact count of w x h rectangles with H-rows and constrained columns.
+
+    The count is that of the transposed rectangles, whose rows are column
+    words and whose columns are H-words.  So for an SFT column constraint V
+    the strip runs along the cheaper axis (as Calkin & Wilf transfer along
+    the narrower side): its windows number at most |L_h(V)|^(order of H),
+    and those of the transposed strip at most |L_w(H)|^(order of V).  The
+    strip is transposed only when the second bound is strictly smaller, and
+    ``budget`` caps the strip that is built.
+    """
     if w < 1 or h < 1:
         raise ValueError("dimensions must be >= 1")
+    if isinstance(column_constraint, Sft1D):
+        rows, cols = language_count(H, w), language_count(column_constraint, h)
+        if not rows or not cols:
+            return 0
+        if rows ** column_constraint.order < cols ** H.order:
+            H, column_constraint, w, h = column_constraint, H, h, w
     try:
         strip = StripAutomaton.build(H, column_constraint, h, budget)
     except EmptyLanguage:

@@ -90,6 +90,26 @@ class TestRauzy:
         with pytest.raises(EmptyLanguage):
             build_rauzy(Sft1D.from_words("0", "0"))
 
+    def test_built_once_per_object_and_order(self, monkeypatch):
+        import sftkit.core
+
+        builds = []
+        real = sftkit.core._build_rauzy
+        monkeypatch.setattr(sftkit.core, "_build_rauzy", lambda sft, m: builds.append(m) or real(sft, m))
+        sft = Sft1D.from_words("01", "111")
+        g = build_rauzy(sft)
+        assert build_rauzy(sft) is g and build_rauzy(sft, order=2) is g
+        assert build_rauzy(sft, order=3).order == 3
+        assert word_in_language(sft, tuple("0110110")) and language_count(sft, 9) == 274
+        assert builds == [2, 3]
+        # an equal SFT is another object and builds its own, equal graph
+        assert build_rauzy(Sft1D.from_words("01", "111")) == g and builds == [2, 3, 2]
+        empty = Sft1D.from_words("0", "0")
+        for _ in range(2):
+            with pytest.raises(EmptyLanguage):
+                build_rauzy(empty)
+        assert language_count(empty, 3) == 0 and builds == [2, 3, 2, 1]
+
     def test_edge_labels_are_target_suffix(self, golden):
         # an edge u -> v is the word u + v[-1], so u and v overlap
         g = build_rauzy(golden, order=3)
@@ -195,6 +215,36 @@ class TestPattern2D:
     def test_json_roundtrip(self):
         p = Pattern2D.from_rows([("a", "b"), ("c", "d")])
         assert Pattern2D.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+    def test_int_cells_become_strings(self):
+        p = Pattern2D.from_json({"width": 2, "height": 1, "cells": [0, 1]})
+        assert p.cells == ("0", "1") and all(type(s) is str for s in p.cells)
+        assert Pattern2D.from_columns([(1, 2), (3, 4)]).cells == ("1", "3", "2", "4")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda h: st.lists(st.lists(st.sampled_from("ab01"), min_size=h, max_size=h), max_size=4)
+        )
+    )
+    def test_from_columns_is_from_rows_of_the_transpose(self, cols):
+        p = Pattern2D.from_columns(cols)
+        # the transpose of the pattern whose rows are ``cols``, cell by cell;
+        # it keeps the width of 0-height columns, which no row list can show
+        q = Pattern2D.from_rows(cols)
+        assert p == Pattern2D(q.height, q.width, tuple(q[j, i] for j in range(q.width) for i in range(q.height)))
+        if cols and cols[0]:
+            assert p == Pattern2D.from_rows(zip(*cols))
+        assert all(p.column(i) == tuple(c) for i, c in enumerate(cols))
+
+    def test_zero_height_and_ragged_columns(self):
+        assert Pattern2D.from_columns([]) == Pattern2D(0, 0, ())
+        assert Pattern2D.from_columns([(), (), ()]) == Pattern2D(3, 0, ())
+        for ragged in ([("a",), ("a", "b")], [("a", "b"), ("a",)], [(), ("a",)], [("a",), ()]):
+            with pytest.raises(ValueError, match="ragged columns"):
+                Pattern2D.from_columns(ragged)
+            with pytest.raises(ValueError, match="ragged rows"):
+                Pattern2D.from_rows(ragged)
 
 
 class TestWang:

@@ -1,4 +1,6 @@
 import functools
+import json
+import os
 import random
 from itertools import product
 from math import lcm
@@ -321,6 +323,65 @@ class TestCountRectanglesDifferential:
             for w in range(1, 9):
                 assert strip.count_width(w) == bitmask_rectangles(w, h, 3), (w, h)
             assert len(strip.layers) == (h if h >= 5 else 1)
+
+
+@st.composite
+def transpose_cases(draw):
+    """(H, V, w, h): SFTs of order 1 to 3 over 01 and w, h <= 4."""
+    H, V = (draw(sfts("01", draw(st.integers(1, 3)))) for _ in range(2))
+    return H, V, draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+class TestCheaperAxis:
+    """With SFT columns the strip runs along whichever axis bounds its
+    windows lower; the count does not depend on the choice."""
+
+    def test_no_111_rows_under_golden_columns_match_bitmask_transfer(self, golden):
+        no111 = Sft1D.from_words("01", "111")
+        shapes = [(w, h) for w in range(1, 5) for h in range(1, 31)]
+        shapes += [(w, h) for w in range(5, 9) for h in range(1, 15)]
+        for w, h in shapes:
+            assert count_rectangles(no111, golden, w, h) == bitmask_rectangles(w, h, 3), (w, h)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(transpose_cases())
+    def test_either_orientation_matches_brute_force(self, case):
+        H, V, w, h = case
+        want = brute_count(H, V, w, h)
+        assert count_rectangles(H, V, w, h) == count_rectangles(V, H, h, w) == want
+
+    def test_the_strip_built(self, golden, monkeypatch):
+        no111 = Sft1D.from_words("01", "111")
+        columns = Sft1D.from_words("01", "11")  # equal to ``golden``, another object
+        name = {id(golden): "golden", id(no111): "no111", id(columns): "columns"}
+        built = []
+        real = StripAutomaton.build.__func__
+
+        def build(cls, H, constraint, h, *args, **kwargs):
+            built.append((name[id(H)], name[id(constraint)], h))
+            return real(cls, H, constraint, h, *args, **kwargs)
+
+        monkeypatch.setattr(StripAutomaton, "build", classmethod(build))
+        # 6 x 7: 34^2 windows of golden columns against 44 no-111 rows of width 6
+        count_rectangles(no111, golden, 6, 7)
+        # 12 x 6: 21^2 windows against 1,705 rows of width 12
+        count_rectangles(no111, golden, 12, 6)
+        # 13 x 13: 610 windows either way, a tie
+        count_rectangles(golden, columns, 13, 13)
+        assert built == [("golden", "no111", 6), ("no111", "golden", 6), ("golden", "columns", 13)]
+
+    def test_blown_budget_on_a_transposed_count_exits_1(self, capsys):
+        from sftkit.cli import main
+
+        data = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
+        argv = ["solve", "count", "--h", os.path.join(data, "no111.json"), "--v", os.path.join(data, "golden.json")]
+        argv += ["--width", "4", "--height", "30"]
+        # the transposed strip has 13 columns, the no-111 rows of width 4;
+        # the given orientation would have 2,178,309 golden columns
+        assert main(argv + ["--budget", "12"]) == 1
+        assert "13 columns exceed the budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == "6722780565791261151845633"
 
 
 class TestStripAutomaton:
