@@ -45,8 +45,9 @@ from . import entropy as _entropy
 def _emit(obj, path=None):
     """Write ``obj`` as one line of JSON with sorted keys.  Without ``indent``
     the standard library encodes in C, which matters for presentations of
-    a megabyte or more."""
-    text = json.dumps(obj, sort_keys=True)
+    a megabyte or more.  Every output is a fresh tree, so the check for
+    circular references is skipped."""
+    text = json.dumps(obj, sort_keys=True, check_circular=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

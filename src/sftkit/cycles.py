@@ -493,9 +493,11 @@ def find_cycle_pair(graph):
             if special is not None:
                 c1, c2 = special
                 report = check_condition_c(c1, c2, g)
-                return CyclePair(c1, c2), replace(
-                    report, case_tag="case1.3-special", admissible=True, exemption="case1.3-special"
-                )
+                exemption = None if report.passes else _exemption(g, c1, c2, report)
+                if report.passes or exemption is not None:
+                    return CyclePair(c1, c2), replace(
+                        report, case_tag="case1.3-special", admissible=True, exemption=exemption
+                    )
 
     fallback = _brute_force_pair(g)
     if fallback is None:

@@ -108,7 +108,7 @@ def _perron_bracket(succ, comp, tol, max_iter):
         ratios = ax / x
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= tol * hi and steps >= next_check:
-            c_lo, c_hi = _exact_bracket(rows, x)
+            c_lo, c_hi = _exact_bracket(x, lambda xs: [sum(map(xs.__getitem__, row)) for row in rows])
             if c_hi - c_lo <= tol * c_hi:
                 return c_lo, c_hi, steps
             next_check = 2 * steps  # the float ratios are too coarse yet
@@ -130,21 +130,21 @@ def _perron_bracket(succ, comp, tol, max_iter):
     )
 
 
-def _exact_bracket(rows, x):
+def _exact_bracket(x, image):
     """Floats (lo, hi) around the min and max of (Ax)_i / x_i.
 
-    For positive x and an irreducible nonnegative A these bracket the
-    spectral radius (Collatz–Wielandt).  Each x_i is a dyadic rational, so
-    scaling by the largest denominator makes x an integer vector; the sums
-    over the successor lists ``rows`` and the comparisons are then exact, and
-    the float ends are rounded outward.
+    For positive x these bracket the spectral radius of any nonnegative A
+    (Collatz–Wielandt).  Each x_i is a dyadic rational, so scaling by the
+    largest denominator makes x an integer vector xs.  ``image(xs)`` returns
+    A xs as ints (a sum over successor rows, or a sweep through a strip's
+    row layers), so the comparisons are exact, and the float ends are
+    rounded outward.
     """
     fracs = [v.as_integer_ratio() for v in x.tolist()]
     shift = max(d for _, d in fracs).bit_length()
     xs = [m << (shift - d.bit_length()) for m, d in fracs]
     lo_n, lo_d, hi_n, hi_d = 1, 0, 0, 1  # lo = +inf, hi = 0
-    for xi, row in zip(xs, rows):
-        s = sum(map(xs.__getitem__, row))
+    for xi, s in zip(xs, image(xs)):
         if s * lo_d < lo_n * xi:
             lo_n, lo_d = s, xi
         if s * hi_d > hi_n * xi:

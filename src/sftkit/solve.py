@@ -107,14 +107,17 @@ class StripAutomaton:
     order, so by ascending appended column.  The build keeps it as one int
     bitmask per state over the columns (popcounts give the transition count
     for the budget) and decodes it on first use, or at once when the width
-    step follows it.
+    step follows it.  ``find_torus`` walks it; counting and the spectral
+    radius do not read it unless their layers are that list, or the
+    spectral radius falls back to it.
 
-    ``count_width`` sweeps a count vector through ``layers``, each a triple
-    (src, dst, size): edge e adds the count of state src[e] of its layer to
-    state dst[e] of the next one, which has ``size`` states.  The first layer
-    starts at the windows and the last ends at them.  When they hold fewer
-    edges than there are transitions, these are the h row layers of
-    ``_row_layers``; otherwise they are the one layer of ``successors``.
+    ``count_width`` and ``spectral_radius`` sweep a vector through
+    ``layers``, each a triple (src, dst, size): edge e adds the entry of
+    state src[e] of its layer to state dst[e] of the next one, which has
+    ``size`` states.  The first layer starts at the windows and the last
+    ends at them.  When they hold fewer edges than there are transitions,
+    these are the h row layers of ``_row_layers``; otherwise they are the
+    one layer of ``successors``.
     """
 
     height: int
@@ -192,7 +195,16 @@ class StripAutomaton:
         states = tuple(sum((cols[j] for j in w), ()) for w, _ in windows)
         code = (masks, shifts, slot)
         transitions = sum(mask.bit_count() for mask in masks)
-        layers = _row_layers([rows for _, rows in windows], succ, h, transitions)
+        # for h >= 2 the first row layer has an edge from each window with a
+        # successor and the last one an edge into each window with a
+        # predecessor (for h = 1 the one layer is the list), so row layers
+        # cannot beat a list no longer than that; the windows with shift
+        # base b have the successors b + c for c in the OR of their masks
+        ends = {}
+        for base, mask in zip(shifts or [0] * len(masks), masks):
+            ends[base] = ends.get(base, 0) | mask
+        least = sum(map(bool, masks)) + sum(mask.bit_count() for mask in ends.values())
+        layers = None if transitions <= least else _row_layers([rows for _, rows in windows], succ, h, transitions)
         if layers is not None:
             return cls(h, states, tuple(narrow), layers, code)
         lists = tuple(map(tuple, _decode(*code)))
@@ -215,19 +227,63 @@ class StripAutomaton:
             return self.narrow[w - 1]
         vec = [1] * len(self.states)
         for _ in range(w - len(self.narrow) - 1):
-            for src, dst, size in self.layers:
-                nxt = [0] * size
-                for i, j in zip(src, dst):
-                    nxt[j] += vec[i]
-                vec = nxt
+            vec = self._image(vec)
         return sum(vec)
+
+    def _image(self, vec):
+        """One width step of a vector of ints over the states, through the
+        layers: entry j of the result sums the entries of the states with
+        successor j, so it is the row vector times the transfer matrix."""
+        for src, dst, size in self.layers:
+            nxt = [0] * size
+            for i, j in zip(src, dst):
+                nxt[j] += vec[i]
+            vec = nxt
+        return vec
 
     def spectral_radius(self, tol=1e-12, max_iter=10**6):
         """Largest transfer eigenvalue as (value, (lo, hi), iterations), with
-        a certified bracket (``entropy._spectral_radius``)."""
-        from .entropy import _spectral_radius
+        a certified bracket, ``lo <= value <= hi`` and ``hi - lo <= tol * hi``.
 
-        return _spectral_radius(self.successors, tol, max_iter)
+        Write A for the transpose of the transfer matrix, which has the same
+        spectral radius: one sweep through the layers maps x to Ax.  Power
+        iteration on B = A + I runs through the layers, one ``np.bincount``
+        per layer, from x = 1 over the whole strip, and
+        ``entropy._exact_bracket`` certifies the Collatz–Wielandt bracket
+        with one exact sweep (``_image``) of the integer-scaled iterate.
+        That bracket holds for any nonnegative A while x > 0, but on a
+        reducible A it need not narrow: a window with no predecessor keeps
+        the ratio 0.  So when n steps, n the number of states, do not
+        certify it, or an entry of x underflows to 0, the per-component
+        iteration of ``entropy._spectral_radius`` over ``successors``
+        decides.  Its ``max_iter`` bounds the steps on each component, and
+        ``iterations`` counts every step, the steps before it too.
+        """
+        import numpy as np
+
+        from .entropy import _exact_bracket, _spectral_radius
+
+        layers = [(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), size) for src, dst, size in self.layers]
+        x = np.ones(len(self.states))
+        steps = next_check = 0
+        while steps < min(len(x), max_iter):
+            steps += 1
+            ax = x
+            for src, dst, size in layers:
+                ax = np.bincount(dst, ax[src], size)
+            ratios = ax / x
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if hi - lo <= tol * hi and steps >= next_check:
+                lo, hi = _exact_bracket(x, self._image)
+                if hi - lo <= tol * hi:
+                    return (lo + hi) / 2, (lo, hi), steps
+                next_check = 2 * steps  # the float ratios are too coarse yet
+            y = ax + x
+            x = y / y.max()
+            if not x.min() > 0:
+                break
+        value, bracket, more = _spectral_radius(self.successors, tol, max_iter)
+        return value, bracket, steps + more
 
 
 def _decode(masks, shifts, slot):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sftkit.core import Digraph, Sft1D, full_shift, sft_from_edges
@@ -17,6 +18,29 @@ def coding_sft():
 @pytest.fixture(scope="session")
 def full2():
     return full_shift("01")
+
+
+def numpy_radius(succ):
+    """Largest spectral radius of numpy.linalg.eigvals over the diagonal
+    blocks of the strong components, found from the transitive closure.
+    Taking eigvals of the whole matrix instead would meet repeated roots of
+    equal components, which numpy resolves only to about sqrt(eps)."""
+    n = len(succ)
+    a = np.zeros((n, n))
+    for u, vs in enumerate(succ):
+        for v in vs:
+            a[u, v] += 1.0
+    reach = (a + np.eye(n)) > 0
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0  # exact: entries <= n
+    rho = 0.0
+    done = np.zeros(n, dtype=bool)
+    for u in range(n):
+        if not done[u]:
+            comp = np.flatnonzero(reach[u] & reach[:, u])
+            done[comp] = True
+            rho = max(rho, float(max(abs(np.linalg.eigvals(a[np.ix_(comp, comp)])))))
+    return rho
 
 
 def graph(edge_spec, vertices=None):

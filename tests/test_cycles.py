@@ -234,7 +234,7 @@ def mask_graph(mask, n):
 
 
 # the one class whose case1.3-special pair has cross bridges that no
-# documented exemption excuses (ROADMAP item 3)
+# documented exemption excuses, so ``find_cycle_pair`` falls through
 CASE13_SPECIAL_GAP = graph("00 01 02 03 10 11 13 20 21 22 30 31".split())
 
 
@@ -246,7 +246,7 @@ class TestEverySmallGraph:
         graphs = [mask_graph(mask, n) for mask in classes]
         assert graphs.count(CASE13_SPECIAL_GAP) == (n == 4)  # the least mask of its class
         for g in graphs:
-            if not g.edges or not g.is_strongly_connected() or g == CASE13_SPECIAL_GAP:
+            if not g.edges or not g.is_strongly_connected():
                 continue
             if check_condition_d(g).holds:
                 with pytest.raises(ConditionDHolds):
@@ -255,9 +255,9 @@ class TestEverySmallGraph:
             pair, _ = find_cycle_pair(g)  # never SearchExhausted
             assert verify_pair_admissible(g, pair.c1, pair.c2), sorted(g.edges)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="case1.3-special pair fails the oracle")
     def test_case13_special_gap(self):
+        # the special search's pair is refused, and the fallback's passes
         g = CASE13_SPECIAL_GAP
         pair, report = find_cycle_pair(g)
-        assert report.case_tag == "case1.3-special"
         assert verify_pair_admissible(g, pair.c1, pair.c2)
+        assert (pair.c1.vertices, pair.c2.vertices, report.case_tag) == (tuple("03021"), ("2",), "fallback")

@@ -45,6 +45,8 @@ from sftkit.entropy import (
     statesplit_entropy,
 )
 
+from conftest import numpy_radius
+
 GOLDEN_ENTROPY = log2((1 + 5 ** 0.5) / 2)
 
 
@@ -96,26 +98,6 @@ def perron_digraphs(draw):
     for u, v in edges:
         succ[perm[u]].append(perm[v])
     return succ
-
-
-def numpy_radius(succ):
-    """Largest spectral radius of numpy.linalg.eigvals over the diagonal
-    blocks of the strong components, found from the transitive closure.
-    Taking eigvals of the whole matrix instead would meet repeated roots of
-    equal components, which numpy resolves only to about sqrt(eps)."""
-    n = len(succ)
-    a = np.zeros((n, n))
-    for u, vs in enumerate(succ):
-        for v in vs:
-            a[u, v] += 1.0
-    reach = (a + np.eye(n)) > 0
-    for _ in range(n.bit_length()):
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    rho = 0.0
-    for u in range(n):
-        comp = [v for v in range(n) if reach[u, v] and reach[v, u]]
-        rho = max(rho, float(max(abs(np.linalg.eigvals(a[np.ix_(comp, comp)])))))
-    return rho
 
 
 class TestEntropy1D:
@@ -187,7 +169,7 @@ class TestEntropy1D:
     def test_exact_bracket_rounds_outward(self, case):
         # each end is the float next to the exact min or max ratio, on its outer side
         x, rows = case
-        lo, hi = _exact_bracket(rows, np.array(x))
+        lo, hi = _exact_bracket(np.array(x), lambda xs: [sum(xs[j] for j in row) for row in rows])
         ratios = [sum(Fraction(x[j]) for j in row) / Fraction(x[i]) for i, row in enumerate(rows)]
         assert Fraction(lo) <= min(ratios) < Fraction(nextafter(lo, inf))
         assert Fraction(nextafter(hi, -inf)) < max(ratios) <= Fraction(hi)

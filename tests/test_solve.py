@@ -3,7 +3,7 @@ import json
 import os
 import random
 from itertools import product
-from math import lcm
+from math import lcm, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,10 @@ from sftkit.solve import (
     semi_decide_emptiness,
     validate_torus,
 )
+import sftkit.entropy
+from sftkit.entropy import _spectral_radius
+
+from conftest import numpy_radius
 
 
 def brute_count(H, V, w, h):
@@ -394,6 +398,94 @@ class TestStripAutomaton:
         sa = StripAutomaton.build(golden, golden, 2)
         lam = sa.spectral_radius()[0]
         assert lam > 1
+
+
+def spectral_fallbacks(monkeypatch):
+    """The calls that ``spectral_radius`` makes to the per-component
+    iteration, as the step counts they return."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = _spectral_radius(*args, **kwargs)
+        calls.append(result[2])
+        return result
+
+    monkeypatch.setattr(sftkit.entropy, "_spectral_radius", recorded)
+    return calls
+
+
+def assert_matches_numpy(strip, tol=1e-12):
+    value, (lo, hi), iterations = strip.spectral_radius(tol)
+    rho = numpy_radius(strip.successors)
+    assert lo <= value <= hi and hi - lo <= tol * hi
+    # numpy's eigenvalues carry rounding error of their own
+    assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
+    return iterations
+
+
+class TestStripSpectralRadius:
+    """The power iteration runs through the row layers over the whole strip;
+    strips it cannot certify go to the per-component iteration.  Warnings
+    are errors in this suite, so a numpy RuntimeWarning fails these too."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rectangle_cases())
+    def test_layers_agree_with_successor_lists(self, case):
+        H, V, _, h = case
+        try:
+            strip = StripAutomaton.build(H, V, h)
+        except EmptyLanguage:
+            return
+        tol = 1e-10
+        _, (lo, hi), _ = strip.spectral_radius(tol)
+        _, (s_lo, s_hi), _ = _spectral_radius(strip.successors, tol)
+        assert lo <= s_hi and s_lo <= hi
+        assert_matches_numpy(strip, tol)
+
+    def test_golden_strip_never_decodes_its_transitions(self, golden):
+        strip = StripAutomaton.build(golden, golden, 16)
+        assert len(strip.layers) == 16
+        _, (lo, hi), _ = strip.spectral_radius()
+        assert "successors" not in strip.__dict__
+        assert hi - lo <= 1e-12 * hi
+        assert log2(hi) / 16 == pytest.approx(0.593937427411694, abs=1e-12)
+
+    def test_reducible_strip_falls_back_after_n_steps(self, monkeypatch):
+        # rows 0*1* under free columns: each column is its own component
+        calls = spectral_fallbacks(monkeypatch)
+        strip = StripAutomaton.build(Sft1D.from_words("01", "10"), None, 6)
+        assert len(strip.layers) == 6
+        iterations = assert_matches_numpy(strip)
+        assert iterations == len(strip.states) + calls[0]
+        assert strip.spectral_radius()[1] == (1.0, 1.0)
+
+    def test_windows_without_predecessor_fall_back_on_underflow(self, monkeypatch):
+        # 2 follows only 1, so a column with 2 over 2 needs 1 over 1 before
+        # it, which the columns forbid: its entry of x shrinks every step
+        calls = spectral_fallbacks(monkeypatch)
+        H = sft_from_edges("012", [(a, b) for a in "012" for b in "01"] + [("1", "2")])
+        strip = StripAutomaton.build(H, Sft1D.from_words("012", "11"), 6)
+        iterations = assert_matches_numpy(strip)
+        assert len(calls) == 1 and iterations - calls[0] < len(strip.states)
+
+    def test_windows_without_successor_match_numpy(self, monkeypatch):
+        # b -> c -> a in the rows, and no column holds c over a, so a column
+        # with b over c ends every strip; heights 2 and 4 fall back, 6
+        # certifies the whole strip
+        calls = spectral_fallbacks(monkeypatch)
+        H = sft_from_edges("abc", [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
+        V = Sft1D.from_words("abc", "ca")
+        for h in (2, 4, 6):
+            strip = StripAutomaton.build(H, V, h)
+            assert any(not out for out in strip.successors)
+            assert_matches_numpy(strip)
+        assert len(calls) == 2
+
+    def test_max_iter_bounds_each_component(self, golden):
+        strip = StripAutomaton.build(golden, golden, 8)
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            strip.spectral_radius(max_iter=3)
+        assert strip.spectral_radius(max_iter=40)[2] <= 40
 
 
 def aperiodic_sft(rng, order):
