@@ -1,10 +1,12 @@
 """Exact rectangle counting, torus witnesses, and emptiness decisions.
 
 Counts are exact integers from a transfer structure on valid columns.  A
-doubly periodic witness proves nonemptiness; in the decidable regimes
-(all component types shared, or only periodic points) a walk over stacks
-of rows, which stops at the first repeated stack, decides emptiness
-outright.
+doubly periodic witness proves nonemptiness.  In general emptiness is only
+semi-decidable: for each height up to a bound, a strip of legal columns
+with no cycle proves emptiness, and a cycle of the strip of periodic
+columns is a torus.  In the decidable regimes (all component types shared,
+or only periodic points) a walk over stacks of rows, which stops at the
+first repeated stack, decides emptiness outright.
 """
 
 from sftkit.core import Pattern2D, Sft1D, full_shift, sft_from_edges

@@ -710,11 +710,17 @@ def compile_horizontal(H, tiles):
     separator = l2 + l2
 
     max_len = U + len(separator) + 1
+    scan = _flower_scan(code_words)
     patterns = []
-    for w in _minimal_forbidden(_flower_scan(code_words), H.alphabet.symbols, max_len):
+    for w in _minimal_forbidden(scan, H.alphabet.symbols, max_len):
         patterns.append(Pattern2D(len(w), 1, tuple(w)))
-    # separator alignment: a separator above anything that is not a separator
-    for w in _all_words(H.alphabet.symbols, len(separator)):
+    # separator alignment: a separator above any other factor of the
+    # flower; a row that is no factor holds a minimal forbidden word of at
+    # most |separator| < max_len symbols, which a one-row pattern forbids
+    def branches(states):
+        return [(a, t) for a in H.alphabet.symbols if (t := scan((a,), states))]
+
+    for w in label_words(scan(()), branches, len(separator)):
         if w != separator:
             patterns.append(Pattern2D(len(separator), 2, tuple(w) + tuple(separator)))
     # Wang couplings on adjacent code blocks
@@ -733,32 +739,27 @@ def compile_horizontal(H, tiles):
     return comp, cert
 
 
-def _all_words(alphabet, n):
-    out = [()]
-    for _ in range(n):
-        out = [w + (a,) for w in out for a in alphabet]
-    return out
-
-
 def _minimal_forbidden(scan, alphabet, max_len):
     """Words w with |w| <= max_len that are not factors while w[:-1] and
     w[1:] are, in length-then-alphabet order.
 
     ``scan(word, states=None)`` reads ``word`` from ``states`` (default: the
     start set of every factor) and returns the reached set, empty when the
-    word is not a factor.
+    word is not a factor.  The frontier carries the set of each word and of
+    the word less its first symbol, so each check is one scan step.
     """
     out = []
-    frontier = [((), scan(()))]
+    start = scan(())
+    frontier = [((), start, None)]
     for _ in range(max_len):
         nxt = []
-        for word, s in frontier:
+        for word, s, tail in frontier:
             for a in alphabet:
                 t = scan((a,), s)
-                w2 = word + (a,)
+                u = start if tail is None else scan((a,), tail)  # the set of (word + a)[1:]
                 if t:
-                    nxt.append((w2, t))
-                elif scan(w2[1:]):
-                    out.append(w2)
+                    nxt.append((word + (a,), t, u))
+                elif u:
+                    out.append(word + (a,))
         frontier = nxt
     return out

@@ -21,7 +21,9 @@ need 13 rows of width 4 as columns, not the 2.2 million golden columns of
 height 30.  One check, ``_cyclic_ok``, decides whether a row or column
 repeats periodically, for cylinder strips (``cyclic=True``: only such
 columns, so the closed walks are the tori of ``find_torus``), replay and
-decisions alike.
+decisions alike.  ``semi_decide_emptiness`` reads one free and one cylinder
+strip per height: a free strip with no cycle proves emptiness, a cylinder
+strip with one a torus.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .core import (
     Sft1D,
     _bits,
     build_rauzy,
+    essential_states,
     label_words,
     language_count,
     require_same_alphabet,
@@ -105,11 +108,14 @@ class StripAutomaton:
 
     ``successors`` lists the successor states of each state in ascending
     order, so by ascending appended column.  The build keeps it as one int
-    bitmask per state over the columns (popcounts give the transition count
-    for the budget) and decodes it on first use, or at once when the width
-    step follows it.  ``find_torus`` walks it; counting and the spectral
-    radius do not read it unless their layers are that list, or the
-    spectral radius falls back to it.
+    bitmask per state over the columns (popcounts give the transition count)
+    and decodes it on first use, or at once when the width step follows it.
+    ``find_torus`` walks it, and ``semi_decide_emptiness`` searches it for a
+    shortest cycle, both on cylinder strips only; counting, ``has_cycle``
+    and the spectral radius do not read it unless their layers are that
+    list, or the spectral radius falls back to it.  ``budget`` caps what
+    the build keeps: the columns, every window listed and the stored edges
+    (the layer edges, or the transitions when the width step follows them).
 
     ``count_width`` and ``spectral_radius`` sweep a vector through
     ``layers``, each a triple (src, dst, size): edge e adds the entry of
@@ -161,30 +167,31 @@ class StripAutomaton:
             for x, nxt in enumerate(step):
                 for s in nxt:
                     fr[x] |= col_at.get(s, 0)
-        built = 0
 
         def successor_mask(rows):
             """The columns that extend the window with these row words."""
-            nonlocal built
             mask = -1
             for fr, x in zip(follow, rows):
                 mask &= fr[x]
-            built += mask.bit_count()
-            if budget is not None and built > budget:
-                raise BudgetExceeded(f"more than {budget} strip transitions")
             return mask
 
-        # windows as (column indices, row word ids), one column at a time
+        # windows as (column indices, row word ids), one column at a time;
+        # the budget counts the columns, every window listed (counted from
+        # the masks before the list is made) and the edges the strip keeps
+        stored = len(cols)
         windows = [((), (root,) * h)]
         narrow = []
         for k in range(m):
+            masks = [successor_mask(rows) for _, rows in windows]
+            stored += sum(mask.bit_count() for mask in masks)
+            _charge(budget, stored)
             if k:
                 narrow.append(len(windows))
             prev = windows
             windows = [
                 (w + (c,), tuple(step[x][s] for x, s in zip(rows, cols[c])))
-                for w, rows in windows
-                for c in _bits(successor_mask(rows))
+                for (w, rows), mask in zip(windows, masks)
+                for c in _bits(mask)
             ]
         masks = [successor_mask(rows) for _, rows in windows]
         slot = shifts = None
@@ -204,9 +211,11 @@ class StripAutomaton:
         for base, mask in zip(shifts or [0] * len(masks), masks):
             ends[base] = ends.get(base, 0) | mask
         least = sum(map(bool, masks)) + sum(mask.bit_count() for mask in ends.values())
-        layers = None if transitions <= least else _row_layers([rows for _, rows in windows], succ, h, transitions)
+        cap = transitions if budget is None else min(transitions, budget - stored + 1)
+        layers = None if transitions <= least else _row_layers([rows for _, rows in windows], succ, h, cap)
         if layers is not None:
             return cls(h, states, tuple(narrow), layers, code)
+        _charge(budget, stored + transitions)
         lists = tuple(map(tuple, _decode(*code)))
         src = [i for i, out in enumerate(lists) for _ in out]
         strip = cls(h, states, tuple(narrow), ((src, [j for out in lists for j in out], len(states)),), code)
@@ -240,6 +249,20 @@ class StripAutomaton:
                 nxt[j] += vec[i]
             vec = nxt
         return vec
+
+    def has_cycle(self):
+        """Does the strip have a cycle, i.e. a bi-infinite walk?
+
+        The support of the width step, iterated from every window, shrinks
+        to the windows that a cycle reaches, so its fixed point is nonempty
+        exactly when a cycle exists.  Nothing is decoded.
+        """
+        vec = [1] * len(self.states)
+        while True:
+            nxt = [min(x, 1) for x in self._image(vec)]
+            if nxt == vec:
+                return any(vec)
+            vec = nxt
 
     def spectral_radius(self, tol=1e-12, max_iter=10**6):
         """Largest transfer eigenvalue as (value, (lo, hi), iterations), with
@@ -284,6 +307,13 @@ class StripAutomaton:
                 break
         value, bracket, more = _spectral_radius(self.successors, tol, max_iter)
         return value, bracket, steps + more
+
+
+def _charge(budget, stored):
+    """Refuse a strip that keeps more than ``budget`` columns, windows and
+    edges."""
+    if budget is not None and stored > budget:
+        raise BudgetExceeded(f"more than {budget} strip columns, windows and edges")
 
 
 def _decode(masks, shifts, slot):
@@ -505,19 +535,62 @@ class DecisionOutcome:
 
 
 def semi_decide_emptiness(H, column_constraint, bound, budget=None):
-    """Interleaved search: an empty n x n count proves emptiness, a torus
-    proves nonemptiness; otherwise Unknown at the bound."""
-    for n in range(1, bound + 1):
+    """Two strips per height h <= bound, each built within ``budget``.
+
+    A free strip without a cycle proves emptiness: a configuration would
+    give a bi-infinite walk.  With W windows of an order-m row SFT it has
+    no rectangle of height h and width W + m.  A cylinder strip with a cycle
+    proves nonemptiness; its shortest cycle (``_shortest_cycle``) is the
+    narrowest torus of height h, replayed before it is returned.  Otherwise
+    Unknown at the bound; empty rows are empty, a blown budget Unknown.
+    """
+    for h in range(1, bound + 1):
         try:
-            c = count_rectangles(H, column_constraint, n, n, budget)
+            free = StripAutomaton.build(H, column_constraint, h, budget)
+            if not free.has_cycle():
+                w = len(free.states) + len(free.narrow) + 1
+                return DecisionOutcome("empty", rationale=f"no {w}x{h} window: the strip of height {h} has no cycle")
+            cylinder = StripAutomaton.build(H, column_constraint, h, budget, cyclic=True)
+        except EmptyLanguage:
+            return DecisionOutcome("empty", rationale="the rows have no words")
         except BudgetExceeded:
-            return DecisionOutcome("unknown", rationale=f"budget exceeded at n={n}")
-        if c == 0:
-            return DecisionOutcome("empty", rationale=f"no valid {n}x{n} window")
-        wit = find_torus(H, column_constraint, n, n)
-        if wit is not None:
-            return DecisionOutcome("nonempty", wit, f"torus witness {wit.width}x{wit.height}")
-    return DecisionOutcome("unknown", rationale=f"no decision up to bound {bound}")
+            return DecisionOutcome("unknown", rationale=f"budget exceeded at height {h}")
+        walk = _shortest_cycle(cylinder.successors)
+        if walk:
+            pat = Pattern2D.from_columns([cylinder.states[i][:h] for i in walk])
+            if not validate_torus(H, column_constraint, pat):
+                raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
+            return DecisionOutcome("nonempty", TorusWitness(len(walk), h, pat), f"torus witness {len(walk)}x{h}")
+    return DecisionOutcome("unknown", rationale=f"no decision up to height {bound}")
+
+
+def _shortest_cycle(succ):
+    """A shortest cycle of the successor lists as its states, from the
+    smallest first state among the shortest, or [] when there is none: a
+    breadth-first search over the essential states from each back to itself,
+    which stops at the length of the best cycle so far."""
+    keep = essential_states(succ)
+    inside = set(keep)
+    best = []
+    for first in keep:
+        parent = {first: None}
+        level = [first]  # the states at the distance of the loop count
+        for _ in range(len(best) - 1 if best else len(keep)):
+            last = next((u for u in level if first in succ[u]), None)
+            if last is not None:
+                best = [last]
+                while parent[best[-1]] is not None:
+                    best.append(parent[best[-1]])
+                best.reverse()
+                break
+            nxt = []
+            for u in level:
+                for v in succ[u]:
+                    if v in inside and v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            level = nxt
+    return best
 
 
 def decide_with_certificate(H, constraint, budget=200000):

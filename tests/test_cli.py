@@ -269,12 +269,24 @@ class TestBudget:
 
     def test_blown_budget_exits_1(self, capsys):
         golden = path("golden.json")
-        for argv, message in (
-            (["solve", "count", "--width", "15", "--height", "15", "--budget", "100000"], "100000 strip transitions"),
-            (["entropy", "2d", "--budget", "10"], "10 strip transitions"),
+        for argv, budget in (
+            (["solve", "count", "--width", "15", "--height", "15", "--budget", "41953"], 41953),
+            (["entropy", "2d", "--budget", "10"], 10),
         ):
             code, out, err = run(capsys, *argv, "--h", golden, "--v", golden)
-            assert code == 1 and out == "" and err == f"error: more than {message}\n", argv
+            assert code == 1 and out == "", argv
+            assert err == f"error: more than {budget} strip columns, windows and edges\n", argv
+
+    def test_budget_counts_what_the_strip_keeps(self, capsys):
+        # the 15 x 15 strip keeps 1,597 columns, 1,597 windows and 38,760
+        # layer edges (41,954 in all), not its 665,857 transitions
+        golden = path("golden.json")
+        for budget in ("41954", "100000"):
+            code, out, _ = run(
+                capsys, "solve", "count", "--h", golden, "--v", golden, "--width", "15", "--height", "15",
+                "--budget", budget,
+            )
+            assert code == 0 and json.loads(out)["count"] == "52521741712869136440040654451875316861275"
 
     def test_decide_honours_a_zero_budget(self, capsys):
         golden = path("golden.json")

@@ -22,6 +22,7 @@ from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
     _determinize,
     _first_return_paths,
+    _flower_scan,
     _grammar_nfa,
     _minimal_forbidden,
     build_grammar,
@@ -390,6 +391,59 @@ class TestCompileHorizontal:
         wide = [p for p in comp.patterns if p.width == 2 * U and p.height == 1]
         # tile k cannot follow itself horizontally here
         assert len(wide) == 2
+
+
+    @pytest.mark.parametrize("rows", ["golden", "rll23", "coding"])
+    def test_dropped_separator_patterns_hold_a_forbidden_row(self, rows, golden, coding_sft):
+        # the separator goes only above rows that are factors of the flower;
+        # every other row holds a minimal forbidden word, a one-row pattern
+        from itertools import product
+
+        H = {"golden": golden, "rll23": Sft1D.from_words("01", "0000", "11", "101"), "coding": coding_sft}[rows]
+        comp, _ = compile_horizontal(H, free_tile_set(2))
+        sep = comp.separator
+        one_row = [p.cells for p in comp.patterns if p.height == 1 and p.width < 2 * len(comp.code_words[0])]
+        kept = [p.row(0) for p in comp.patterns if p.height == 2 and p.width == len(sep)]
+        assert all(p.row(1) == sep for p in comp.patterns if p.height == 2 and p.width == len(sep))
+        scan = _flower_scan(comp.code_words)
+        assert all(scan(row) for row in kept)
+        dropped = [r for r in product(H.alphabet.symbols, repeat=len(sep)) if r != sep and r not in kept]
+        assert dropped
+        for row in dropped:
+            assert any(row[i : i + len(w)] == w for w in one_row for i in range(len(row) - len(w) + 1)), row
+
+
+@st.composite
+def flowers(draw):
+    """(code words, alphabet, max_len): one to three words of one to four
+    symbols over 01 or 012."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4).map(tuple)
+    return tuple(draw(st.lists(word, min_size=1, max_size=3))), tuple(alphabet), draw(st.integers(1, 5))
+
+
+class TestMinimalForbidden:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(flowers())
+    def test_matches_brute_force_definition(self, case):
+        # the factors of the bi-infinite concatenations of the words: one of
+        # n <= max_len symbols lies inside max_len // (shortest word) + 2
+        # words in a row
+        from itertools import product
+
+        words, alphabet, max_len = case
+        span = max_len // min(map(len, words)) + 2
+        factors = {()}
+        for combo in product(words, repeat=span):
+            run = sum(combo, ())
+            factors.update(run[i : i + n] for n in range(1, max_len + 1) for i in range(len(run) - n + 1))
+        want = [
+            w
+            for n in range(1, max_len + 1)
+            for w in product(alphabet, repeat=n)
+            if w not in factors and w[1:] in factors and w[:-1] in factors
+        ]
+        assert _minimal_forbidden(_flower_scan(words), alphabet, max_len) == want
 
 
 class TestFirstReturnPaths:

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import random
+import re
 from itertools import product
 from math import lcm, log2
 
@@ -28,6 +29,7 @@ from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     _closed_walks,
+    _shortest_cycle,
     count_rectangles,
     decide_with_certificate,
     find_torus,
@@ -226,8 +228,8 @@ class TestCountRectangles:
         with pytest.raises(BudgetExceeded):
             StripAutomaton.build(golden, golden, 10, budget=100)  # 144 columns
         with pytest.raises(BudgetExceeded):
-            StripAutomaton.build(golden, golden, 4, budget=20)  # 8 columns, 41 transitions
-        sa = StripAutomaton.build(golden, golden, 4, budget=49)  # 8 + 41 built
+            StripAutomaton.build(golden, golden, 4, budget=56)  # 8 columns, 8 windows, 41 list edges
+        sa = StripAutomaton.build(golden, golden, 4, budget=57)  # 8 + 8 + 41 kept
         assert sa.count_width(4) == count_rectangles(golden, golden, 4, 4)
 
     def test_monotonicity_of_emptiness(self):
@@ -613,6 +615,85 @@ class TestTorus:
         assert validate_torus(coding_sft, pres, wit.pattern)
 
 
+def interleaved_reference(H, V, bound):
+    """The former ``semi_decide_emptiness``: an empty n x n count proves
+    emptiness, a torus of at most n x n nonemptiness, for n = 1..bound."""
+    for n in range(1, bound + 1):
+        if count_rectangles(H, V, n, n) == 0:
+            return "empty"
+        if find_torus(H, V, n, n) is not None:
+            return "nonempty"
+    return "unknown"
+
+
+def demo_pairs():
+    data = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
+    binary = []
+    for name in ("alt011", "forbid0011", "golden", "no111"):
+        with open(os.path.join(data, f"{name}.json")) as f:
+            binary.append(Sft1D.from_json(json.load(f)))
+    return list(product(binary, repeat=2))
+
+
+@st.composite
+def semi_decide_cases(draw):
+    """(H, V, bound): SFTs of order 1 or 2 over 01 up to bound 4, or of
+    order 1 over 012 up to bound 3; either may have an empty language."""
+    symbols = draw(st.sampled_from(["01", "012"]))
+    orders = st.integers(1, 2) if symbols == "01" else st.just(1)
+    H, V = draw(sfts(symbols, draw(orders))), draw(sfts(symbols, draw(orders)))
+    return H, V, 4 if symbols == "01" else 3
+
+
+def check_outcome(H, V, out):
+    """An ``empty`` names a zero count of the width the free strip rules
+    out; a witness replays and is the narrowest torus of its height, no
+    torus being lower."""
+    if out.empty and out.rationale != "the rows have no words":
+        w, h = map(int, re.match(r"no (\d+)x(\d+) window", out.rationale).groups())
+        windows = len(StripAutomaton.build(H, V, h).states)
+        assert w == windows + build_rauzy(H).order
+        assert count_rectangles(H, V, w, h) == 0
+    if out.nonempty:
+        wit = out.witness
+        assert (wit.pattern.width, wit.pattern.height) == (wit.width, wit.height)
+        assert validate_torus(H, V, wit.pattern)
+        assert find_torus(H, V, wit.width - 1, wit.height) is None
+        assert find_torus(H, V, wit.width, wit.height) is not None
+        for h in range(1, wit.height):
+            assert not any(closed_walk_count(StripAutomaton.build(H, V, h, cyclic=True).successors, w) for w in range(1, 9))
+    assert out.witness is None or out.nonempty
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists on one to five states, ascending, without repeats."""
+    n = draw(st.integers(1, 5))
+    return [sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(n)]
+
+
+class TestShortestCycle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(digraphs())
+    def test_matches_brute_force(self, succ):
+        # the shortest closed walks, listed by brute force, are the shortest
+        # cycles; the one found starts at the smallest state of any of them
+        n = len(succ)
+        closed = [
+            walk
+            for w in range(1, n + 1)
+            for walk in product(range(n), repeat=w)
+            if all(walk[(i + 1) % w] in succ[walk[i]] for i in range(w))
+        ]
+        cycle = _shortest_cycle(succ)
+        if not closed:
+            assert cycle == []
+            return
+        assert len(cycle) == len(closed[0]) and len(set(cycle)) == len(cycle)
+        assert all(cycle[(i + 1) % len(cycle)] in succ[cycle[i]] for i in range(len(cycle)))
+        assert cycle[0] == min(walk[0] for walk in closed if len(walk) == len(cycle))
+
+
 class TestSemiDecide:
     def test_incompatible_pair_empty(self):
         H = Sft1D.from_words("01", "00", "11")
@@ -633,6 +714,68 @@ class TestSemiDecide:
         pres, _ = compile_wang(coding_sft, free_tile_set(2), pair)
         out = semi_decide_emptiness(coding_sft, pres, 3)
         assert out.status == "unknown"
+
+    def test_compiled_system_has_a_torus_of_its_macro_height(self, coding_sft):
+        # the first cylinder strip with a cycle has height 60, and every
+        # free strip below it has a cycle, so bound 40 is unknown
+        out = semi_decide_emptiness(coding_sft, coding_presentation(2), 60)
+        assert out.nonempty and (out.witness.width, out.witness.height) == (3, 60)
+        assert validate_torus(coding_sft, coding_presentation(2), out.witness.pattern)
+
+    def test_demo_pairs_agree_with_the_reference(self):
+        statuses = []
+        for H, V in demo_pairs():
+            out = semi_decide_emptiness(H, V, 6)
+            assert out.status == interleaved_reference(H, V, 6)
+            check_outcome(H, V, out)
+            statuses.append(out.status)
+        assert statuses.count("empty") == 4 and statuses.count("nonempty") == 12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(semi_decide_cases())
+    def test_never_contradicts_the_reference(self, case):
+        H, V, bound = case
+        out = semi_decide_emptiness(H, V, bound)
+        want = interleaved_reference(H, V, bound)
+        # only an unknown may turn into a verdict
+        assert want == "unknown" or out.status == want
+        check_outcome(H, V, out)
+
+    def test_at_most_two_strips_per_height(self, coding_sft, monkeypatch):
+        import sftkit.solve
+
+        heights = []
+        real = StripAutomaton.build.__func__
+
+        def build(cls, H, constraint, h, *args, **kwargs):
+            heights.append(h)
+            return real(cls, H, constraint, h, *args, **kwargs)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the semi-decision counts or searches tori")
+
+        monkeypatch.setattr(StripAutomaton, "build", classmethod(build))
+        monkeypatch.setattr(sftkit.solve, "count_rectangles", banned)
+        monkeypatch.setattr(sftkit.solve, "find_torus", banned)
+        assert semi_decide_emptiness(coding_sft, coding_presentation(2), 12).status == "unknown"
+        assert heights == [h for h in range(1, 13) for _ in range(2)]
+        heights.clear()
+        H = Sft1D.from_words("01", "00", "11")
+        V = Sft1D.from_words("01", "00", "010", "111")
+        assert semi_decide_emptiness(H, V, 6).empty
+        # the free strip of the last height has no cycle: no cylinder strip
+        assert heights == [1, 1, 2, 2, 3]
+
+    def test_blown_budget_is_unknown(self, golden):
+        out = semi_decide_emptiness(golden, golden, 3, budget=1)
+        assert out.status == "unknown" and out.rationale == "budget exceeded at height 1"
+
+    def test_failed_replay_is_an_error(self, golden, monkeypatch):
+        import sftkit.solve
+
+        monkeypatch.setattr(sftkit.solve, "validate_torus", lambda *args, **kwargs: False)
+        with pytest.raises(RuntimeError):
+            semi_decide_emptiness(golden, golden, 3)
 
 
 class TestDecide:
