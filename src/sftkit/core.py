@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 WILDCARD = "·"  # "·" in 2D forbidden patterns: matches any symbol
 
@@ -538,9 +538,28 @@ def _locally_admissible_words(sft, n):
     return label_words(0, live.__getitem__, n)
 
 
+# maps the binary digits of ``bin`` to the bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask):
-    """The positions of the set bits of ``mask`` (an int >= 0), ascending."""
-    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+    """The positions of the set bits of ``mask`` (an int >= 0), ascending.
+
+    A sparse mask, at most one set bit per 32 positions, takes one step per
+    set bit, each clearing the lowest.  A denser one is scanned in C, a byte
+    per bit: its binary digits, lowest first, become the bytes 0 and 1, and
+    ``compress`` keeps the positions of the 1s.  Either way no Python step
+    is spent on a clear bit.
+    """
+    if 32 * mask.bit_count() <= mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def essential_states(succ):

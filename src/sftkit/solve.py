@@ -14,24 +14,29 @@ of the columns whose symbol in that row may follow the row's word.  A width
 step either follows that transition list or, when they hold fewer edges,
 runs through h row layers that move one row of the window at a time: for
 hard squares of height 15, 38,760 layer edges instead of 665,857
-transitions.  With an SFT column constraint, ``count_rectangles`` builds the
-strip of the transposed rectangles (column words as rows) when its bound on
-the windows is smaller: 4 x 30 no-111 rows over golden-mean columns then
-need 13 rows of width 4 as columns, not the 2.2 million golden columns of
-height 30.  One check, ``_cyclic_ok``, decides whether a row or column
-repeats periodically, for cylinder strips (``cyclic=True``: only such
-columns, so the closed walks are the tori of ``find_torus``), replay and
-decisions alike.  ``semi_decide_emptiness`` reads one free and one cylinder
-strip per height: a free strip with no cycle proves emptiness, a cylinder
-strip with one a torus.
+transitions.  Layers are numpy index arrays, built by sorting rather than
+by one dict operation per edge; an exact step sums an object array of
+Python ints, one ``np.add.reduceat`` per layer.  With an SFT column
+constraint, ``count_rectangles`` builds the strip of the transposed
+rectangles (column words as rows) when its bound on the windows is smaller:
+4 x 30 no-111 rows over golden-mean columns then need 13 rows of width 4 as
+columns, not the 2.2 million golden columns of height 30.  One check,
+``_cyclic_ok``, decides whether a row or column repeats periodically, for
+cylinder strips (``cyclic=True``: only such columns, so the closed walks
+are the tori of ``find_torus``), replay and decisions alike.
+``semi_decide_emptiness`` reads one free and one cylinder strip per height:
+a free strip with no cycle proves emptiness, a cylinder strip with one a
+torus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import lcm
+
+import numpy as np
 
 from .core import (
     WILDCARD,
@@ -117,19 +122,24 @@ class StripAutomaton:
     the build keeps: the columns, every window listed and the stored edges
     (the layer edges, or the transitions when the width step follows them).
 
-    ``count_width`` and ``spectral_radius`` sweep a vector through
-    ``layers``, each a triple (src, dst, size): edge e adds the entry of
-    state src[e] of its layer to state dst[e] of the next one, which has
-    ``size`` states.  The first layer starts at the windows and the last
-    ends at them.  When they hold fewer edges than there are transitions,
-    these are the h row layers of ``_row_layers``; otherwise they are the
-    one layer of ``successors``.
+    ``count_width``, ``has_cycle`` and ``spectral_radius`` sweep a vector
+    through ``layers``, each a triple (src, dst, size): edge e adds the
+    entry of state src[e] of its layer to state dst[e] of the next one,
+    which has ``size`` states.  src and dst are numpy ``intp`` arrays with
+    the edges sorted by dst.  The first layer starts at the windows and the
+    last ends at them, both numbered in window order.  When they hold fewer
+    edges than there are transitions, these are the h row layers of
+    ``_row_layers``; otherwise they are the one layer of ``successors``.
+    Counts stay exact Python ints: ``count_width`` sweeps an object array,
+    one ``np.add.reduceat`` per layer.  ``transitions`` is T, the number
+    of transitions (the popcounts of the masks), decoded or not.
     """
 
     height: int
     states: tuple
     narrow: tuple
     layers: tuple
+    transitions: int
     _code: tuple = field(repr=False)  # ``successors`` before decoding, see ``_decode``
 
     @classmethod
@@ -212,13 +222,16 @@ class StripAutomaton:
             ends[base] = ends.get(base, 0) | mask
         least = sum(map(bool, masks)) + sum(mask.bit_count() for mask in ends.values())
         cap = transitions if budget is None else min(transitions, budget - stored + 1)
-        layers = None if transitions <= least else _row_layers([rows for _, rows in windows], succ, h, cap)
-        if layers is not None:
-            return cls(h, states, tuple(narrow), layers, code)
+        if transitions > least:
+            layers = _row_layers(np.array([rows for _, rows in windows], dtype=np.intp), succ, cap)
+            if layers is not None:
+                return cls(h, states, tuple(narrow), layers, transitions, code)
         _charge(budget, stored + transitions)
         lists = tuple(map(tuple, _decode(*code)))
-        src = [i for i, out in enumerate(lists) for _ in out]
-        strip = cls(h, states, tuple(narrow), ((src, [j for out in lists for j in out], len(states)),), code)
+        src = np.arange(len(lists)).repeat(np.fromiter(map(len, lists), np.intp, len(lists)))
+        dst = np.fromiter(chain.from_iterable(lists), np.intp, transitions)
+        order = dst.argsort(kind="stable")
+        strip = cls(h, states, tuple(narrow), ((src[order], dst[order], len(states)),), transitions, code)
         strip.successors = lists  # fills the cached property: decoded once
         return strip
 
@@ -234,20 +247,35 @@ class StripAutomaton:
             raise ValueError("w must be >= 1")
         if w <= len(self.narrow):
             return self.narrow[w - 1]
-        vec = [1] * len(self.states)
+        vec = np.ones(len(self.states), dtype=object)
         for _ in range(w - len(self.narrow) - 1):
             vec = self._image(vec)
-        return sum(vec)
+        return sum(vec.tolist())
+
+    @cached_property
+    def _runs(self):
+        """Per layer, the targets that have edges and the first edge of
+        each: the runs of equal ``dst`` that ``_image`` sums."""
+        runs = []
+        for _, dst, _ in self.layers:
+            starts = _run_starts(dst).nonzero()[0]
+            runs.append((dst[starts], starts))
+        return runs
 
     def _image(self, vec):
-        """One width step of a vector of ints over the states, through the
-        layers: entry j of the result sums the entries of the states with
-        successor j, so it is the row vector times the transfer matrix."""
-        for src, dst, size in self.layers:
-            nxt = [0] * size
-            for i, j in zip(src, dst):
-                nxt[j] += vec[i]
-            vec = nxt
+        """One width step of a vector of Python ints over the states, through
+        the layers, as an object array: entry j of the result sums the
+        entries of the states with successor j, so it is the row vector times
+        the transfer matrix.  Each layer is one ``np.add.reduceat`` over its
+        runs of equal targets, adding Python ints, so the sums are exact."""
+        vec = np.asarray(vec, dtype=object)
+        for (src, _, size), (heads, starts) in zip(self.layers, self._runs):
+            sums = np.add.reduceat(vec[src], starts)
+            if len(heads) < size:  # some targets have no edge
+                vec = np.zeros(size, dtype=object)
+                vec[heads] = sums
+            else:
+                vec = sums
         return vec
 
     def has_cycle(self):
@@ -255,14 +283,17 @@ class StripAutomaton:
 
         The support of the width step, iterated from every window, shrinks
         to the windows that a cycle reaches, so its fixed point is nonempty
-        exactly when a cycle exists.  Nothing is decoded.
+        exactly when a cycle exists.  Each layer maps the support with one
+        ``np.bincount``; nothing is decoded.
         """
-        vec = [1] * len(self.states)
+        live = np.ones(len(self.states), dtype=bool)
         while True:
-            nxt = [min(x, 1) for x in self._image(vec)]
-            if nxt == vec:
-                return any(vec)
-            vec = nxt
+            nxt = live
+            for src, dst, size in self.layers:
+                nxt = np.bincount(dst[nxt[src]], minlength=size) > 0
+            if np.array_equal(nxt, live):
+                return bool(live.any())
+            live = nxt
 
     def spectral_radius(self, tol=1e-12, max_iter=10**6):
         """Largest transfer eigenvalue as (value, (lo, hi), iterations), with
@@ -282,17 +313,14 @@ class StripAutomaton:
         decides.  Its ``max_iter`` bounds the steps on each component, and
         ``iterations`` counts every step, the steps before it too.
         """
-        import numpy as np
-
         from .entropy import _exact_bracket, _spectral_radius
 
-        layers = [(np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), size) for src, dst, size in self.layers]
         x = np.ones(len(self.states))
         steps = next_check = 0
         while steps < min(len(x), max_iter):
             steps += 1
             ax = x
-            for src, dst, size in layers:
+            for src, dst, size in self.layers:
                 ax = np.bincount(dst, ax[src], size)
             ratios = ax / x
             lo, hi = float(ratios.min()), float(ratios.max())
@@ -325,71 +353,101 @@ def _decode(masks, shifts, slot):
     return [[slot[base + c] for c in _bits(mask)] for base, mask in zip(shifts, masks)]
 
 
-def _row_layers(windows, succ, h, cap):
+def _row_layers(rows, succ, cap):
     """The h row layers of a width step, or None once they reach ``cap``
     edges.
 
-    ``windows`` lists each window as its h row words (Rauzy vertex ranks) and
-    ``succ`` is the Rauzy successor list.  A width step moves each row word
-    along an edge, one row at a time: a layer-r state pairs the new window's
-    rows 0..r-1 (a node of the trie of the windows read from row 0) with the
-    old window's rows r..h-1 (a node of the trie read from row h - 1).  A
-    transition of the list is a path through the layers, and only the states
-    on such a path are kept.
+    ``rows`` holds each window's h row words (Rauzy vertex ranks) as one row
+    of an array, and ``succ`` is the Rauzy successor list.  A width step
+    moves each row word along an edge, one row at a time: a layer-r state
+    pairs the new window's rows 0..r-1 (a node of the trie of the windows
+    read from row 0) with the old window's rows r..h-1 (a node of the trie
+    read from row h - 1).  A transition of the list is a path through the
+    layers, and only the states on such a path are kept.  Each layer is a
+    triple (src, dst, size) of index arrays with the edges sorted by dst;
+    the first layer's sources and the last one's targets are the windows.
     """
+    n, h = rows.shape
     nv = len(succ)
-    n = len(windows)
-    grow = [{} for _ in range(h)]  # grow[r][p * nv + v]: prefix p of rows ..r - 1, then v
-    below = [{} for _ in range(h)]  # below[r][t * nv + v]: v above suffix t of rows r + 1..
-    for rows in windows:
-        p = 0
-        for d, v in zip(grow, rows):
-            p = d.setdefault(p * nv + v, len(d))
-        s = 0
-        for d, v in zip(reversed(below), reversed(rows)):
-            s = d.setdefault(s * nv + v, len(d))
-    # a window's prefix and suffix ids are its index
+    # ``succ`` in CSR form: vertex v's successors are targets[start[v]:][:degree[v]]
+    degree = np.fromiter(map(len, succ), np.intp, nv)
+    start = degree.cumsum() - degree
+    targets = np.fromiter(chain.from_iterable(succ), np.intp, int(degree.sum()))
+    # prefix trie: the sorted keys p * nv + v of the nodes at depth r + 1,
+    # p a node at depth r; a node's id is its rank
+    grow = []
+    node = np.zeros(n, np.intp)
+    for r in range(h):
+        keys, node, order = _dedupe(node * nv + rows[:, r])
+        grow.append(keys)
+    window = order  # the window of each rank of the full prefixes
+    # suffix trie: for each node of rows r..h-1, the node t of rows r + 1..
+    # below it and its row-r vertex v; at r = 0 the nodes are the windows
+    below = [None] * h
+    node = np.zeros(n, np.intp)
+    for r in range(h - 1, 0, -1):
+        keys, node, _ = _dedupe(node * nv + rows[:, r])
+        below[r] = (keys // nv, keys % nv)
+    below[0] = (node, rows[:, 0])
     layers = []
     edges = 0
-    states = {i: i for i in range(n)}  # p * width + s -> id of the state (p, s)
-    width = n
+    prefix, suffix = np.zeros(n, np.intp), np.arange(n)  # the layer-0 states
     for r in range(h):
-        d, suffix = grow[r], list(below[r])  # suffix id -> t * nv + v
-        after = len(below[r + 1]) if r + 1 < h else 0
-        moves = {}  # p * nv + v -> the prefixes p + v' for the successors v' of v
-        found = {}
-        src, dst = [], []
-        for key, i in states.items():
-            p, s = divmod(key, width)
-            t, v = divmod(suffix[s], nv)
-            qs = moves.get(p * nv + v)
-            if qs is None:
-                qs = moves[p * nv + v] = [q for q in map(d.get, [p * nv + x for x in succ[v]]) if q is not None]
-            if after:
-                for q in qs:
-                    src.append(i)
-                    dst.append(found.setdefault(q * after + t, len(found)))
-            else:  # the prefix is a whole window
-                src += [i] * len(qs)
-                dst += qs
-        edges += len(dst)
+        t, v = (a[suffix] for a in below[r])
+        # each state once per successor of its row-r vertex, then the
+        # prefix that successor extends, if the windows have it
+        count = degree[v]
+        src = np.arange(len(suffix)).repeat(count)
+        pos = np.arange(len(src)) + (start[v] - (count.cumsum() - count)).repeat(count)
+        key = prefix[src] * nv + targets[pos]
+        keys = grow[r]
+        q = np.searchsorted(keys, key)
+        hit = keys[np.minimum(q, len(keys) - 1)] == key
+        src, q = src[hit], q[hit]
+        edges += len(src)
         if edges >= cap:
             return None
-        layers.append((src, dst, len(found) if after else n))
-        states, width = found, after
+        if r + 1 < h:
+            after = len(below[r + 1][0])
+            found, dst, order = _dedupe(q * after + t[src])
+            prefix, suffix = found // after, found % after
+            size = len(found)
+        else:  # the prefix is a whole window
+            dst = window[q]
+            order = dst.argsort(kind="stable")
+            size = n
+        layers.append((src[order], dst[order], size))
     # drop the states that reach no window, renumbering the rest
     for r in range(h - 1, 0, -1):
         src, dst, size = layers[r]
-        live = list(dict.fromkeys(src))  # src ascends
         psrc, pdst, psize = layers[r - 1]
-        if len(live) < psize:
-            new = [-1] * psize
-            for k, i in enumerate(live):
-                new[i] = k
-            layers[r] = ([new[i] for i in src], dst, size)
-            keep = [e for e, j in enumerate(pdst) if new[j] >= 0]
-            layers[r - 1] = ([psrc[e] for e in keep], [new[pdst[e]] for e in keep], len(live))
+        live = np.bincount(src, minlength=psize) > 0
+        if not live.all():
+            new = live.cumsum() - 1
+            keep = live[pdst]
+            layers[r] = (new[src], dst, size)
+            layers[r - 1] = (psrc[keep], new[pdst[keep]], int(np.count_nonzero(live)))
     return tuple(layers)
+
+
+def _dedupe(keys):
+    """(distinct keys ascending, the rank of each key among them, the order
+    that sorts ``keys``), by one stable sort."""
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    new = _run_starts(ranked)
+    rank = np.empty(len(keys), np.intp)
+    rank[order] = new.cumsum() - 1
+    return ranked[new], rank, order
+
+
+def _run_starts(ranked):
+    """Flags the first entry of each run of equal entries of a sorted
+    array."""
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    return new
 
 
 def count_rectangles(H, column_constraint, w, h, budget=None):

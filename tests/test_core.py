@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from sftkit.core import (
     Sft1D,
     WangTile,
     WangTileSet,
+    _bits,
     _locally_admissible_words,
     build_rauzy,
     essential_states,
@@ -160,6 +162,28 @@ class TestCounting:
     def test_word_in_language(self, golden):
         assert word_in_language(golden, tuple("0101"))
         assert not word_in_language(golden, tuple("0110"))
+
+
+def bits_by_digits(mask):
+    """The positions of the set bits of ``mask``, one step per binary digit."""
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+class TestBits:
+    @pytest.mark.parametrize("width", [1, 12, 32, 64, 500, 6765])
+    def test_matches_the_digit_scan(self, width):
+        rng = random.Random(width)
+        masks = [0, 1, 1 << (width - 1), (1 << width) - 1]
+        for spacing in (1, 2, 8, 31, 32, 33, 100, 4 * width):
+            # each bit set with probability 1 / spacing
+            masks += [sum(1 << i for i in range(width) if not rng.randrange(spacing)) for _ in range(4)]
+        for mask in masks:
+            assert _bits(mask) == bits_by_digits(mask), hex(mask)
+
+    def test_sparse_and_dense_sides_of_the_split(self):
+        # 32 positions per set bit is still sparse; one more bit is dense
+        for mask in (1 << 31, 1 << 31 | 1, 1 << 63 | 1, 1 << 63 | 3, 1 << 4000 | 1 << 17, (1 << 4000) - 1):
+            assert _bits(mask) == bits_by_digits(mask), hex(mask)
 
 
 class TestRecode:

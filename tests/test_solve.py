@@ -3,9 +3,11 @@ import json
 import os
 import random
 import re
+from dataclasses import replace
 from itertools import product
-from math import lcm, log2
+from math import inf, lcm, log2
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     _closed_walks,
+    _row_layers,
     _shortest_cycle,
     count_rectangles,
     decide_with_certificate,
@@ -400,6 +403,162 @@ class TestStripAutomaton:
         sa = StripAutomaton.build(golden, golden, 2)
         lam = sa.spectral_radius()[0]
         assert lam > 1
+
+    def test_transitions_count_the_successor_lists(self, golden):
+        no111 = Sft1D.from_words("01", "111")
+        cases = [
+            (golden, None, 4, False, 1),  # free columns: the list layer
+            (golden, golden, 5, True, 1),  # a cylinder strip
+            (golden, golden, 9, False, 9),  # row layers
+            (golden, golden, 10, True, 10),  # a cylinder strip's row layers
+            (no111, golden, 6, False, 6),  # row layers over 2-column windows
+        ]
+        for H, V, h, cyclic, layers in cases:
+            strip = StripAutomaton.build(H, V, h, cyclic=cyclic)
+            assert len(strip.layers) == layers
+            assert strip.transitions == sum(map(len, strip.successors))
+
+
+def list_row_layers(windows, succ, h, cap):
+    """The row layers built with Python lists and dicts, one dict operation
+    per edge: the reference for the array build of ``_row_layers``.
+    ``windows`` lists each window's h row words; the edges of a layer come
+    in the order they are found, not sorted by target."""
+    nv = len(succ)
+    n = len(windows)
+    grow = [{} for _ in range(h)]  # grow[r][p * nv + v]: prefix p of rows ..r - 1, then v
+    below = [{} for _ in range(h)]  # below[r][t * nv + v]: v above suffix t of rows r + 1..
+    for rows in windows:
+        p = 0
+        for d, v in zip(grow, rows):
+            p = d.setdefault(p * nv + v, len(d))
+        s = 0
+        for d, v in zip(reversed(below), reversed(rows)):
+            s = d.setdefault(s * nv + v, len(d))
+    layers = []
+    edges = 0
+    states = {i: i for i in range(n)}  # p * width + s -> id of the state (p, s)
+    width = n
+    for r in range(h):
+        d, suffix = grow[r], list(below[r])  # suffix id -> t * nv + v
+        after = len(below[r + 1]) if r + 1 < h else 0
+        found = {}
+        src, dst = [], []
+        for key, i in states.items():
+            p, s = divmod(key, width)
+            t, v = divmod(suffix[s], nv)
+            qs = [q for q in map(d.get, [p * nv + x for x in succ[v]]) if q is not None]
+            if after:
+                for q in qs:
+                    src.append(i)
+                    dst.append(found.setdefault(q * after + t, len(found)))
+            else:  # the prefix is a whole window
+                src += [i] * len(qs)
+                dst += qs
+        edges += len(dst)
+        if edges >= cap:
+            return None
+        layers.append((src, dst, len(found) if after else n))
+        states, width = found, after
+    # drop the states that reach no window, renumbering the rest
+    for r in range(h - 1, 0, -1):
+        src, dst, size = layers[r]
+        live = list(dict.fromkeys(src))  # src ascends
+        psrc, pdst, psize = layers[r - 1]
+        if len(live) < psize:
+            new = [-1] * psize
+            for k, i in enumerate(live):
+                new[i] = k
+            layers[r] = ([new[i] for i in src], dst, size)
+            keep = [e for e, j in enumerate(pdst) if new[j] >= 0]
+            layers[r - 1] = ([psrc[e] for e in keep], [new[pdst[e]] for e in keep], len(live))
+    return tuple(layers)
+
+
+def list_image(layers, vec):
+    """One width step through list layers, one Python addition per edge."""
+    for src, dst, size in layers:
+        nxt = [0] * size
+        for i, j in zip(src, dst):
+            nxt[j] += vec[i]
+        vec = nxt
+    return vec
+
+
+def list_count_width(strip, layers, w):
+    if w <= len(strip.narrow):
+        return strip.narrow[w - 1]
+    vec = [1] * len(strip.states)
+    for _ in range(w - len(strip.narrow) - 1):
+        vec = list_image(layers, vec)
+    return sum(vec)
+
+
+def list_has_cycle(strip, layers):
+    vec = [1] * len(strip.states)
+    while True:
+        nxt = [min(x, 1) for x in list_image(layers, vec)]
+        if nxt == vec:
+            return any(vec)
+        vec = nxt
+
+
+@st.composite
+def layer_cases(draw):
+    """(H, V, h): H and V of order 1 or 2 over 01 with h <= 6, or over 012
+    with h <= 4; no V about one time in five."""
+    symbols = draw(st.sampled_from(["01", "012"]))
+    H = draw(sfts(symbols, draw(st.integers(1, 2))))
+    V = None if draw(st.integers(0, 4)) == 0 else draw(sfts(symbols, draw(st.integers(1, 2))))
+    return H, V, draw(st.integers(1, 6 if symbols == "01" else 4))
+
+
+class TestRowLayersDifferential:
+    """The array build of the row layers against the list build, and the
+    array sweeps against one Python addition per edge."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(layer_cases())
+    def test_matches_the_list_build(self, case):
+        H, V, h = case
+        try:
+            strip = StripAutomaton.build(H, V, h, budget=200000)
+        except (EmptyLanguage, BudgetExceeded):
+            return
+        if not strip.states:
+            return
+        g = build_rauzy(H)
+        rank = {v: i for i, v in enumerate(g.vertices)}
+        # a state lists its cells column by column, so row r is state[r::h]
+        windows = [tuple(rank[state[r::h]] for r in range(h)) for state in strip.states]
+        grid = np.array(windows, dtype=np.intp)
+        succ = g.graph.index.succ
+        want = list_row_layers(windows, succ, h, inf)
+        got = _row_layers(grid, succ, inf)
+        assert [(size, len(src)) for src, _, size in got] == [(size, len(src)) for src, _, size in want]
+        for src, dst, size in got:
+            assert src.dtype == dst.dtype == np.intp and np.all(np.diff(dst) >= 0)
+            assert np.all((0 <= dst) & (dst < size))
+        if len(strip.layers) == h > 1:  # the build kept the row layers
+            assert all(np.array_equal(a, b) for old, new in zip(got, strip.layers) for a, b in zip(old, new))
+        # a budget refuses both builds at the same layer
+        total = sum(len(src) for src, _, _ in want)
+        for cap in {1, total // 2, total, total + 1}:
+            assert (_row_layers(grid, succ, cap) is None) == (list_row_layers(windows, succ, h, cap) is None)
+        layered = replace(strip, layers=got)
+        for w in range(1, 8):
+            assert strip.count_width(w) == layered.count_width(w) == list_count_width(strip, want, w)
+        assert strip.has_cycle() == layered.has_cycle() == list_has_cycle(strip, want)
+        # the list layers, sorted by target as the sweeps expect
+        ordered = tuple(
+            (np.array(src, dtype=np.intp)[o], np.array(dst, dtype=np.intp)[o], size)
+            for src, dst, size in want
+            for o in [np.argsort(np.array(dst, dtype=np.intp), kind="stable")]
+        )
+        tol = 1e-10
+        _, (lo, hi), _ = layered.spectral_radius(tol)
+        _, (r_lo, r_hi), _ = replace(strip, layers=ordered).spectral_radius(tol)
+        assert lo <= r_hi and r_lo <= hi
 
 
 def spectral_fallbacks(monkeypatch):
