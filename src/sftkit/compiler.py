@@ -228,8 +228,9 @@ class VerticalPresentation:
     bottom to top, and ``follow[b]`` the blocks that may sit on top of block
     b.  It keeps only the essential part of the subset construction
     (``_determinize``); every query runs on that DFA, where
-    ``transitions[s][a]`` is the unique a-successor of state s.  A legal
-    column word is a factor of a bi-infinite column.
+    ``transitions[s][a]`` is the unique a-successor of state s, each state's
+    labels in sorted order.  A legal column word is a factor of a
+    bi-infinite column.
     """
 
     def __init__(self, alphabet, blocks, follow, allowed_succession, grammar=None, tiles=None):
@@ -293,12 +294,10 @@ class VerticalPresentation:
             "transitions": [
                 {"from": s, "label": a, "to": t}
                 for s in self.states
-                for a, t in sorted(self.transitions[s].items())
+                for a, t in self.transitions[s].items()
             ],
-            "decode_annotations": {
-                str(s): [list(x) for x in ann] if ann is not None else None
-                for s, ann in zip(self.states, self.decode_annotations)
-            },
+            # json writes the annotation tuples as arrays
+            "decode_annotations": dict(zip(map(str, self.states), self.decode_annotations)),
             "allowed_succession": [list(x) for x in sorted(self.allowed_succession)],
         }
 
@@ -308,15 +307,16 @@ def _determinize(blocks, follow):
 
     Block b is (p, k, l, word): its cell t reads ``word[t]`` and steps to
     cell t + 1, and its last cell steps to cell 0 of every block in
-    ``follow[b]``.  A subset is a tuple of rows (t, mask), t ascending, with
-    bit b of ``mask`` set when cell t of block b is a member, so a mask is
-    at most one bit per block wide.  Reading a label keeps the members
-    ``carry[t]`` selects; the rows of blocks that do not end at t move to
-    t + 1, and the blocks that end there (``ends[t]``) OR their successor
-    masks into row 0.  Subsets are numbered breadth-first from the full
-    set, labels in sorted order.  Returns (states, transitions,
-    annotations); a state's annotations list its subset's members as
-    sorted (p, t, k, l) when it has at most 8.
+    ``follow[b]``.  A subset is a flat tuple (t0, m0, t1, m1, ...) of rows,
+    t ascending, with bit b of mask m set when cell t of block b is a
+    member, so a mask is at most one bit per block wide.  Reading label i
+    keeps the members ``carry[t]`` selects; the rows of blocks that do not
+    end at t move to t + 1, and the blocks that end there (``ends[t]``) OR
+    their successor masks into row 0.  Most subsets are one row, and those
+    step without a per-label accumulator.  Subsets are numbered
+    breadth-first from the full set, labels in sorted order.  Returns
+    (states, transitions, annotations); a state's annotations list its
+    subset's members as sorted (p, t, k, l) when it has at most 8.
     """
     height = max((len(word) for *_, word in blocks), default=0)
     reads = [{} for _ in range(height)]  # t -> {label: mask of the blocks whose cell t reads it}
@@ -325,62 +325,101 @@ def _determinize(blocks, follow):
         for t, a in enumerate(word):
             reads[t][a] = reads[t].get(a, 0) | 1 << b
         ends[len(word) - 1] |= 1 << b
-    carry = [list(row.items()) for row in reads]
+    labels = sorted(set().union(*reads))
+    code = {a: i for i, a in enumerate(labels)}
+    carry = [sorted((code[a], m) for a, m in row.items()) for row in reads]  # t -> [(label i, mask)]
     succ = [sum(1 << c for c in nxt) for nxt in follow]
     jump = {}  # mask of ending blocks -> the OR of their successor masks
-    start = tuple((t, sum(m for _, m in carry[t])) for t in range(height))
+    start = tuple(x for t in range(height) for x in (t, sum(m for _, m in carry[t])))
 
     ids = {start: 0}
     order = [start]
     trans = []
     for subset in order:
-        step = {}  # label -> [row 0 mask, moved rows...]
-        for t, mask in subset:
-            end_t = ends[t]
-            for a, selects in carry[t]:
+        row = {}
+        if len(subset) == 2:
+            t, mask = subset
+            end_t, nxt = ends[t], t + 1
+            for i, selects in carry[t]:
                 here = mask & selects
                 if not here:
                     continue
-                entry = step.get(a)
-                if entry is None:
-                    entry = step[a] = [0]
                 end = here & end_t
                 if end:
                     here ^= end
-                    if end not in jump:
-                        jump[end] = reduce(or_, [succ[b] for b in _bits(end)])
-                    entry[0] |= jump[end]
-                if here:
-                    entry.append((t + 1, here))
-        row = {}
-        for a in sorted(step):
-            entry = step[a]
-            T = ((0, entry[0]), *entry[1:]) if entry[0] else tuple(entry[1:])
-            i = ids.get(T)
-            if i is None:
-                i = ids[T] = len(order)
-                order.append(T)
-            row[a] = i
+                    to = jump.get(end)
+                    if to is None:
+                        to = jump[end] = reduce(or_, [succ[b] for b in _bits(end)])
+                    if to:
+                        T = (0, to, nxt, here) if here else (0, to)
+                    else:
+                        T = (nxt, here) if here else ()
+                else:
+                    T = (nxt, here)
+                j = ids.get(T)
+                if j is None:
+                    j = ids[T] = len(order)
+                    order.append(T)
+                row[labels[i]] = j
+        else:
+            step = [None] * len(labels)  # label i -> [row 0 mask, t, mask, ...] of its successor
+            rows = iter(subset)
+            for t, mask in zip(rows, rows):
+                end_t, nxt = ends[t], t + 1
+                for i, selects in carry[t]:
+                    here = mask & selects
+                    if not here:
+                        continue
+                    entry = step[i]
+                    if entry is None:
+                        entry = step[i] = [0]
+                    end = here & end_t
+                    if end:
+                        here ^= end
+                        to = jump.get(end)
+                        if to is None:
+                            to = jump[end] = reduce(or_, [succ[b] for b in _bits(end)])
+                        entry[0] |= to
+                    if here:
+                        entry.append(nxt)
+                        entry.append(here)
+            for i, entry in enumerate(step):
+                if entry is None:
+                    continue
+                T = (0, *entry) if entry[0] else tuple(entry[1:])
+                j = ids.get(T)
+                if j is None:
+                    j = ids[T] = len(order)
+                    order.append(T)
+                row[labels[i]] = j
         trans.append(row)
 
     keep = essential_states([row.values() for row in trans])
-    remap = {s: i for i, s in enumerate(keep)}
+    remap = [None] * len(trans)
+    for i, s in enumerate(keep):
+        remap[s] = i
     transitions = [
-        {a: remap[t] for a, t in trans[s].items() if t in remap} for s in keep
+        {a: remap[t] for a, t in trans[s].items() if remap[t] is not None} for s in keep
     ]
+    tags = {}  # mask -> sorted (p, k, l) of its blocks; few masks recur in many subsets
+
+    def tag(mask):
+        if mask not in tags:
+            tags[mask] = sorted(blocks[b][:3] for b in _bits(mask))
+        return tags[mask]
+
     annotations = []
-    tags = {}  # mask -> (p, k, l) of its blocks; few masks recur in many subsets
     for s in keep:
         subset = order[s]
-        if sum(mask.bit_count() for _, mask in subset) > 8:
-            annotations.append(None)
-            continue
-        members = []
-        for t, mask in subset:
-            if mask not in tags:
-                tags[mask] = [blocks[b][:3] for b in _bits(mask)]
-            members += [(p, t, k, l) for p, k, l in tags[mask]]
-        annotations.append(tuple(sorted(members)))
+        if len(subset) == 2:  # the members of one row come sorted, as its tags do
+            t, mask = subset
+            ann = None if mask.bit_count() > 8 else tuple([(p, t, k, l) for p, k, l in tag(mask)])
+        elif sum(mask.bit_count() for mask in subset[1::2]) > 8:
+            ann = None
+        else:
+            rows = iter(subset)
+            ann = tuple(sorted([(p, t, k, l) for t, mask in zip(rows, rows) for p, k, l in tag(mask)]))
+        annotations.append(ann)
     return tuple(range(len(keep))), transitions, annotations
 
 

@@ -718,7 +718,7 @@ def _row_count(table, width, phase):
     return sum(cnt for d, cnt in cur.items() if table.open_group_ok(d))
 
 
-def realization_sandwich(system, k, budget=None):
+def realization_sandwich(system, k):
     """Exact two-sided bounds around the window count at aspect (k*n) x k."""
     plan = system.plan
     n = plan.period

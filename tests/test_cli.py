@@ -462,9 +462,10 @@ class TestParserReuse:
 
 
 class TestTournamentPresentation:
-    """``compile wang --w free2`` on a strongly connected tournament on ten
-    symbols (the benchmark's seed-0 draw): a DFA of 4,136 states, pinned
-    byte for byte."""
+    """``compile wang`` on a strongly connected tournament on ten symbols
+    (the benchmark's seed-0 draw), pinned byte for byte: with free2 a DFA
+    of 4,136 states; with free3 one of 6,984, whose 84 blocks make masks
+    wider than 64 bits."""
 
     # edge ij goes from t<i> to t<j>
     EDGES = (
@@ -472,19 +473,31 @@ class TestTournamentPresentation:
         " 52 54 57 58 59 61 62 63 64 65 69 72 73 74 76 82 83 84 86 87 89 97"
     ).split()
 
-    def test_output_is_pinned(self, capsys, tmp_path):
+    def _compile(self, capsys, tmp_path, tiles):
         alphabet = [f"t{i}" for i in range(10)]
         edges = {(f"t{e[0]}", f"t{e[1]}") for e in self.EDGES}
         forbidden = [[a, b] for a in alphabet for b in alphabet if (a, b) not in edges]
         sft = tmp_path / "tournament.json"
         sft.write_text(json.dumps({"alphabet": alphabet, "forbidden": forbidden}))
         outfile = tmp_path / "presentation.json"
-        code, _, _ = run(capsys, "compile", "wang", "--h", str(sft), "--w", path("free2.json"), "--out", str(outfile))
+        code, _, _ = run(capsys, "compile", "wang", "--h", str(sft), "--w", path(tiles), "--out", str(outfile))
         assert code == 0
-        data = outfile.read_bytes()
+        return outfile.read_bytes()
+
+    def test_output_is_pinned(self, capsys, tmp_path):
+        data = self._compile(capsys, tmp_path, "free2.json")
         assert len(json.loads(data)["states"]) == 4136
+        assert len(data) == 440165
         assert hashlib.sha256(data).hexdigest() == (
             "605fbe6e7711707085c3855d400c9496ab713237f2fe56249c22e0ad3f6594e0"
+        )
+
+    def test_free3_output_is_pinned(self, capsys, tmp_path):
+        data = self._compile(capsys, tmp_path, "free3.json")
+        assert len(json.loads(data)["states"]) == 6984
+        assert len(data) == 568266
+        assert hashlib.sha256(data).hexdigest() == (
+            "c874d6f54038aa21b05722d5d270c8542c72ca59462a36f5d217b5af3e79c45d"
         )
 
 

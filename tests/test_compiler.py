@@ -667,7 +667,7 @@ def _cut_into_blocks(nfa_next):
     of a subset member names cell s + t."""
     n = len(nfa_next)
     steps = {q for q, (_, targets) in nfa_next.items() if targets == (q + 1,)}
-    cuts = {0} | {t for q, (_, targets) in nfa_next.items() if q not in steps for t in targets}
+    cuts = ({0} if n else set()) | {t for q, (_, targets) in nfa_next.items() if q not in steps for t in targets}
     cuts |= {q + 1 for q in range(n - 1) if q not in steps}
     starts = sorted(cuts)
     block_of = {s: b for b, s in enumerate(starts)}
@@ -676,6 +676,15 @@ def _cut_into_blocks(nfa_next):
         blocks.append((s, 0, 0, tuple(nfa_next[q][0] for q in range(s, e))))
         follow.append(tuple(block_of[t] for t in nfa_next[e - 1][1]))
     return blocks, follow
+
+
+def _block_cells(blocks, follow):
+    """The cell NFA of a block NFA whose blocks all have one height, as the
+    grammar NFAs have, cells numbered block by block, and the annotation
+    (p, t, k, l) that ``_determinize`` gives cell t of block (p, k, l, word)."""
+    nfa_next = block_cells(blocks, follow)
+    annotations = dict(enumerate((p, t, k, l) for p, k, l, word in blocks for t in range(len(word))))
+    return nfa_next, annotations
 
 
 def _determinize_cells(nfa_next, annotations):
@@ -693,9 +702,38 @@ class TestDeterminize:
     @example(_two_cycles(9, 8))
     @example(_two_cycles(8, 9))
     @example(({0: ("a", ()), 1: ("a", (1,)), 2: ("b", (0, 1, 2))}, {0: (0,), 1: (1,), 2: (2,)}))
+    # blocks "ba" and "bba" both end on the "a" that the full set reads at
+    # cells 1 and 4, so two rows jump to row 0 and their masks are OR-ed
+    @example(({0: ("b", (1,)), 1: ("a", (0,)), 2: ("b", (3,)), 3: ("b", (4,)), 4: ("a", (2,))}, {q: (q,) for q in range(5)}))
+    # blocks "ab" and "abab" read (ab)^oo together and never synchronize:
+    # the essential part keeps the subsets of rows 0 and 2 and of rows 1 and 3
+    @example(({0: ("a", (1,)), 1: ("b", (0,)), 2: ("a", (3,)), 3: ("b", (4,)), 4: ("a", (5,)), 5: ("b", (2,))}, {q: (q,) for q in range(6)}))
+    @example(({}, {}))  # no blocks
     def test_matches_set_construction(self, nfa):
         nfa_next, annotations = nfa
         assert _determinize_cells(nfa_next, annotations) == _subset_construction(nfa_next, annotations)
+
+    @pytest.mark.parametrize(
+        "tiles",
+        [
+            free_tile_set(2),
+            free_tile_set(3),
+            # t2 has no upper neighbour, then no lower one
+            WangTileSet((WangTile("h", "h", "x", "x"), WangTile("h", "h", "z", "x"))),
+            WangTileSet((WangTile("h", "h", "x", "x"), WangTile("h", "h", "x", "z"))),
+        ],
+        ids=["free2", "free3", "no-upper", "no-lower"],
+    )
+    def test_grammar_nfas_match_set_construction(self, coding_sft, coding_pair, tiles):
+        blocks, follow = _grammar_nfa(build_grammar(coding_sft, coding_pair, tiles.N), tiles)[:2]
+        assert _determinize(blocks, follow) == _subset_construction(*_block_cells(blocks, follow))
+
+    def test_block_order_does_not_matter(self, coding_sft, coding_pair):
+        tiles = free_tile_set(2)
+        blocks, follow = _grammar_nfa(build_grammar(coding_sft, coding_pair, tiles.N), tiles)[:2]
+        last = len(blocks) - 1
+        reversed_follow = [tuple(last - c for c in nxt) for nxt in reversed(follow)]
+        assert _determinize(blocks[::-1], reversed_follow) == _determinize(blocks, follow)
 
     def test_annotation_limit_is_eight_members(self):
         nfa_next, annotations = _two_cycles(9, 8)
