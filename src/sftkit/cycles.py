@@ -3,10 +3,14 @@
 The compiler in :mod:`sftkit.compiler` needs two cycles C1, C2 of the Rauzy
 graph satisfying a five-part condition (length, good pair, no uniform
 shortcut, no cross-bridge, not both attractive and repulsive vertices).
-``find_cycle_pair`` walks a case analysis over the graph shape to construct
-such a pair for any strongly connected graph that fails the decidability
-condition, falling back to brute-force search, and ``verify_pair_admissible``
-is the independent oracle used to cross-check it.
+``find_cycle_pair`` constructs such a pair for any strongly connected graph
+that fails the decidability condition.  It tries one stream of candidates in
+order and keeps the first that passes or that a documented exception
+excuses: the documented pair of an exceptional 3-vertex graph; the pair of a
+case analysis over the graph shape; after a refused case 1.3 pair only, the
+documented pairs of exceptional 3-vertex subgraphs and the five-position
+cycles of the 1.3 special shape; last a brute-force search.
+``verify_pair_admissible`` is the independent oracle used to cross-check it.
 
 Cycle indices are always taken modulo the cycle length, and cycles may repeat
 vertices.
@@ -15,7 +19,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import lcm
 
 from .core import (
@@ -226,7 +230,8 @@ _LEN3 = (
 def _match_len3_triple(g, triple):
     """Match the induced subgraph on three vertices against the exceptional
     patterns; the five conditions only see edges inside C1 u C2, so the
-    documented treatment applies in any ambient graph."""
+    documented treatment applies in any ambient graph.  Returns
+    (C1, C2, tag) or None."""
     induced = frozenset((u, v) for (u, v) in g.edges if u in triple and v in triple)
     for tag, edges, c1s, c2s in _LEN3:
         for perm in permutations(triple):
@@ -235,20 +240,7 @@ def _match_len3_triple(g, triple):
             if mapped == induced:
                 c1 = Cycle(g, tuple(m[x] for x in c1s))
                 c2 = Cycle(g, tuple(m[x] for x in c2s))
-                return tag, c1, c2
-    return None
-
-
-def _len3_rescue(g):
-    """Exceptional-pattern pairs on induced 3-vertex subgraphs."""
-    from itertools import combinations
-
-    for triple in combinations(g.vertices, 3):  # each in canonical order
-        got = _match_len3_triple(g, triple)
-        if got is not None:
-            tag, c1, c2 = got
-            if good_pairs(c1, c2):
-                return tag, c1, c2
+                return c1, c2, tag
     return None
 
 
@@ -349,7 +341,7 @@ def verify_pair_admissible(graph, c1, c2):
     if len(scope) == 3:
         m = _match_len3_triple(g, tuple(g.in_order(scope)))
         if m is not None:
-            tag, d1, d2 = m
+            d1, d2, _ = m
             if _same_cycle(c1, d1) and _same_cycle(c2, d2):
                 return True
     return _exemption(g, c1, c2, report) is not None
@@ -441,12 +433,15 @@ def find_cycle_pair(graph):
     """Construct a coding pair (C1, C2) for a non-decidable-type graph.
 
     The graph must be strongly connected (take a product of components
-    first) and must fail the decidability condition.  The returned report
-    carries the dispatch branch in ``case_tag``; for exceptional branches
-    ``passes`` may be false while ``admissible`` is true with the exemption
-    recorded.  Raises EmptyLanguage for a graph with no edge (it has no
-    cycle), and SearchExhausted if neither the dispatch nor the brute-force
-    fallback produces an admissible pair.
+    first) and must fail the decidability condition.  The candidates of
+    ``_candidates`` are tried in order, and the first that passes condition
+    C, or that a documented exception excuses, is returned: a ``len3-*``
+    pair is excused by its own pattern, any other by ``_exemption``.  The
+    report carries the candidate's tag in ``case_tag`` (``case1.3-special``
+    when that exemption excuses it); for an excused pair ``passes`` is false
+    while ``admissible`` is true with the exemption recorded.  Raises
+    EmptyLanguage for a graph with no edge (it has no cycle), and
+    SearchExhausted if no candidate is admissible.
     """
     g = as_digraph(graph)
     if not g.edges:
@@ -456,13 +451,33 @@ def find_cycle_pair(graph):
     if check_condition_d(g).holds:
         raise ConditionDHolds("the graph satisfies the decidability condition")
 
-    m = _match_len3_triple(g, g.vertices) if len(g.vertices) == 3 else None
-    if m is not None:
-        tag, c1, c2 = m
+    for c1, c2, tag in _candidates(g):
         report = check_condition_c(c1, c2, g)
-        report = replace(report, case_tag=tag, admissible=True, exemption=None if report.passes else tag)
-        return CyclePair(c1, c2), report
+        if report.passes:
+            exemption = None
+        elif tag.startswith("len3-"):
+            exemption = tag
+        else:
+            exemption = _exemption(g, c1, c2, report)
+            if exemption is None:
+                continue
+            if exemption == "case1.3-special":
+                tag = exemption
+        return CyclePair(c1, c2), replace(report, case_tag=tag, admissible=True, exemption=exemption)
+    raise SearchExhausted("no admissible cycle pair found (implementation gap)")
 
+
+def _candidates(g):
+    """Candidate pairs (C1, C2, tag) in the order ``find_cycle_pair`` tries
+    them: the documented pair of an exceptional 3-vertex graph; the pair of
+    the case dispatch; after a refused case 1.3 pair only, the documented
+    pair of each exceptional induced 3-vertex subgraph and then each
+    five-position cycle of the 1.3 special shape; last the brute-force
+    pair."""
+    if len(g.vertices) == 3:
+        m = _match_len3_triple(g, g.vertices)
+        if m is not None:
+            yield m
     loops = _loops(g)
     if loops:
         pair_tag = _case_1(g, loops)
@@ -470,44 +485,18 @@ def find_cycle_pair(graph):
         pair_tag = _case_2(g)
     else:
         pair_tag = _case_3(g)
-
     if pair_tag is not None:
-        c1, c2, tag = pair_tag
-        report = check_condition_c(c1, c2, g)
-        if report.passes:
-            return CyclePair(c1, c2), replace(report, case_tag=tag, admissible=True)
-        exemption = _exemption(g, c1, c2, report)
-        if exemption is not None:
-            tag = "case1.3-special" if exemption == "case1.3-special" else tag
-            return CyclePair(c1, c2), replace(report, case_tag=tag, admissible=True, exemption=exemption)
-        if tag == "1.3":
-            rescue = _len3_rescue(g)
-            if rescue is not None:
-                rtag, c1, c2 = rescue
-                report = check_condition_c(c1, c2, g)
-                return CyclePair(c1, c2), replace(
-                    report, case_tag=rtag, admissible=True,
-                    exemption=None if report.passes else rtag,
-                )
-            special = _case_13_special_search(g)
-            if special is not None:
-                c1, c2 = special
-                report = check_condition_c(c1, c2, g)
-                exemption = None if report.passes else _exemption(g, c1, c2, report)
-                if report.passes or exemption is not None:
-                    return CyclePair(c1, c2), replace(
-                        report, case_tag="case1.3-special", admissible=True, exemption=exemption
-                    )
-
+        yield pair_tag
+        if pair_tag[2] == "1.3":
+            for triple in combinations(g.vertices, 3):  # each in canonical order
+                m = _match_len3_triple(g, triple)
+                if m is not None:
+                    yield m
+            for c1, c2 in _case_13_special_search(g):
+                yield c1, c2, "case1.3-special"
     fallback = _brute_force_pair(g)
-    if fallback is None:
-        raise SearchExhausted("no admissible cycle pair found (implementation gap)")
-    c1, c2 = fallback
-    report = check_condition_c(c1, c2, g)
-    exemption = None if report.passes else _exemption(g, c1, c2, report)
-    return CyclePair(c1, c2), replace(
-        report, case_tag="fallback", admissible=True, exemption=exemption
-    )
+    if fallback is not None:
+        yield fallback + ("fallback",)
 
 
 def _case_1(g, loops):
@@ -568,9 +557,9 @@ def _case_1(g, loops):
 
 
 def _case_13_special_search(g):
-    """The five-position cycle (a, p, u, v, t) with an attractor t and a
+    """The five-position cycles (a, p, u, v, t) with an attractor t and a
     repulsor p around the unidirectional edge (u, v); positions may share
-    vertices.  C2 is the single looped vertex v."""
+    vertices.  Each is paired with the single looped vertex v, then u."""
     loops = _loops(g)
     loopless = [x for x in g.vertices if x not in loops]
     for (u, v) in _uni_edges(g):
@@ -583,18 +572,13 @@ def _case_13_special_search(g):
                 for t in g.predecessors(a):
                     if not g.has_edge(v, t):
                         continue
-                    try:
-                        c1 = Cycle(g, (a, p, u, v, t))
-                        c2 = Cycle(g, (v,))
-                    except ValueError:
+                    c1 = Cycle(g, (a, p, u, v, t))
+                    if uniform_shortcuts(c1, g):
                         continue
-                    if (
-                        _matches_case13_special(g, c1, c2)
-                        and good_pairs(c1, c2)
-                        and not uniform_shortcuts(c1, g)
-                    ):
-                        return c1, c2
-    return None
+                    for z in (v, u):
+                        c2 = Cycle(g, (z,))
+                        if _matches_case13_special(g, c1, c2) and good_pairs(c1, c2):
+                            yield c1, c2
 
 
 def _uni_then_bi_cycle(g):
@@ -814,7 +798,11 @@ def _path_with_overlap(g, src, dst, length, prefer):
     return got[1] if got else None
 
 
-def _brute_force_pair(g, max_candidates=400, max_checks=30000):
+_BRUTE_FORCE_CANDIDATES = 400  # glued cycles, and cycles in the pool
+_BRUTE_FORCE_CHECKS = 30000  # (C1, C2) pairs checked
+
+
+def _brute_force_pair(g):
     """First admissible pair over simple cycles and bounded repeat cycles.
 
     The search is deterministic and capped: it exists to surface dispatch
@@ -827,9 +815,9 @@ def _brute_force_pair(g, max_candidates=400, max_checks=30000):
         for b in simples:
             if a[0] == b[0] and a != b and len(a) + len(b) <= 2 * len(g.vertices):
                 glued.append(a + b)
-                if len(glued) >= max_candidates:
+                if len(glued) >= _BRUTE_FORCE_CANDIDATES:
                     break
-        if len(glued) >= max_candidates:
+        if len(glued) >= _BRUTE_FORCE_CANDIDATES:
             break
     pool = []
     for vs in list(simples) + glued:
@@ -839,7 +827,7 @@ def _brute_force_pair(g, max_candidates=400, max_checks=30000):
             continue
         if not uniform_shortcuts(c, g):
             pool.append(c)
-        if len(pool) >= max_candidates:
+        if len(pool) >= _BRUTE_FORCE_CANDIDATES:
             break
     c1_cands = [c for c in pool if len(c) >= 3]
     checks = 0
@@ -850,7 +838,7 @@ def _brute_force_pair(g, max_candidates=400, max_checks=30000):
             break
         for c2 in pool:
             checks += 1
-            if checks > max_checks:
+            if checks > _BRUTE_FORCE_CHECKS:
                 capped = True
                 break
             cb = cross_bridges(c1, c2, g)

@@ -43,6 +43,22 @@ def numpy_radius(succ):
     return rho
 
 
+def closed_walk_count(succ, w):
+    """Closed walks of w edges: the trace of the w-th power of the
+    adjacency matrix, one count vector per start state."""
+    total = 0
+    for s in range(len(succ)):
+        vec = {s: 1}
+        for _ in range(w):
+            nxt = {}
+            for u, c in vec.items():
+                for v in succ[u]:
+                    nxt[v] = nxt.get(v, 0) + c
+            vec = nxt
+        total += vec.get(s, 0)
+    return total
+
+
 def graph(edge_spec, vertices=None):
     """Digraph from 'uv' strings over 1-char vertex names."""
     edges = {(e[0], e[1]) for e in edge_spec}

@@ -42,7 +42,7 @@ from sftkit.solve import (
 import sftkit.entropy
 from sftkit.entropy import _spectral_radius
 
-from conftest import numpy_radius
+from conftest import closed_walk_count, numpy_radius
 
 
 def brute_count(H, V, w, h):
@@ -681,22 +681,6 @@ def unpruned_torus(H, V, max_w, max_h):
             if all(tuple(c[j] for c in combo) in rows for j in range(h)):
                 return combo
     return None
-
-
-def closed_walk_count(succ, w):
-    """Closed walks of w edges: the trace of the w-th power of the
-    adjacency matrix, one count vector per start state."""
-    total = 0
-    for s in range(len(succ)):
-        vec = {s: 1}
-        for _ in range(w):
-            nxt = {}
-            for u, c in vec.items():
-                for v in succ[u]:
-                    nxt[v] = nxt.get(v, 0) + c
-            vec = nxt
-        total += vec.get(s, 0)
-    return total
 
 
 @st.composite
