@@ -5,8 +5,9 @@ doubly periodic witness proves nonemptiness.  In general emptiness is only
 semi-decidable: for each height up to a bound, a strip of legal columns
 with no cycle proves emptiness, and a cycle of the strip of periodic
 columns is a torus.  In the decidable regimes (all component types shared,
-or only periodic points) a walk over stacks of rows, which stops at the
-first repeated stack, decides emptiness outright.
+or only periodic points) a torus must exist at one width, so one cylinder
+strip of the cyclic rows of that width decides emptiness outright: its
+shortest cycle is the lowest torus, and no cycle proves emptiness.
 """
 
 from sftkit.core import Pattern2D, Sft1D, full_shift, sft_from_edges

@@ -670,17 +670,17 @@ def build_rauzy(sft, order=None):
 
 def _build_rauzy(sft, m):
     """The Rauzy graph of ``sft`` at order m, or None when it is empty."""
-    sym_index = {s: i for i, s in enumerate(sft.alphabet.symbols)}
-    vertices = sorted(_locally_admissible_words(sft, m), key=lambda w: [sym_index[s] for s in w])
+    vertices = _locally_admissible_words(sft, m)
     index = {v: i for i, v in enumerate(vertices)}
+    # u + s has no forbidden factor iff the factor automaton, in its state
+    # after the admissible u, does not die on s; then u[1:] + s is a vertex
+    delta = sft._factor_automaton
     succ = []
     for u in vertices:
-        row = []
-        for s in sft.alphabet.symbols:
-            j = index.get(u[1:] + (s,))
-            if j is not None and sft.word_locally_admissible(u + (s,)):
-                row.append(j)
-        succ.append(row)
+        q = 0
+        for s in u:
+            q = delta[q][s]
+        succ.append([index[u[1:] + (s,)] for s, t in delta[q].items() if t >= 0])
 
     keep = essential_states(succ)
     if not keep:

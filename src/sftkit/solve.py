@@ -26,7 +26,9 @@ cylinder strips (``cyclic=True``: only such columns, so the closed walks
 are the tori of ``find_torus``), replay and decisions alike.
 ``semi_decide_emptiness`` reads one free and one cylinder strip per height:
 a free strip with no cycle proves emptiness, a cylinder strip with one a
-torus.
+torus.  In the decidable regimes ``decide_with_certificate`` reads one
+cylinder strip, whose columns are the cyclic rows of the one width a torus
+must have; both take the shortest cycle through ``_shortest_torus``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from math import lcm
 import numpy as np
 
 from .core import (
-    WILDCARD,
     BudgetExceeded,
     EmptyLanguage,
     Pattern2D,
@@ -115,12 +116,14 @@ class StripAutomaton:
     order, so by ascending appended column.  The build keeps it as one int
     bitmask per state over the columns (popcounts give the transition count)
     and decodes it on first use, or at once when the width step follows it.
-    ``find_torus`` walks it, and ``semi_decide_emptiness`` searches it for a
-    shortest cycle, both on cylinder strips only; counting, ``has_cycle``
-    and the spectral radius do not read it unless their layers are that
-    list, or the spectral radius falls back to it.  ``budget`` caps what
-    the build keeps: the columns, every window listed and the stored edges
-    (the layer edges, or the transitions when the width step follows them).
+    ``find_torus`` walks it, and ``_shortest_torus`` searches it for a
+    shortest cycle (for ``semi_decide_emptiness`` and
+    ``decide_with_certificate``), both on cylinder strips only; counting,
+    ``has_cycle`` and the spectral radius do not read it unless their layers
+    are that list, or the spectral radius falls back to it.  ``budget`` caps
+    what the build keeps: the columns, every window listed and the stored
+    edges (the layer edges, or the transitions when the width step follows
+    them).
 
     ``count_width``, ``has_cycle`` and ``spectral_radius`` sweep a vector
     through ``layers``, each a triple (src, dst, size): edge e adds the
@@ -373,6 +376,13 @@ def _row_layers(rows, succ, cap):
     degree = np.fromiter(map(len, succ), np.intp, nv)
     start = degree.cumsum() - degree
     targets = np.fromiter(chain.from_iterable(succ), np.intp, int(degree.sum()))
+    # layer 0 has an edge from each window for each successor of its row-0
+    # vertex that starts a window: when that alone reaches cap, return
+    # before the tries are built
+    starts = np.zeros(nv, bool)
+    starts[rows[:, 0]] = True
+    if np.bincount(np.arange(nv).repeat(degree), starts[targets], nv)[rows[:, 0]].sum() >= cap:
+        return None
     # prefix trie: the sorted keys p * nv + v of the nodes at depth r + 1,
     # p a node at depth r; a node's id is its rank
     grow = []
@@ -598,7 +608,7 @@ def semi_decide_emptiness(H, column_constraint, bound, budget=None):
     A free strip without a cycle proves emptiness: a configuration would
     give a bi-infinite walk.  With W windows of an order-m row SFT it has
     no rectangle of height h and width W + m.  A cylinder strip with a cycle
-    proves nonemptiness; its shortest cycle (``_shortest_cycle``) is the
+    proves nonemptiness; its shortest cycle (``_shortest_torus``) is the
     narrowest torus of height h, replayed before it is returned.  Otherwise
     Unknown at the bound; empty rows are empty, a blown budget Unknown.
     """
@@ -608,18 +618,33 @@ def semi_decide_emptiness(H, column_constraint, bound, budget=None):
             if not free.has_cycle():
                 w = len(free.states) + len(free.narrow) + 1
                 return DecisionOutcome("empty", rationale=f"no {w}x{h} window: the strip of height {h} has no cycle")
-            cylinder = StripAutomaton.build(H, column_constraint, h, budget, cyclic=True)
+            wit = _shortest_torus(H, column_constraint, h, budget, Pattern2D.from_columns, H, column_constraint)
         except EmptyLanguage:
             return DecisionOutcome("empty", rationale="the rows have no words")
         except BudgetExceeded:
             return DecisionOutcome("unknown", rationale=f"budget exceeded at height {h}")
-        walk = _shortest_cycle(cylinder.successors)
-        if walk:
-            pat = Pattern2D.from_columns([cylinder.states[i][:h] for i in walk])
-            if not validate_torus(H, column_constraint, pat):
-                raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
-            return DecisionOutcome("nonempty", TorusWitness(len(walk), h, pat), f"torus witness {len(walk)}x{h}")
+        if wit is not None:
+            return DecisionOutcome("nonempty", wit, f"torus witness {wit.width}x{h}")
     return DecisionOutcome("unknown", rationale=f"no decision up to height {bound}")
+
+
+def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=()):
+    """The torus of a shortest cycle of the cylinder strip of height h whose
+    rows follow the SFT ``rows`` and whose columns are the cyclic words of
+    ``columns``, or None when it has no cycle or ``rows`` no words.  ``read``
+    makes the pattern from the cycle's columns, and it must pass
+    ``validate_torus(H, constraint, pattern, forbidden2d)``."""
+    try:
+        strip = StripAutomaton.build(rows, columns, h, budget, cyclic=True)
+    except EmptyLanguage:
+        return None
+    walk = _shortest_cycle(strip.successors)
+    if not walk:
+        return None
+    pat = read([strip.states[i][:h] for i in walk])
+    if not validate_torus(H, constraint, pat, forbidden2d):
+        raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
+    return TorusWitness(pat.width, pat.height, pat)
 
 
 def _shortest_cycle(succ):
@@ -654,27 +679,27 @@ def _shortest_cycle(succ):
 def decide_with_certificate(H, constraint, budget=200000):
     """Certificate-complete emptiness decision in the decidable regimes.
 
-    With an SFT column constraint, H must satisfy the decidability condition
-    (all components share a type); with a set of 2D forbidden patterns, H
-    must have only periodic points.  Either way a torus is a stack of
-    cyclically valid H-rows of one width, and a new row is checked only
-    against the top mv - 1 rows below it, mv being the height of the
-    tallest column word or pattern.  So the search is one depth-first walk
-    from the empty stack over stacks of at most mv - 1 rows (at most
-    |rows|^(mv-1) of them): an edge appends a row whose new column words
-    and patterns are legal and keeps the top mv - 1 rows.  A stack's
-    successors are built as the walk reaches them, and the first back edge
-    closes a cycle whose rows are a torus witness, replayed before it is
-    returned.  Emptiness is reported only when the walk is exhausted.
-    ``budget`` caps the stacks expanded; overflow gives ``unknown``.  An SFT
-    constraint over other symbols than H is a ValueError.
+    With an SFT column constraint V, H must satisfy the decidability
+    condition (all components share a type); with 2D forbidden patterns, H
+    must have only periodic points.  Either way the system is nonempty iff
+    it has a torus of the one width W the regime fixes, so the decision is
+    a shortest cycle of one cylinder strip (``_shortest_torus``) whose
+    columns are the cyclic H-rows of width W, read as the torus's rows: the
+    transposed strip ``StripAutomaton.build(V, H, W, cyclic=True)`` with V,
+    the height-1 strip of ``_stack_sft`` with patterns.  A cycle is the
+    lowest torus of width W, replayed; no cycle, or rows with no words, is
+    emptiness.  ``budget`` caps what the strip keeps (and first the pattern
+    stacks to check); overflow, or a budget below 1, gives ``unknown``.  An
+    SFT constraint over other symbols than H is a ValueError.
     """
-    is_vertical = isinstance(constraint, Sft1D)
-    if is_vertical:
+    vertical = isinstance(constraint, Sft1D)
+    if vertical:
         require_same_alphabet(H, constraint)
-    g = build_rauzy(H)
-
-    if is_vertical:
+    try:
+        g = build_rauzy(H)
+    except EmptyLanguage:
+        return DecisionOutcome("empty", rationale="the rows have no words")
+    if vertical:
         verdict = check_condition_d(g)
         if not verdict.holds:
             raise PreconditionUnmet("the horizontal graph fails the decidability condition")
@@ -684,87 +709,45 @@ def decide_with_certificate(H, constraint, budget=200000):
             width = 2
         else:
             width = lcm(*(len(t.state_split_partition) for t in verdict.per_scc))
-        mv = max([len(wd) for wd in constraint.forbidden], default=1)
-        col_ok = constraint.word_locally_admissible
-        forbidden2d = ()
     else:
         per = has_only_periodic_points(H)
         if not per.holds:
             raise PreconditionUnmet("H does not have only periodic points")
         forbidden2d = tuple(constraint)
         p = per.period
-        maxw = max([q.width for q in forbidden2d], default=1)
-        mv = max([q.height for q in forbidden2d], default=1)
-        width = p * max(1, -(-maxw // p))
-        col_ok = None
-    keep = max(mv, 1) - 1
-
-    rows = [r for r in _global_words(H, width) if _cyclic_ok(H, r)]
-    bound_desc = f"stacks of at most {keep} of the {len(rows)} cyclically valid rows of width {width}"
-    # each pattern as its height and its fixed cells (di, dj, symbol)
-    pattern_cells = [
-        (q.height, [(i % q.width, i // q.width, s) for i, s in enumerate(q.cells) if s != WILDCARD])
-        for q in forbidden2d
-    ]
-    col_memo = {}
-
-    def column_ok(word):
-        ok = col_memo.get(word)
-        if ok is None:
-            ok = col_memo[word] = col_ok(word)
-        return ok
-
-    def patterns_ok(block):
-        # patterns whose top row is the block's top row, wrapping horizontally
-        h = len(block)
-        for qh, fixed in pattern_cells:
-            if qh > h:
-                continue
-            base = h - qh
-            for i in range(width):
-                if all(block[base + dj][(i + di) % width] == s for di, dj, s in fixed):
-                    return False
-        return True
-
-    def successors(stack):
-        """(next stack, row index) for each row that may go on ``stack``."""
-        below = [rows[k] for k in stack]
-        cols = list(zip(*below)) if below else [()] * width
-        for k, r in enumerate(rows):
-            if col_ok is not None and not all(column_ok(c + (x,)) for c, x in zip(cols, r)):
-                continue
-            if pattern_cells and not patterns_ok(below + [r]):
-                continue
-            yield (stack + (k,))[-keep:] if keep else (), k
-
-    # iterative DFS: the path holds (stack, the row that led to it, its
-    # successors), and depth[s] is the position of stack s on the path
-    overflow = DecisionOutcome("unknown", rationale=f"more than {budget} row stacks to expand")
+        width = p * max(1, -(-max([q.width for q in forbidden2d], default=1) // p))
     if budget < 1:
-        return overflow
-    depth = {(): 0}
-    done = set()
-    walk = [((), None, successors(()))]
-    while walk:
-        node, _, it = walk[-1]
-        for nxt, k in it:
-            d = depth.get(nxt)
-            if d is not None:
-                # the torus is the cycle part alone
-                torus = Pattern2D.from_rows([rows[j] for _, j, _ in walk[d + 1 :]] + [rows[k]])
-                wit = TorusWitness(width, torus.height, torus)
-                if not validate_torus(H, constraint if is_vertical else None, torus, forbidden2d):
-                    raise RuntimeError("a row-stack cycle gave a torus that fails replay")
-                why = f"torus of height {torus.height} from a cycle over {bound_desc}"
-                return DecisionOutcome("nonempty", wit, why)
-            if nxt not in done:
-                if len(done) + len(walk) >= budget:
-                    return overflow
-                depth[nxt] = len(walk)
-                walk.append((nxt, k, successors(nxt)))
-                break
+        return DecisionOutcome("unknown", rationale=f"budget exceeded: a budget of {budget} keeps nothing")
+    try:
+        if vertical:
+            wit = _shortest_torus(constraint, H, width, budget, Pattern2D.from_rows, H, constraint)
         else:
-            walk.pop()
-            del depth[node]
-            done.add(node)
-    return DecisionOutcome("empty", rationale=f"no cycle over {bound_desc}: the walk is exhausted")
+            rows = [r for r in _global_words(H, width) if _cyclic_ok(H, r)]
+            wit = _shortest_torus(
+                _stack_sft(rows, forbidden2d, budget), None, 1, budget,
+                lambda cols: Pattern2D.from_rows([rows[int(k)] for (k,) in cols]), H, None, forbidden2d,
+            )
+    except BudgetExceeded as exc:
+        return DecisionOutcome("unknown", rationale=f"budget exceeded: {exc}")
+    if wit is None:
+        return DecisionOutcome("empty", rationale=f"no torus of width {width}: the cylinder strip has no cycle")
+    return DecisionOutcome("nonempty", wit, f"torus witness {width}x{wit.height}, the lowest of width {width}")
+
+
+def _stack_sft(rows, patterns, budget):
+    """The 1D SFT over the indices of ``rows`` (as str) that forbids each
+    stack of q.height rows in which pattern q occurs at its bottom, at some
+    column, wrapping horizontally (a pattern of no rows occurs on each row,
+    as in ``validate_torus``).  The sum over q of |rows|^q.height stacks is
+    charged against ``budget`` before any is listed."""
+    heights = [max(1, q.height) for q in patterns]
+    stacks = sum(len(rows) ** qh for qh in heights)
+    if stacks > budget:
+        raise BudgetExceeded(f"{stacks} row stacks to check")
+    forbidden = set()
+    for q, qh in zip(patterns, heights):
+        for stack in product(range(len(rows)), repeat=qh):
+            block = Pattern2D.from_rows([rows[k] for k in stack])
+            if any(q.matches_at(block, i, 0, wrap=True) for i in range(block.width)):
+                forbidden.add(tuple(map(str, stack)))
+    return Sft1D(tuple(map(str, range(len(rows)))), frozenset(forbidden))

@@ -95,6 +95,13 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["status"] == "nonempty"
 
+    def test_decide_with_rows_that_have_no_words(self, capsys):
+        # as ``solve empty`` answers: empty, not an input error
+        empty = path("empty-sft.json")
+        for v in ((), ("--v", empty)):
+            code, out, _ = run(capsys, "solve", "decide", "--h", empty, *v)
+            assert code == 0 and json.loads(out) == {"rationale": "the rows have no words", "status": "empty"}, v
+
     def test_higher_order_torus_search_finishes(self, capsys):
         # alt011 has order 2 and no torus with golden columns up to the
         # default bound, so every size up to 6 x 6 is searched
@@ -289,10 +296,14 @@ class TestBudget:
             assert code == 0 and json.loads(out)["count"] == "52521741712869136440040654451875316861275"
 
     def test_decide_honours_a_zero_budget(self, capsys):
+        # golden rows have the symmetric type, so width 2: the transposed
+        # cylinder strip keeps the 3 rows 00, 01, 10 as columns, 3 windows
+        # and 7 transitions, 13 in all
         golden = path("golden.json")
-        code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", "0")
-        assert code == 1 and json.loads(out)["status"] == "unknown"
-        code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", "2")
+        for budget in ("0", "12"):
+            code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", budget)
+            assert code == 1 and json.loads(out)["status"] == "unknown", budget
+        code, out, _ = run(capsys, "solve", "decide", "--h", golden, "--v", golden, "--budget", "13")
         assert code == 0 and json.loads(out)["status"] == "nonempty"
 
     def test_negative_budget_is_a_usage_error(self, capsys):

@@ -992,14 +992,48 @@ class TestDecide:
                     col[x : x + 3] == f for f in V.forbidden for x in range(len(col) - 2)
                 )
 
-    def test_budget_counts_expanded_stacks(self):
-        # an exhaustive walk expands at most 1 + 5 + 25 stacks of the five
-        # rows; any smaller budget gives unknown, never empty
+    def test_budget_counts_what_the_strip_keeps(self):
+        # the transposed cylinder strip keeps the 5 cyclic rows of width 5 as
+        # its columns, 5 one-column and 25 two-column windows and 20
+        # transitions: 55 in all; any smaller budget gives unknown, never empty
         H, V = cycle_instance(random.Random(5000), 5, "empty")
-        statuses = [decide_with_certificate(H, V, budget=b).status for b in range(40)]
-        n = statuses.index("empty")
-        assert 1 < n <= 31
-        assert set(statuses[:n]) == {"unknown"} and set(statuses[n:]) == {"empty"}
+        statuses = [decide_with_certificate(H, V, budget=b).status for b in range(60)]
+        assert statuses == ["unknown"] * 55 + ["empty"] * 5
+
+    def test_pattern_stacks_are_charged_before_they_are_listed(self, monkeypatch):
+        # the 4 rows of width 4 give 4^3 = 64 stacks of three rows to check
+        # against the pattern; each holds an "a" at the bottom, so every stack
+        # is forbidden and the strip has no symbol
+        cyc = sft_from_edges("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        patterns = (Pattern2D(1, 3, ("a", WILDCARD, WILDCARD)),)
+        calls = []
+        matches_at = Pattern2D.matches_at
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return matches_at(*args, **kwargs)
+
+        monkeypatch.setattr(Pattern2D, "matches_at", spy)
+        for budget in (1, 10, 63):
+            out = decide_with_certificate(cyc, patterns, budget=budget)
+            assert out.status == "unknown" and out.rationale == "budget exceeded: 64 row stacks to check", budget
+        assert calls == []
+        assert decide_with_certificate(cyc, patterns, budget=64).empty
+        assert calls
+
+    def test_a_pattern_of_no_cells_occurs_everywhere(self):
+        # as ``validate_torus`` reads it, so no torus avoids it
+        cyc = sft_from_edges("xy", [("x", "y"), ("y", "x")])
+        for q in (Pattern2D(0, 0, ()), Pattern2D(0, 2, ()), Pattern2D(2, 0, ())):
+            assert decide_with_certificate(cyc, (q,)).empty, q
+
+    def test_empty_languages_are_empty(self, golden):
+        nothing = Sft1D.from_words("01", "0", "1")
+        for H, constraint in ((nothing, ()), (nothing, nothing), (nothing, golden)):
+            out = decide_with_certificate(H, constraint)
+            assert out.empty and out.rationale == "the rows have no words"
+        out = decide_with_certificate(golden, nothing)
+        assert out.empty and out.rationale == "no torus of width 2: the cylinder strip has no cycle"
 
     def test_mismatched_alphabets_are_input_errors(self, golden):
         two_cycle = sft_from_edges("ab", [("a", "b"), ("b", "a")])
@@ -1015,19 +1049,32 @@ class TestDecide:
 
 @st.composite
 def decision_cases(draw):
-    """(H, constraint, cycles): H is a union of one or two disjoint cycles of
-    lengths 1 to 4 (``cycles`` lists their words), and the constraint is a
-    column SFT of order 1 to 3 over H's symbols, or a set of one to four
-    Pattern2D of height 1 to 3 and width 1 or 2 whose cells are H's symbols
-    or the wildcard."""
-    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
-    cycles, start = [], 0
-    for n in lengths:
-        cycles.append("abcdefgh"[start : start + n])
-        start += n
-    symbols = "".join(cycles)
-    H = sft_from_edges(symbols, [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))])
-    if draw(st.booleans()):
+    """(H, constraint, cycles).  H is a union of one or two disjoint cycles of
+    lengths 1 to 4 (``cycles`` lists their words), or a graph on 1 to 4
+    symbols with a loop on each symbol (reflexive) or with every edge both
+    ways (symmetric), and then ``cycles`` is None.  The constraint is a
+    column SFT of order 1 to 3 over H's symbols, or, for cycles only, a set
+    of one to four Pattern2D of height 1 to 3 and width 1 or 2 whose cells
+    are H's symbols or the wildcard."""
+    kind = draw(st.sampled_from(["cycles", "reflexive", "symmetric"]))
+    if kind == "cycles":
+        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+        cycles, start = [], 0
+        for n in lengths:
+            cycles.append("abcdefgh"[start : start + n])
+            start += n
+        symbols = "".join(cycles)
+        edges = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+    else:
+        cycles = None
+        symbols = "abcd"[: draw(st.integers(1, 4))]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols)), min_size=1, max_size=6))
+        if kind == "reflexive":
+            edges = [(a, a) for a in symbols] + pairs
+        else:
+            edges = pairs + [(b, a) for a, b in pairs]
+    H = sft_from_edges(symbols, edges)
+    if cycles is None or draw(st.booleans()):
         order = draw(st.integers(1, 3))
 
         def words(n):
@@ -1044,14 +1091,18 @@ def decision_cases(draw):
     return H, tuple(patterns), cycles
 
 
-def eager_block_verdict(H, constraint, cycles):
-    """The verdict of the eager search: every block of mv rows whose every
-    prefix is valid, an edge for each row that goes on a block and keeps the
-    top mv rows, and "nonempty" when that block graph has a cycle anywhere.
+def eager_block_graph(H, constraint, cycles):
+    """(width, succ): the block graph of the eager search.  Its nodes are
+    the blocks of mv rows whose every prefix is valid, with an edge for each
+    row that goes on a block and keeps the top mv rows.  A cycle of n edges
+    is an n-periodic stack of rows, so a torus of height n.
 
-    The rows are the rotations of the cycle words repeated to the width, and
-    the width is the one the decision takes: from the component types for a
-    column SFT, from the period and the widest pattern otherwise."""
+    The width is the one the decision takes: from the component types for a
+    column SFT, from the period and the widest pattern otherwise.  The rows
+    are found by brute force: every word of that width over H's symbols that
+    repeats into a legal H-word, grown one symbol at a time through the
+    locally admissible words (the plain product has 7^12 words on a 3-cycle
+    and a 4-cycle)."""
     if isinstance(constraint, Sft1D):
         g = build_rauzy(H)
         kind = check_condition_d(g).common_type
@@ -1068,12 +1119,10 @@ def eager_block_verdict(H, constraint, cycles):
         width = period * -(-max(q.width for q in constraint) // period)
         mv = max(q.height for q in constraint)
         patterns = constraint
-    rows = [
-        tuple((c * (width // len(c)))[i:] + (c * (width // len(c)))[:i])
-        for c in cycles
-        if width % len(c) == 0
-        for i in range(len(c))
-    ]
+    rows = [()]
+    for _ in range(width):
+        rows = [r + (s,) for r in rows for s in H.alphabet.symbols if H.word_locally_admissible(r + (s,))]
+    rows = [r for r in rows if H.word_locally_admissible(r * (H.order + 2))]
 
     def ok(block):
         """The top row's column words of at most mv rows, and the patterns
@@ -1092,7 +1141,12 @@ def eager_block_verdict(H, constraint, cycles):
     blocks = {
         b for b in product(rows, repeat=mv) if all(ok(b[: j + 1]) for j in range(mv))
     }
-    succ = {b: {b[1:] + (r,) for r in rows if ok(b + (r,))} & blocks for b in blocks}
+    return width, {b: {b[1:] + (r,) for r in rows if ok(b + (r,))} & blocks for b in blocks}
+
+
+def eager_block_verdict(H, constraint, cycles):
+    """"nonempty" when the eager block graph has a cycle anywhere."""
+    _, succ = eager_block_graph(H, constraint, cycles)
     # peel blocks without successors; a cycle is what remains
     while True:
         sinks = {b for b, out in succ.items() if not out}
@@ -1101,8 +1155,28 @@ def eager_block_verdict(H, constraint, cycles):
         succ = {b: out - sinks for b, out in succ.items() if b not in sinks}
 
 
+def shortest_cycle_length(succ):
+    """The fewest edges of a cycle of the graph ``succ`` (a dict of successor
+    sets), by breadth-first search from each node back to itself; None when
+    it has no cycle."""
+    best = None
+    for first in succ:
+        seen, level, n = {first}, [first], 0
+        while level and (best is None or n < best):
+            n += 1
+            if any(first in succ[u] for u in level):
+                best = n
+                break
+            nxt = []
+            for u in level:
+                nxt += succ[u] - seen
+                seen |= succ[u]
+            level = nxt
+    return best
+
+
 class TestDecideDifferential:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(decision_cases())
     def test_matches_eager_block_graph(self, case):
         H, constraint, cycles = case
@@ -1113,4 +1187,7 @@ class TestDecideDifferential:
             assert validate_torus(
                 H, constraint if vertical else None, out.witness.pattern, () if vertical else constraint
             )
+            # the witness is the lowest torus of the decision's width
+            width, succ = eager_block_graph(H, constraint, cycles)
+            assert (out.witness.width, out.witness.height) == (width, shortest_cycle_length(succ))
         assert decide_with_certificate(H, constraint, budget=0).status == "unknown"
