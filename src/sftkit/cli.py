@@ -287,15 +287,20 @@ def _cmd_decode(args):
     return 0
 
 
-def _budget(text):
-    """A ``--budget`` value: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
-    return n
+def _at_least(low):
+    """The argparse type of an integer >= ``low``: 0 for a ``--budget``, 1
+    for a ``--bound``."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {n}")
+        return n
+
+    return parse
 
 
 @functools.cache
@@ -345,9 +350,9 @@ def _parser():
         qa.add_argument("--h", required=True)
         qa.add_argument("--v")
         if name in ("torus", "empty"):
-            qa.add_argument("--bound", type=int, default=6)
+            qa.add_argument("--bound", type=_at_least(1), default=6)
         if name != "torus":
-            qa.add_argument("--budget", type=_budget)
+            qa.add_argument("--budget", type=_at_least(0))
         qa.add_argument("--out")
         if name == "count":
             qa.add_argument("--width", type=int, required=True)
@@ -363,9 +368,9 @@ def _parser():
         if name in ("2d", "statesplit"):
             qa.add_argument("--h", required=True)
             qa.add_argument("--v", required=name == "statesplit")
-            qa.add_argument("--bound", type=int, default=4)
+            qa.add_argument("--bound", type=_at_least(1), default=4)
         if name == "2d":
-            qa.add_argument("--budget", type=_budget)
+            qa.add_argument("--budget", type=_at_least(0))
         if name == "1d":
             qa.add_argument(
                 "--tol",

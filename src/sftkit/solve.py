@@ -23,12 +23,14 @@ rectangles (column words as rows) when its bound on the windows is smaller:
 columns, not the 2.2 million golden columns of height 30.  One check,
 ``_cyclic_ok``, decides whether a row or column repeats periodically, for
 cylinder strips (``cyclic=True``: only such columns, so the closed walks
-are the tori of ``find_torus``), replay and decisions alike.
-``semi_decide_emptiness`` reads one free and one cylinder strip per height:
-a free strip with no cycle proves emptiness, a cylinder strip with one a
-torus.  In the decidable regimes ``decide_with_certificate`` reads one
-cylinder strip, whose columns are the cyclic rows of the one width a torus
-must have; both take the shortest cycle through ``_shortest_torus``.
+are the tori), replay and decisions alike.  ``find_torus`` takes the
+shortest cycle of the cylinder strip of each height, the narrowest torus of
+that height.  ``semi_decide_emptiness`` reads one free and one cylinder
+strip per height: a free strip with no cycle proves emptiness, a cylinder
+strip with one a torus.  In the decidable regimes ``decide_with_certificate``
+reads one cylinder strip, whose columns are the cyclic rows of the one width
+a torus must have; all three take the shortest cycle through
+``_shortest_torus``.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class StripAutomaton:
     order, so by ascending appended column.  The build keeps it as one int
     bitmask per state over the columns (popcounts give the transition count)
     and decodes it on first use, or at once when the width step follows it.
-    ``find_torus`` walks it, and ``_shortest_torus`` searches it for a
-    shortest cycle (for ``semi_decide_emptiness`` and
-    ``decide_with_certificate``), both on cylinder strips only; counting,
+    ``_shortest_torus`` searches it for a shortest cycle (for
+    ``find_torus``, ``semi_decide_emptiness`` and
+    ``decide_with_certificate``), on cylinder strips only; counting,
     ``has_cycle`` and the spectral radius do not read it unless their layers
     are that list, or the spectral radius falls back to it.  ``budget`` caps
     what the build keeps: the columns, every window listed and the stored
@@ -534,47 +536,25 @@ def validate_torus(H, column_constraint, pattern, forbidden2d=()):
     return True
 
 
-def find_torus(H, column_constraint, max_w, max_h, forbidden2d=()):
+def find_torus(H, column_constraint, max_w, max_h):
     """Smallest-area doubly periodic witness within the bounds, or None.
 
     Sizes go by area, then width, then height.  A w x h torus is a closed
-    walk of w edges in the cylinder strip of height h, built once per
-    height.  Walks go by first state, then by ascending successor, i.e. in
-    lexicographic column order, and the first pattern that passes replay
-    (``validate_torus``, which also rules out ``forbidden2d``) is returned.
+    walk of w edges in the cylinder strip of height h, so the narrowest one
+    of height h is a shortest cycle of that strip (``_shortest_torus``): the
+    lexicographically least in column order, replayed.  Heights above the
+    best area so far cannot give a smaller torus and get no strip.
     """
-    sizes = sorted(product(range(1, max_w + 1), range(1, max_h + 1)), key=lambda s: (s[0] * s[1], s))
-    strips = {}
-    for w, h in sizes:
-        if h not in strips:
-            try:
-                strips[h] = StripAutomaton.build(H, column_constraint, h, cyclic=True)
-            except EmptyLanguage:
-                return None
-        strip = strips[h]
-        for walk in _closed_walks(strip.successors, w):
-            pat = Pattern2D.from_columns([strip.states[i][:h] for i in walk])
-            if validate_torus(H, column_constraint, pat, forbidden2d):
-                return TorusWitness(w, h, pat)
-    return None
-
-
-def _closed_walks(succ, w):
-    """The closed walks of w edges in the successor lists, each as its w
-    states from the first: by first state, then by ascending successor."""
-    for first in range(len(succ)):
-        path, todo = [first], [iter(succ[first])]
-        while todo:
-            if len(path) < w:
-                nxt = next(todo[-1], None)
-                if nxt is not None:
-                    path.append(nxt)
-                    todo.append(iter(succ[nxt]))
-                    continue
-            elif first in succ[path[-1]]:
-                yield list(path)
-            path.pop()
-            todo.pop()
+    best = None
+    for h in range(1, max_h + 1):
+        if best is not None and h > best.width * best.height:
+            break
+        wit = _shortest_torus(H, column_constraint, h, None, Pattern2D.from_columns, H, column_constraint)
+        if wit is None or wit.width > max_w:
+            continue
+        if best is None or (wit.width * h, wit.width) < (best.width * best.height, best.width):
+            best = wit
+    return best
 
 
 # ---------------------------------------------------------------------------

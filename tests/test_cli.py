@@ -152,6 +152,14 @@ class TestErrors:
         code, out, _ = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", "1e-15")
         assert code == 0 and json.loads(out)["iterations"] > 0
 
+    def test_bound_below_one_is_a_usage_error(self, capsys):
+        # a bound below 1 searches nothing, so it is bad input, not "found": false or unknown
+        golden = path("golden.json")
+        for argv in (["solve", "torus"], ["solve", "empty"], ["entropy", "2d"], ["entropy", "statesplit"]):
+            for bound in ("0", "-1"):
+                code, out, err = run(capsys, *argv, "--h", golden, "--v", golden, "--bound", bound)
+                assert code == 2 and out == "" and f"--bound: must be >= 1, not {bound}" in err, (argv, bound)
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "nope.json")
         assert code == 2
