@@ -23,8 +23,8 @@ print("\nthe two-component example (corrected forbidden set):")
 two = Sft1D.from_words("0123", "10", "20", "21", "11", "30", "31", "32", "33")
 g2 = build_rauzy(two)
 print("  vertices kept:", ["".join(v) for v in g2.vertices], "(symbol 3 pruned)")
-print("  components:", [["".join(v) for v in c] for c in g2.scc])
-print("  transient:", ["".join(v) for v in g2.transient])
+print("  components:", [["".join(v) for v in c] for c in g2.sccs()])
+print("  transient:", ["".join(v) for v in g2.transient_vertices()])
 
 print("\nhigher-block recoding to a nearest-neighbor presentation:")
 h = Sft1D.from_words("01", "111")

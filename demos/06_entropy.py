@@ -27,7 +27,7 @@ print("  full 2-shift:", entropy_1d(full_shift("01")).log2_value)
 print("  golden mean :", entropy_1d(golden).log2_value, "= log2 of the golden ratio")
 
 print("\n2D bounds for the hard-square system:")
-b = entropy_bounds_2d(golden, golden, 6, 6)
+b = entropy_bounds_2d(golden, golden, 6)
 print("  square samples:", [(n, round(v, 4)) for n, v in b.samples])
 print("  strip bounds:  ", [(h, round(v, 4)) for h, v in b.strip_upper])
 

@@ -16,7 +16,6 @@ from math import gcd, lcm
 from .core import (
     Digraph,
     NotStronglyConnected,
-    as_digraph,
     build_rauzy,
 )
 
@@ -51,19 +50,18 @@ class ConditionDVerdict:
 def scc_types(component):
     """Exact type flags of one strongly connected component.
 
-    ``component`` is a Digraph (or RauzyGraph) that must be strongly
+    ``component`` is a Digraph, such as a RauzyGraph, that must be strongly
     connected.  For the state-split test the class partition is forced by
     breadth-first levels modulo each divisor of the graph period; divisors
     are tried from the largest down and the witness partition is stored.
     """
-    g = as_digraph(component)
-    if not g.is_strongly_connected():
+    if not component.is_strongly_connected():
         raise NotStronglyConnected("scc_types needs a strongly connected input")
-    reflexive = all(g.has_edge(v, v) for v in g.vertices)
-    symmetric = all(g.has_edge(v, u) for (u, v) in g.edges if u != v)
+    reflexive = all(component.has_edge(v, v) for v in component.vertices)
+    symmetric = all(component.has_edge(v, u) for (u, v) in component.edges if u != v)
 
     # breadth-first levels from the first vertex, on vertex positions
-    succ = g.index.succ
+    succ = component.index.succ
     level = [0] + [None] * (len(succ) - 1)
     frontier = [0]
     while frontier:
@@ -83,7 +81,7 @@ def scc_types(component):
     for p in sorted((d for d in range(1, period + 1) if period % d == 0), reverse=True):
         classes = [[i for i in range(len(succ)) if level[i] % p == c] for c in range(p)]
         if all(row == classes[(level[i] + 1) % p] for i, row in enumerate(succ)):
-            partition = tuple(tuple(g.vertices[i] for i in c) for c in classes)
+            partition = tuple(tuple(component.vertices[i] for i in c) for c in classes)
             break
     return SccTypeSet(reflexive, symmetric, partition is not None, partition)
 
@@ -93,10 +91,9 @@ def check_condition_d(graph):
 
     Transient vertices belong to no component and are ignored.
     """
-    g = as_digraph(graph)
-    transient = set(g.transient_vertices())
-    comps = [c for c in g.sccs() if c[0] not in transient or len(c) > 1]
-    per = tuple(scc_types(g.subgraph(c)) for c in comps)
+    transient = set(graph.transient_vertices())
+    comps = [c for c in graph.sccs() if c[0] not in transient or len(c) > 1]
+    per = tuple(scc_types(graph.subgraph(c)) for c in comps)
     common = None
     for name in TYPE_NAMES:
         if per and all(name in t.names() for t in per):
@@ -123,11 +120,10 @@ def has_only_periodic_points(sft):
     empty SFT rather than answering vacuously.
     """
     g = build_rauzy(sft)  # raises EmptyLanguage when empty
-    dg = g.graph
-    if any(dg.out_degree(v) != 1 or dg.in_degree(v) != 1 for v in dg.vertices):
+    if any(g.out_degree(v) != 1 or g.in_degree(v) != 1 for v in g.vertices):
         return PeriodicOnlyResult(False)
     period = 1
-    for comp in dg.sccs():
+    for comp in g.sccs():
         period = lcm(period, len(comp))
     return PeriodicOnlyResult(True, period)
 
@@ -139,7 +135,7 @@ def scc_product(components):
     product of strongly connected graphs may split; the result is returned as
     a plain Digraph (use ``sccs`` on it for the decomposition).
     """
-    graphs = [as_digraph(c) for c in components]
+    graphs = list(components)
     if not graphs:
         raise ValueError("need at least one component")
     for g in graphs:

@@ -58,7 +58,7 @@ def _emit(obj, path=None):
 def _scc_colors(graph):
     palette = ("lightblue", "lightgreen", "lightsalmon", "plum", "khaki", "lightgray")
     colors = {}
-    for i, comp in enumerate(graph.scc):
+    for i, comp in enumerate(graph.sccs()):
         for v in comp:
             colors[v] = palette[i % len(palette)]
     return colors
@@ -75,8 +75,8 @@ def _cmd_rauzy(args):
             "order": g.order,
             "vertices": ["".join(v) for v in g.vertices],
             "edges": [["".join(u), "".join(v), v[-1]] for (u, v) in sorted(g.edges)],
-            "scc": [["".join(v) for v in comp] for comp in g.scc],
-            "transient": ["".join(v) for v in g.transient],
+            "scc": [["".join(v) for v in comp] for comp in g.sccs()],
+            "transient": ["".join(v) for v in g.transient_vertices()],
         },
         args.out,
     )
@@ -217,7 +217,7 @@ def _cmd_entropy(args):
     if args.what == "2d":
         sft = Sft1D.load(args.h)
         constraint = _constraint_from_args(args, sft)
-        b = _entropy.entropy_bounds_2d(sft, constraint, args.bound, args.bound, args.budget)
+        b = _entropy.entropy_bounds_2d(sft, constraint, args.bound, args.budget)
         _emit(b.to_json(), args.out)
         return 0
     if args.what == "statesplit":

@@ -37,7 +37,6 @@ from .core import (
     Sft1D,
     WangTileSet,
     _bits,
-    as_digraph,
     build_rauzy,
     essential_states,
     label_words,
@@ -674,11 +673,10 @@ class HorizontalCompilation:
         }
 
 
-def _first_return_paths(g, s, want=2, cap=None):
+def _first_return_paths(g, s, want=2):
     """The ``want`` shortest first-return paths from s (not visiting s in
     between), in canonical order within a length."""
-    g = as_digraph(g)
-    walk = _return_paths(g.index.succ, g.index.rank[s], cap or 2 * len(g.vertices) + 2)
+    walk = _return_paths(g.index.succ, g.index.rank[s], 2 * len(g.vertices) + 2)
     return [tuple(g.vertices[i] for i in p) + (s,) for p in islice(walk, want)]
 
 
@@ -722,12 +720,11 @@ def compile_horizontal(H, tiles):
         tiles = WangTileSet(tuple(tiles))
     g = build_rauzy(H)
     # a vertex with two distinct return paths exists iff H is not periodic-only
-    dg = g.graph
-    if all(dg.out_degree(v) == 1 and dg.in_degree(v) == 1 for v in dg.vertices):
+    if all(g.out_degree(v) == 1 and g.in_degree(v) == 1 for v in g.vertices):
         raise OnlyPeriodicPoints("H has only periodic points; no segmentation vertex")
     s = None
     for v in g.vertices:
-        if dg.out_degree(v) >= 2 or dg.in_degree(v) >= 2:
+        if g.out_degree(v) >= 2 or g.in_degree(v) >= 2:
             paths = _first_return_paths(g, v, want=2)
             if len(paths) >= 2:
                 s = v

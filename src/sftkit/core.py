@@ -435,17 +435,12 @@ class GraphIndex:
         return tuple(tuple(vs[i] for i in comp) for comp in strong_components(self.succ))
 
 
-def as_digraph(graph):
-    """The Digraph of a RauzyGraph; any other graph is returned as it is."""
-    return graph.graph if isinstance(graph, RauzyGraph) else graph
-
-
 # ---------------------------------------------------------------------------
 # Rauzy graphs
 
 
 @dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(Digraph):
     """Graph of admissible M-words; edges are admissible (M+1)-words.
 
     Stranded vertices (in- or out-degree 0) have been removed to fixpoint, so
@@ -456,39 +451,19 @@ class RauzyGraph:
 
     sft: Sft1D
     order: int
-    graph: Digraph
 
     @property
-    def vertices(self):
-        return self.graph.vertices
-
-    @property
-    def edges(self):
-        return self.graph.edges
-
-    def has_edge(self, u, v):
-        return self.graph.has_edge(u, v)
-
-    def successors(self, u):
-        return self.graph.successors(u)
-
-    def predecessors(self, v):
-        return self.graph.predecessors(v)
-
-    @property
-    def scc(self):
-        return self.graph.sccs()
-
-    @property
-    def transient(self):
-        return self.graph.transient_vertices()
+    def graph(self):
+        """The graph itself: kept only because the benchmark scripts read
+        ``build_rauzy(h).graph``."""
+        return self
 
     def path_exists(self, start, word):
         """Follow ``word`` edge labels from ``start``; final vertex or None."""
         v = start
         for s in word:
             nxt = v[1:] + (s,)
-            if not self.graph.has_edge(v, nxt):
+            if not self.has_edge(v, nxt):
                 return None
             v = nxt
         return v
@@ -497,7 +472,7 @@ class RauzyGraph:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{"".join(v)}";')
-        for u, v in self.graph.ordered_edges():
+        for u, v in self.ordered_edges():
             lines.append(f'  "{"".join(u)}" -> "{"".join(v)}" [label="{v[-1]}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -598,6 +573,49 @@ def essential_states(succ):
     return [i for i in range(n) if not dead[i]]
 
 
+def shortest_cycle(succ):
+    """The lexicographically least shortest cycle of the successor lists
+    (each ascending) as its states, or [] when there is none.
+
+    No state below the first state of that cycle lies on a shortest cycle:
+    that cycle, rotated to start at its smallest state, would be smaller.
+    So the answer uses only the states from its first on.  Each essential
+    state ``first`` in turn runs a breadth-first search back to itself over
+    the essential states above it (Itai & Rodeh, SIAM J. Comput. 7, 1978),
+    which stops when its frontier is empty or at the length of the best
+    cycle so far.  A level lists its states in the order of their least
+    paths from ``first``, so its first state with an edge back closes the
+    least cycle of that length.
+    """
+    keep = essential_states(succ)
+    inside = [False] * len(succ)
+    for i in keep:
+        inside[i] = True
+    best = []
+    for first in keep:
+        inside[first] = False  # only the states above it from now on
+        parent = {first: None}
+        level = [first]  # the states at the distance of the loop count
+        for _ in range(len(best) - 1 if best else len(keep)):
+            last = next((u for u in level if first in succ[u]), None)
+            if last is not None:
+                best = [last]
+                while parent[best[-1]] is not None:
+                    best.append(parent[best[-1]])
+                best.reverse()
+                break
+            nxt = []
+            for u in level:
+                for v in succ[u]:
+                    if inside[v] and v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            if not nxt:
+                break
+            level = nxt
+    return best
+
+
 def strong_components(succ):
     """Strongly connected components of the graph with successor lists ``succ``.
 
@@ -689,7 +707,7 @@ def _build_rauzy(sft, m):
     edges = frozenset(
         (vertices[i], vertices[j]) for i in keep for j in succ[i] if j in alive
     )
-    return RauzyGraph(sft, m, Digraph(tuple(vertices[i] for i in keep), edges))
+    return RauzyGraph(tuple(vertices[i] for i in keep), edges, sft, m)
 
 
 def language_count(sft, n):
@@ -712,7 +730,7 @@ def language_count(sft, n):
                 seen.add(v[i : i + n])
         return len(seen)
     # each n-word is spelled by exactly one path of n-m edges
-    pred = g.graph.index.pred
+    pred = g.index.pred
     counts = [1] * len(pred)
     for _ in range(n - m):
         counts = [sum(counts[u] for u in row) for row in pred]
@@ -734,7 +752,7 @@ def word_in_language(sft, word):
             v[i : i + len(word)] == word for v in g.vertices for i in range(m - len(word) + 1)
         )
     start = word[:m]
-    if start not in g.graph.index.rank:
+    if start not in g.index.rank:
         return False
     return g.path_exists(start, word[m:]) is not None
 

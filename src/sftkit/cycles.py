@@ -28,7 +28,7 @@ from .core import (
     EmptyLanguage,
     NotStronglyConnected,
     SearchExhausted,
-    as_digraph,
+    shortest_cycle,
 )
 from .classify import check_condition_d
 
@@ -42,7 +42,6 @@ class Cycle:
     vertices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", as_digraph(self.graph))
         vs = tuple(self.vertices)
         if not vs:
             raise ValueError("empty cycle")
@@ -151,7 +150,7 @@ def uniform_shortcuts(c, graph=None):
     A single-vertex cycle has no shortcut: its only chord candidate is the
     cycle edge itself.
     """
-    g = as_digraph(graph) if graph is not None else c.graph
+    g = graph or c.graph
     n = len(c)
     if n == 1:
         return []
@@ -164,7 +163,7 @@ def uniform_shortcuts(c, graph=None):
 
 def cross_bridges(c1, c2, graph=None):
     """All (i, j) with crossed chords between the two cycles."""
-    g = as_digraph(graph) if graph is not None else c1.graph
+    g = graph or c1.graph
     out = []
     for i in range(len(c1)):
         for j in range(len(c2)):
@@ -184,7 +183,7 @@ def attract_repulse(c1, scope, graph=None):
     An attractor receives an edge from every vertex of C1; a repulsor sends
     an edge to every vertex of C1.
     """
-    g = as_digraph(graph) if graph is not None else c1.graph
+    g = graph or c1.graph
     body = set(c1)
     scope = g.in_order(set(scope))
     attractors = tuple(v for v in scope if all(g.has_edge(c, v) for c in body))
@@ -194,7 +193,7 @@ def attract_repulse(c1, scope, graph=None):
 
 def check_condition_c(c1, c2, graph=None):
     """Aggregate the five predicates for a candidate pair."""
-    g = as_digraph(graph) if graph is not None else c1.graph
+    g = graph or c1.graph
     gp = tuple(good_pairs(c1, c2))
     s1 = tuple(uniform_shortcuts(c1, g))
     s2 = tuple(uniform_shortcuts(c2, g))
@@ -333,18 +332,17 @@ def verify_pair_admissible(graph, c1, c2):
     """Independent oracle: condition C holds strictly, or the pair matches a
     documented exceptional pattern (exceptional 3-vertex subgraphs, the
     degree-one alignment, the two-bridge case, the five-position shape)."""
-    g = as_digraph(graph)
-    report = check_condition_c(c1, c2, g)
+    report = check_condition_c(c1, c2, graph)
     if report.passes:
         return True
     scope = set(c1) | set(c2)
     if len(scope) == 3:
-        m = _match_len3_triple(g, tuple(g.in_order(scope)))
+        m = _match_len3_triple(graph, tuple(graph.in_order(scope)))
         if m is not None:
             d1, d2, _ = m
             if _same_cycle(c1, d1) and _same_cycle(c2, d2):
                 return True
-    return _exemption(g, c1, c2, report) is not None
+    return _exemption(graph, c1, c2, report) is not None
 
 
 def _same_cycle(c, d):
@@ -403,25 +401,20 @@ def _return_paths(succ, s, max_len):
                 on_path[path.pop()] = False
 
 
-def _cycle_walks(g, max_len):
-    """For each vertex s, a walk over the simple cycles of length <= max_len
-    whose first vertex in canonical order is s: the return paths of s among
-    the vertices from s on."""
-    succ = g.index.succ
-    return [_return_paths([[v for v in row if v >= s] for row in succ], s, max_len) for s in range(len(succ))]
-
-
 def _simple_cycles_upto(g, max_len):
     """All simple cycles of length <= max_len, each starting at its first
-    vertex in canonical order; shortest first, then in canonical order."""
-    found = sorted(chain.from_iterable(_cycle_walks(g, max_len)), key=lambda c: (len(c), c))
+    vertex in canonical order; shortest first, then in canonical order.
+    The cycles first at s are the return paths of s among the vertices from
+    s on."""
+    succ = g.index.succ
+    walks = (_return_paths([[v for v in row if v >= s] for row in succ], s, max_len) for s in range(len(succ)))
+    found = sorted(chain.from_iterable(walks), key=lambda c: (len(c), c))
     return [tuple(g.vertices[i] for i in c) for c in found]
 
 
 def _min_simple_cycles(g):
-    """The shortest simple cycles; each walk stops at its first cycle."""
-    firsts = [next(walk, ()) for walk in _cycle_walks(g, len(g.vertices))]
-    return _simple_cycles_upto(g, min((len(c) for c in firsts if c), default=0))
+    """The shortest simple cycles, as ``_simple_cycles_upto`` lists them."""
+    return _simple_cycles_upto(g, len(shortest_cycle(g.index.succ)))
 
 
 def _rotate_to(vs, x):
@@ -443,22 +436,21 @@ def find_cycle_pair(graph):
     EmptyLanguage for a graph with no edge (it has no cycle), and
     SearchExhausted if no candidate is admissible.
     """
-    g = as_digraph(graph)
-    if not g.edges:
+    if not graph.edges:
         raise EmptyLanguage("the graph has no edge, so no cycle")
-    if not g.is_strongly_connected():
+    if not graph.is_strongly_connected():
         raise NotStronglyConnected("find_cycle_pair needs a strongly connected graph")
-    if check_condition_d(g).holds:
+    if check_condition_d(graph).holds:
         raise ConditionDHolds("the graph satisfies the decidability condition")
 
-    for c1, c2, tag in _candidates(g):
-        report = check_condition_c(c1, c2, g)
+    for c1, c2, tag in _candidates(graph):
+        report = check_condition_c(c1, c2, graph)
         if report.passes:
             exemption = None
         elif tag.startswith("len3-"):
             exemption = tag
         else:
-            exemption = _exemption(g, c1, c2, report)
+            exemption = _exemption(graph, c1, c2, report)
             if exemption is None:
                 continue
             if exemption == "case1.3-special":

@@ -18,7 +18,6 @@ from math import gcd, inf, lcm, log2, nextafter
 import numpy as np
 
 from .core import (
-    EmptyLanguage,
     NotStateSplit,
     NotTransitive,
     PlanInvalid,
@@ -179,7 +178,7 @@ def entropy_1d(H, tol=1e-10, max_iter=10**6):
     if not tol >= _TOL_MIN:
         raise ValueError(f"tol must be at least {_TOL_MIN:.3g} (four float epsilons)")
     g = build_rauzy(H)  # raises EmptyLanguage
-    val, bracket, iters = _digraph_spectral_radius(g.graph, tol, max_iter)
+    val, bracket, iters = _digraph_spectral_radius(g, tol, max_iter)
     return PerronResult(_log2(val), val, bracket, iters)
 
 
@@ -205,36 +204,25 @@ class EntropyBounds:
         }
 
 
-def entropy_bounds_2d(H, V, max_n, max_strip_h, budget=None):
-    """Square-count samples plus strip-eigenvalue upper bounds, each from the
-    upper end of the strip's certified spectral-radius bracket.  The strip
-    of height n that counts the n x n square also gives the bound at n."""
-    if max_n < 1 or max_strip_h < 1:
-        raise ValueError("budgets must be >= 1")
+def entropy_bounds_2d(H, V, bound, budget=None):
+    """Square-count samples plus strip-eigenvalue upper bounds for each
+    height h <= bound, each from the upper end of the strip's certified
+    spectral-radius bracket.  The strip of height n counts the n x n
+    square and gives the bound at n; the samples stop at the first zero
+    count."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     samples = []
     upper = inf
-    strips = {}  # height -> strip built for a sample, until its bound is taken
-    for n in range(1, max_n + 1):
-        try:
-            sa = StripAutomaton.build(H, V, n, budget)
-        except EmptyLanguage:
-            c = 0
-        else:
-            c = sa.count_width(n)
-            if n <= max_strip_h:
-                strips[n] = sa
-        if c == 0:
-            samples.append((n, -inf))
-            upper = -inf
-            break
-        v = log2(c) / (n * n)
-        samples.append((n, v))
-        upper = min(upper, v)
     strip = []
-    for h in range(1, max_strip_h + 1):
-        sa = strips.pop(h) if h in strips else StripAutomaton.build(H, V, h, budget)
-        hi = sa.spectral_radius()[1][1]
-        strip.append((h, _log2(hi) / h))
+    for n in range(1, bound + 1):
+        sa = StripAutomaton.build(H, V, n, budget)
+        if upper > -inf:
+            c = sa.count_width(n)
+            v = log2(c) / (n * n) if c else -inf
+            samples.append((n, v))
+            upper = min(upper, v)
+        strip.append((n, _log2(sa.spectral_radius()[1][1]) / n))
     return EntropyBounds(tuple(samples), upper, tuple(strip))
 
 
@@ -315,7 +303,7 @@ def entropy_words(H, k=1):
     if k < 1:
         raise ValueError("k must be >= 1")
     g = build_rauzy(H)
-    if len(g.scc) != 1:
+    if len(g.sccs()) != 1:
         raise NotTransitive("the Rauzy graph is not strongly connected")
     lo, hi = entropy_1d(H).bracket
     if hi <= 1.0:
@@ -324,7 +312,7 @@ def entropy_words(H, k=1):
         raise RuntimeError(f"the spectral radius bracket [{lo!r}, {hi!r}] does not decide positive entropy")
     s = None
     for v in g.vertices:
-        paths = _first_return_paths(g.graph, v, want=2)
+        paths = _first_return_paths(g, v, want=2)
         if len(paths) >= 2:
             s = v
             g1, g2 = _labels(paths[0]), _labels(paths[1])
@@ -429,7 +417,7 @@ class _RowAutomaton:
         self.order = g.order
         self.symbols = H.alphabet.symbols
         self.symbol_index = index = {a: i for i, a in enumerate(self.symbols)}
-        gi = g.graph.index
+        gi = g.index
         self.rank = gi.rank
         # _succ[v][a]: the vertex after symbol index a from vertex v, or -1
         self._succ = [[-1] * len(self.symbols) for _ in g.vertices]
@@ -818,13 +806,13 @@ def statesplit_entropy(H, V, n, budget=None):
     N(p*m, n) = sum_u (prod_j N_{u^j})^m exactly.
     """
     g = build_rauzy(H)
-    comps = g.scc
-    transient = set(g.transient)
+    comps = g.sccs()
+    transient = set(g.transient_vertices())
     if transient:
         raise NotStateSplit("transient vertices present")
     infos = []
     for comp in comps:
-        t = scc_types(g.graph.subgraph(comp))
+        t = scc_types(g.subgraph(comp))
         if not t.state_split:
             raise NotStateSplit("a component is not a state-split cycle")
         infos.append(t.state_split_partition)
@@ -882,5 +870,5 @@ def sft_with_loops(H):
     g = build_rauzy(H)
     if g.order != 1:
         raise ValueError("needs a nearest-neighbor SFT")
-    edges = {(a[0], b[0]) for (a, b) in g.graph.edges} | {(v[0], v[0]) for v in g.vertices}
+    edges = {(a[0], b[0]) for (a, b) in g.edges} | {(v[0], v[0]) for v in g.vertices}
     return sft_from_edges(H.alphabet.symbols, edges)

@@ -50,10 +50,10 @@ from .core import (
     Sft1D,
     _bits,
     build_rauzy,
-    essential_states,
     label_words,
     language_count,
     require_same_alphabet,
+    shortest_cycle,
 )
 from .classify import check_condition_d, has_only_periodic_points
 from .compiler import VerticalPresentation
@@ -89,7 +89,7 @@ def _global_words(sft, n):
         # prefix of a later one; the vertices are already in canonical order
         return list(dict.fromkeys(v[:n] for v in g.vertices))
     vs = g.vertices
-    out_edges = [[(vs[j][-1], j) for j in row] for row in g.graph.index.succ]
+    out_edges = [[(vs[j][-1], j) for j in row] for row in g.index.succ]
     return [v + w for i, v in enumerate(vs) for w in label_words(i, out_edges.__getitem__, n - m)]
 
 
@@ -154,7 +154,7 @@ class StripAutomaton:
         g = build_rauzy(H)
         m = g.order
         vs = g.vertices
-        succ = g.graph.index.succ
+        succ = g.index.succ
         # row words: the prefixes of Rauzy vertices, numbered after the
         # vertex ranks; step[x][s] is the row word after symbol s (a longer
         # prefix, or for a vertex the target of its s-edge)
@@ -618,42 +618,13 @@ def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=(
         strip = StripAutomaton.build(rows, columns, h, budget, cyclic=True)
     except EmptyLanguage:
         return None
-    walk = _shortest_cycle(strip.successors)
+    walk = shortest_cycle(strip.successors)
     if not walk:
         return None
     pat = read([strip.states[i][:h] for i in walk])
     if not validate_torus(H, constraint, pat, forbidden2d):
         raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
     return TorusWitness(pat.width, pat.height, pat)
-
-
-def _shortest_cycle(succ):
-    """A shortest cycle of the successor lists as its states, from the
-    smallest first state among the shortest, or [] when there is none: a
-    breadth-first search over the essential states from each back to itself,
-    which stops at the length of the best cycle so far."""
-    keep = essential_states(succ)
-    inside = set(keep)
-    best = []
-    for first in keep:
-        parent = {first: None}
-        level = [first]  # the states at the distance of the loop count
-        for _ in range(len(best) - 1 if best else len(keep)):
-            last = next((u for u in level if first in succ[u]), None)
-            if last is not None:
-                best = [last]
-                while parent[best[-1]] is not None:
-                    best.append(parent[best[-1]])
-                best.reverse()
-                break
-            nxt = []
-            for u in level:
-                for v in succ[u]:
-                    if v in inside and v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            level = nxt
-    return best
 
 
 def decide_with_certificate(H, constraint, budget=200000):

@@ -156,7 +156,7 @@ def test_05_compiler_roundtrip():
     tiles2 = free_tile_set(2)
     gram2 = build_grammar(CODING, pair, 2)
     pres2, _ = compile_wang(CODING, tiles2, pair)
-    edges = {(a[0], b[0]) for (a, b) in g.graph.edges}
+    edges = {(a[0], b[0]) for (a, b) in g.edges}
     rng = random.Random(1005)
     ok = True
     for _ in range(100):
@@ -207,7 +207,7 @@ def test_06_rigidity():
     arr = np.array([[sym_id[s] for s in w] for w in words], dtype=np.int8)
     g = build_rauzy(CODING)
     E = np.zeros((3, 3), dtype=bool)
-    for (a, b) in g.graph.edges:
+    for (a, b) in g.edges:
         E[sym_id[a[0]], sym_id[b[0]]] = True
     def full_slabs(offset, n_slabs):
         # indices of macro-slices fully contained in the window; the

@@ -100,7 +100,7 @@ class TestConditionD:
         v = check_condition_d(g)
         assert not v.holds
         # cross-check: no partition up to p = 3 exists either
-        assert not brute_state_split(g.graph)
+        assert not brute_state_split(g)
 
     def test_mixed_components_fail(self, graph_reflexive, graph_symmetric):
         # relabel the symmetric graph and join with a one-way bridge

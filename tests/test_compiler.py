@@ -80,7 +80,7 @@ class TestGrammar:
     def test_no_good_pair(self):
         g = sft_from_edges("ab", [("a", "b"), ("b", "a")])
         graph = build_rauzy(g)
-        c1 = Cycle(graph.graph, ((("a",)), (("b",))))
+        c1 = Cycle(graph, ((("a",)), (("b",))))
         with pytest.raises(NoGoodPair):
             build_grammar(g, CyclePair(c1, c1), 2)
 
@@ -172,7 +172,7 @@ class TestCompileWang:
         from sftkit.core import ConditionDHolds
 
         g = build_rauzy(golden)
-        c1 = Cycle(g.graph, ((("0",)), (("1",))))
+        c1 = Cycle(g, ((("0",)), (("1",))))
         with pytest.raises(ConditionDHolds):
             compile_wang(golden, free_tile_set(2), CyclePair(c1, c1))
 
@@ -236,7 +236,7 @@ class TestRoundTrip:
         enc = encode_pattern([[2]], grammar3, tiles)
         assert decode_pattern(enc, grammar3, tiles) == [[2]]
         # soundness: H-rows and V-columns
-        edges = {(a[0], b[0]) for (a, b) in build_rauzy(coding_sft).graph.edges}
+        edges = {(a[0], b[0]) for (a, b) in build_rauzy(coding_sft).edges}
         for j in range(enc.height):
             row = enc.row(j)
             assert all((row[i], row[i + 1]) in edges for i in range(len(row) - 1))
@@ -253,7 +253,7 @@ class TestRoundTrip:
         tiles = free_tile_set(2)
         gram = build_grammar(coding_sft, find_cycle_pair(build_rauzy(coding_sft))[0], 2)
         rng = random.Random(20240613)
-        edges = {(a[0], b[0]) for (a, b) in build_rauzy(coding_sft).graph.edges}
+        edges = {(a[0], b[0]) for (a, b) in build_rauzy(coding_sft).edges}
         pres, _ = compile_wang(coding_sft, tiles, find_cycle_pair(build_rauzy(coding_sft))[0])
         for _ in range(25):
             grid = [[rng.randint(1, 2) for _ in range(2)] for _ in range(3)]
@@ -451,8 +451,7 @@ class TestFirstReturnPaths:
         # RLL(1000, 1001): between two 1s lie 1000 or 1001 0s
         rll = Sft1D.from_words("01", "0" * 1002, *("1" + "0" * j + "1" for j in range(1000)))
         g = build_rauzy(rll)
-        dg = g.graph
-        v = next(v for v in dg.vertices if dg.out_degree(v) >= 2 or dg.in_degree(v) >= 2)
+        v = next(v for v in g.vertices if g.out_degree(v) >= 2 or g.in_degree(v) >= 2)
         t0 = time.perf_counter()
         paths = _first_return_paths(g, v, want=2)
         assert time.perf_counter() - t0 < 2.0

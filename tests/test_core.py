@@ -67,21 +67,35 @@ class TestRauzy:
         sft = Sft1D.from_words("0123", "10", "20", "21", "11", "30", "31", "32", "33")
         g = build_rauzy(sft)
         assert [v[0] for v in g.vertices] == ["0", "1", "2"]
-        assert g.graph.sccs() == ((("0",),), (("1",),), (("2",),))
-        assert g.graph.transient_vertices() == (("1",),)
+        assert g.sccs() == ((("0",),), (("1",),), (("2",),))
+        assert g.transient_vertices() == (("1",),)
 
     def test_paper_example_literal_forbidden_set(self):
         # with the forbidden set as printed (no 20), 1 -> 2 -> 0 -> 1 closes a
         # cycle, so there is a single component and no transient vertex
         sft = Sft1D.from_words("0123", "10", "21", "11", "30", "31", "32", "33")
-        g = build_rauzy(sft).graph
+        g = build_rauzy(sft)
         assert len(g.sccs()) == 1 and g.transient_vertices() == ()
 
     def test_full_shift_order1(self, full2):
         g = build_rauzy(full2, order=1)
         assert len(g.vertices) == 2
         assert len(g.edges) == 4
-        assert len(g.scc) == 1
+        assert len(g.sccs()) == 1
+
+    def test_is_a_digraph(self, golden):
+        # a Rauzy graph answers the Digraph queries itself
+        alt011 = Sft1D.from_words("01", "00", "010", "111")
+        corrected = Sft1D.from_words("0123", "10", "20", "21", "11", "30", "31", "32", "33")
+        want = {
+            golden: (((("0",), ("1",)),), ()),
+            alt011: (((("0", "1"), ("1", "0"), ("1", "1")),), ()),
+            corrected: (((("0",),), (("1",),), (("2",),)), (("1",),)),
+        }
+        for sft, (sccs, transient) in want.items():
+            g = build_rauzy(sft)
+            assert isinstance(g, Digraph) and g.graph is g
+            assert g.sccs() == sccs and g.transient_vertices() == transient
 
     def test_golden_mean(self, golden):
         g = build_rauzy(golden)
@@ -125,7 +139,7 @@ class TestRauzy:
             m = graph.order
             if n <= m:
                 return len({v[i : i + n] for v in graph.vertices for i in range(m - n + 1)})
-            pred = graph.graph.index.pred
+            pred = graph.index.pred
             counts = [1] * len(pred)
             for _ in range(n - m):
                 counts = [sum(counts[u] for u in row) for row in pred]
@@ -211,7 +225,7 @@ class TestRecode:
 
 class TestScc:
     def test_three_cycle(self):
-        g = build_rauzy(sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")])).graph
+        g = build_rauzy(sft_from_edges("xyz", [("x", "y"), ("y", "z"), ("z", "x")]))
         assert len(g.sccs()) == 1 and g.transient_vertices() == ()
 
     def test_two_loops_one_way(self):

@@ -9,6 +9,7 @@ from sftkit.classify import check_condition_d
 from sftkit.compiler import SliceGrammar, compile_wang
 from sftkit.cycles import (
     Cycle,
+    _min_simple_cycles,
     check_condition_c,
     cross_bridges,
     attract_repulse,
@@ -199,6 +200,28 @@ def random_non_decidable_graphs(seed, count, nmax=6):
         if g.is_strongly_connected() and not check_condition_d(g).holds:
             out.append(g)
     return out
+
+
+class TestMinSimpleCycles:
+    def test_matches_brute_force(self):
+        # every simple cycle of the least length, rotated to its first vertex
+        # in the graph's vertex order, sorted by the ranks of its vertices;
+        # most graphs have no loop, so that the least length is often above 1
+        rng = random.Random(23)
+        for _ in range(400):
+            names = rng.sample("abcdefg", rng.randint(1, 5))
+            loops, p = rng.random() < 0.2, rng.uniform(0.3, 0.7)
+            edges = frozenset((u, v) for u in names for v in names if (loops or u != v) and rng.random() < p)
+            rank = {v: i for i, v in enumerate(names)}
+            simple = [
+                c
+                for k in range(1, len(names) + 1)
+                for c in permutations(names, k)
+                if rank[c[0]] == min(map(rank.get, c)) and all((c[i], c[(i + 1) % k]) in edges for i in range(k))
+            ]
+            girth = min(map(len, simple), default=0)
+            want = sorted((c for c in simple if len(c) == girth), key=lambda c: [rank[v] for v in c])
+            assert _min_simple_cycles(Digraph(tuple(names), edges)) == want, (names, sorted(edges))
 
 
 class TestAdmissibilityOracle:

@@ -177,19 +177,19 @@ class TestEntropy1D:
 
 class TestBounds2D:
     def test_full_times_full(self, full2):
-        b = entropy_bounds_2d(full2, full2, 4, 3)
+        b = entropy_bounds_2d(full2, full2, 4)
         assert all(v == pytest.approx(1.0) for _, v in b.samples)
         assert b.upper == pytest.approx(1.0)
 
     def test_full_shift_column_trend(self, full2, golden):
-        b = entropy_bounds_2d(full2, golden, 5, 3)
+        b = entropy_bounds_2d(full2, golden, 5)
         from sftkit.core import language_count
 
         for n, v in b.samples:
             assert v == pytest.approx(log2(language_count(golden, n)) / n)
 
     def test_hard_square_bounds(self, golden):
-        b = entropy_bounds_2d(golden, golden, 6, 6)
+        b = entropy_bounds_2d(golden, golden, 6)
         # the eigenvalue bounds decrease and stay above the true entropy
         uppers = [v for _, v in b.strip_upper]
         assert all(uppers[i] >= uppers[i + 1] for i in range(len(uppers) - 1))
@@ -203,7 +203,7 @@ class TestBounds2D:
     def test_strip_uppers_dominate_samples_limit(self, golden):
         # both sequences bound the true entropy from above; at finite sizes
         # they are only consistent up to a small tolerance
-        b = entropy_bounds_2d(golden, golden, 5, 5)
+        b = entropy_bounds_2d(golden, golden, 5)
         assert all(v >= b.upper - 0.03 for _, v in b.strip_upper)
 
 
@@ -550,7 +550,7 @@ class TestStateSplit:
         ss = sft_from_edges("ab", [("a", "b"), ("b", "a")])
         V = full_shift("ab")
         terms = [statesplit_entropy(ss, V, n)["term"] for n in (1, 2, 3)]
-        b = entropy_bounds_2d(ss, V, 4, 4)
+        b = entropy_bounds_2d(ss, V, 4)
         assert all(t <= b.strip_upper[-1][1] + 1e-9 for t in terms)
 
     def test_two_symbol_classes_term_trend(self):
@@ -563,7 +563,7 @@ class TestStateSplit:
         V = Sft1D.from_words("abcd", "ac", "ca", "bdb")
         terms = [statesplit_entropy(H, V, n)["term"] for n in range(1, 6)]
         assert all(terms[i] <= terms[i + 1] + 1e-9 for i in range(len(terms) - 1))
-        b = entropy_bounds_2d(H, V, 4, 4)
+        b = entropy_bounds_2d(H, V, 4)
         assert all(t <= b.strip_upper[-1][1] + 1e-9 for t in terms)
         for n in range(1, 4):
             rep = statesplit_entropy(H, V, n)

@@ -24,6 +24,7 @@ from sftkit.core import (
     language_count,
     free_tile_set,
     sft_from_edges,
+    shortest_cycle,
     word_in_language,
 )
 from sftkit.classify import check_condition_d, scc_types
@@ -32,7 +33,6 @@ from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     _row_layers,
-    _shortest_cycle,
     count_rectangles,
     decide_with_certificate,
     find_torus,
@@ -532,7 +532,7 @@ class TestRowLayersDifferential:
         # a state lists its cells column by column, so row r is state[r::h]
         windows = [tuple(rank[state[r::h]] for r in range(h)) for state in strip.states]
         grid = np.array(windows, dtype=np.intp)
-        succ = g.graph.index.succ
+        succ = g.index.succ
         want = list_row_layers(windows, succ, h, inf)
         got = _row_layers(grid, succ, inf)
         assert [(size, len(src)) for src, _, size in got] == [(size, len(src)) for src, _, size in want]
@@ -842,7 +842,7 @@ class TestShortestCycle:
             for walk in product(range(n), repeat=w)
             if all(walk[(i + 1) % w] in succ[walk[i]] for i in range(w))
         ]
-        cycle = _shortest_cycle(succ)
+        cycle = shortest_cycle(succ)
         if not closed:
             assert cycle == []
             return
@@ -1125,7 +1125,7 @@ def eager_block_graph(H, constraint, cycles):
         elif kind == "symmetric":
             width = 2
         else:
-            width = lcm(*(len(scc_types(g.graph.subgraph(c)).state_split_partition) for c in g.scc))
+            width = lcm(*(len(scc_types(g.subgraph(c)).state_split_partition) for c in g.sccs()))
         mv = max(map(len, constraint.forbidden))
         patterns = ()
     else:
