@@ -458,15 +458,28 @@ class RauzyGraph(Digraph):
         ``build_rauzy(h).graph``."""
         return self
 
-    def path_exists(self, start, word):
-        """Follow ``word`` edge labels from ``start``; final vertex or None."""
-        v = start
-        for s in word:
-            nxt = v[1:] + (s,)
-            if not self.has_edge(v, nxt):
-                return None
-            v = nxt
-        return v
+    @cached_property
+    def word_automaton(self):
+        """The language read one symbol at a time, as (step, root).
+
+        Nodes 0..|V|-1 are the vertices by rank; after them come the proper
+        prefixes of vertices, ``root`` (the empty word) first.  ``step[x]``
+        maps each symbol that may follow node x, in alphabet order, to the
+        next node: a longer prefix, or from a vertex the target of its edge.
+        So the walks from ``root`` spell exactly the globally admissible
+        words, each once.  Every reader shares the one table and must not
+        change it.
+        """
+        vs, m = self.vertices, self.order
+        ids = dict(self.index.rank)
+        for v in vs:
+            for k in range(m):
+                ids.setdefault(v[:k], len(ids))
+        step = [{vs[j][-1]: j for j in row} for row in self.index.succ] + [{} for _ in range(len(ids) - len(vs))]
+        for v in vs:
+            for k in range(m):
+                step[ids[v[:k]]][v[k]] = ids[v[: k + 1]]
+        return step, ids[()]
 
     def to_dot(self, name="rauzy"):
         lines = [f"digraph {name} {{"]
@@ -511,6 +524,28 @@ def _locally_admissible_words(sft, n):
     # each row lists its symbols in alphabet order
     live = [[(s, q) for s, q in row.items() if q >= 0] for row in sft._factor_automaton]
     return label_words(0, live.__getitem__, n)
+
+
+def _global_words(sft, n):
+    """All globally admissible n-words in canonical order: a depth-first
+    walk of the word automaton from its root."""
+    try:
+        step, root = build_rauzy(sft).word_automaton
+    except EmptyLanguage:
+        return []
+    # per-node lists, not a function per node: the walk calls this per step
+    out_edges = [list(row.items()) for row in step]
+    return label_words(root, out_edges.__getitem__, n)
+
+
+def _follow(step, x, word):
+    """The node of the word automaton ``step`` reached from node x along
+    ``word``, or -1 when ``word`` leaves the language."""
+    for s in word:
+        x = step[x].get(s, -1)
+        if x < 0:
+            break
+    return x
 
 
 # maps the binary digits of ``bin`` to the bytes 0 and 1
@@ -724,11 +759,7 @@ def language_count(sft, n):
         return 0
     m = g.order
     if n <= m:
-        seen = set()
-        for v in g.vertices:
-            for i in range(m - n + 1):
-                seen.add(v[i : i + n])
-        return len(seen)
+        return len(_global_words(sft, n))
     # each n-word is spelled by exactly one path of n-m edges
     pred = g.index.pred
     counts = [1] * len(pred)
@@ -738,23 +769,14 @@ def language_count(sft, n):
 
 
 def word_in_language(sft, word):
-    """True iff ``word`` occurs in some configuration (global admissibility)."""
-    word = tuple(word)
-    if not word:
-        return True
+    """True iff ``word`` occurs in some configuration (global admissibility).
+
+    The empty word occurs exactly when the SFT is not empty."""
     try:
-        g = build_rauzy(sft)
+        step, root = build_rauzy(sft).word_automaton
     except EmptyLanguage:
         return False
-    m = g.order
-    if len(word) <= m:
-        return any(
-            v[i : i + len(word)] == word for v in g.vertices for i in range(m - len(word) + 1)
-        )
-    start = word[:m]
-    if start not in g.index.rank:
-        return False
-    return g.path_exists(start, word[m:]) is not None
+    return _follow(step, root, word) >= 0
 
 
 def higher_block_recode(sft):

@@ -18,7 +18,7 @@ vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, permutations
 from math import lcm
 
@@ -36,9 +36,10 @@ from .classify import check_condition_d
 @dataclass(frozen=True)
 class Cycle:
     """Cycle of a digraph: a vertex sequence whose consecutive pairs (with
-    wraparound) are all edges.  Vertices may repeat."""
+    wraparound) are all edges.  Vertices may repeat.  Equality, hashing and
+    repr see only the vertices, not the graph."""
 
-    graph: Digraph
+    graph: Digraph = field(compare=False, repr=False)
     vertices: tuple
 
     def __post_init__(self):

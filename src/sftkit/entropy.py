@@ -24,6 +24,8 @@ from .core import (
     Sft1D,
     WangTileSet,
     ZeroEntropy,
+    _follow,
+    _global_words,
     build_rauzy,
     sft_from_edges,
     strong_components,
@@ -31,7 +33,7 @@ from .core import (
 )
 from .classify import scc_types
 from .compiler import _first_return_paths, _labels
-from .solve import _global_words, count_rectangles, StripAutomaton
+from .solve import count_rectangles, StripAutomaton
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def _check_word_properties(H, u, w1, w2, blocks=4):
 
 def ntilde_count(H, u, w1, n):
     """Exact count of n-words v with u not a factor of v and w1+v+u in the
-    language."""
+    language; w1 may be any word, the empty word too."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _ntilde(_RowAutomaton(H, u), w1, n)
@@ -358,15 +360,11 @@ def ntilde_count(H, u, w1, n):
 
 def _ntilde(rows, w1, n):
     """``ntilde_count`` on the row automaton of (H, u)."""
-    m = rows.order
-    if len(w1) < m:
-        raise ValueError("w1 shorter than the order")
-    # the first m symbols of w1 fix the start vertex when w1 is admissible
-    v0 = rows.follow(rows.rank.get(tuple(w1[:m]), -1), w1[m:])
-    if v0 < 0:
+    x0 = _follow(rows.step, rows.root, w1)
+    if x0 < 0:
         return 0
     delta, marked = rows.delta, rows.marked
-    cur = {rows.state(v0, 0): 1}
+    cur = {rows.state(x0, 0): 1}
     for _ in range(n):
         nxt = {}
         for s, cnt in cur.items():
@@ -374,7 +372,7 @@ def _ntilde(rows, w1, n):
                 if t >= 0 and not marked[t]:
                     nxt[t] = nxt.get(t, 0) + cnt
         cur = nxt
-    return sum(cnt for s, cnt in cur.items() if rows.follow(rows.vertex[s], rows.u) >= 0)
+    return sum(cnt for s, cnt in cur.items() if _follow(rows.step, rows.node[s], rows.u) >= 0)
 
 
 def _kmp_table(u, symbols):
@@ -399,50 +397,38 @@ def _kmp_table(u, symbols):
 class _RowAutomaton:
     """The rows of H read one symbol at a time, with the marker u tracked.
 
-    The product of H's pruned Rauzy graph (order m) and the KMP automaton of
-    u, on integer states numbered as they are first reached.  State 0 has
-    read nothing; the states of the first m - 1 symbols hold proper prefixes
-    of Rauzy vertices, and every later state is a pair (vertex, j), j the
-    length of the longest suffix of the row that is a prefix of u.  A state
-    with j = |u| has just completed u and is ``marked``.  ``delta[s][a]`` is
-    the state after the symbol of index a, or -1 when the row leaves the
-    language; ``vertex[s]`` is the vertex rank of s (-1 for a prefix), and
+    The product of H's word automaton (``RauzyGraph.word_automaton``, whose
+    nodes are the Rauzy vertices and their proper prefixes) and the KMP
+    automaton of u, on integer states numbered as they are first reached.
+    A state is a pair (node, j), j the length of the longest suffix of the
+    row that is a prefix of u; state 0 is (root, 0), the row that has read
+    nothing.  A state with j = |u| has just completed u and is ``marked``.
+    ``delta[s][a]`` is the state after the symbol of index a, or -1 when
+    the row leaves the language; ``node[s]`` is the node of s, and
     ``symbol_index`` maps each symbol to its index.  Only the states
     reachable from 0 and from those asked of ``state`` are built.
     """
 
     def __init__(self, H, u):
-        g = build_rauzy(H)  # raises EmptyLanguage
+        self.step, self.root = build_rauzy(H).word_automaton  # raises EmptyLanguage
         self.u = tuple(u)
-        self.order = g.order
         self.symbols = H.alphabet.symbols
-        self.symbol_index = index = {a: i for i, a in enumerate(self.symbols)}
-        gi = g.index
-        self.rank = gi.rank
-        # _succ[v][a]: the vertex after symbol index a from vertex v, or -1
-        self._succ = [[-1] * len(self.symbols) for _ in g.vertices]
-        for v, row in enumerate(gi.succ):
-            for w in row:
-                self._succ[v][index[g.vertices[w][-1]]] = w
-        self._prefixes = {v[:j] for v in g.vertices for j in range(g.order)}
+        self.symbol_index = {a: i for i, a in enumerate(self.symbols)}
         self._kmp = _kmp_table(self.u, self.symbols)
-        self.delta, self.marked, self.vertex = [], [], []
+        self.delta, self.marked, self.node = [], [], []
         self._keys, self._ids, self._todo = [], {}, []
-        self._intern(((), 0))
-        self._close()
+        self.state(self.root, 0)
 
-    def follow(self, v, word):
-        """The vertex reached from vertex rank v along ``word``, or -1."""
-        for x in word:
-            if v < 0 or x not in self.symbol_index:
-                return -1
-            v = self._succ[v][self.symbol_index[x]]
-        return v
-
-    def state(self, v, j):
-        """The state (vertex rank v, marker progress j)."""
-        s = self._intern((v, j))
-        self._close()
+    def state(self, x, j):
+        """The state (node x, marker progress j)."""
+        s = self._intern((x, j))
+        while self._todo:  # build the states reached from it
+            t = self._todo.pop()
+            y, k = self._keys[t]
+            row = self.delta[t] = [-1] * len(self.symbols)
+            for sym, z in self.step[y].items():
+                a = self.symbol_index[sym]
+                row[a] = self._intern((z, self._kmp[k][a]))
         return s
 
     def _intern(self, key):
@@ -452,25 +438,9 @@ class _RowAutomaton:
             self._keys.append(key)
             self.delta.append(None)
             self.marked.append(key[1] == len(self.u))
-            self.vertex.append(key[0] if isinstance(key[0], int) else -1)
+            self.node.append(key[0])
             self._todo.append(s)
         return s
-
-    def _close(self):
-        m, kmp = self.order, self._kmp
-        while self._todo:
-            s = self._todo.pop()
-            head, j = self._keys[s]
-            row = []
-            for a, x in enumerate(self.symbols):
-                if isinstance(head, int):  # a vertex
-                    w = self._succ[head][a]
-                elif len(head) + 1 < m:  # a prefix of one
-                    w = head + (x,) if head + (x,) in self._prefixes else -1
-                else:
-                    w = self.rank.get(head + (x,), -1)
-                row.append(-1 if w == -1 else self._intern((w, kmp[j][a])))
-            self.delta[s] = row
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ from .core import (
     PreconditionUnmet,
     Sft1D,
     _bits,
+    _global_words,
     build_rauzy,
-    label_words,
     language_count,
     require_same_alphabet,
     shortest_cycle,
@@ -76,23 +76,6 @@ def _columns_for(constraint, h, alphabet, budget=None):
     raise TypeError(f"unsupported column constraint {constraint!r}")
 
 
-def _global_words(sft, n):
-    """All globally admissible n-words in canonical alphabet order, via
-    pruned Rauzy paths."""
-    try:
-        g = build_rauzy(sft)
-    except EmptyLanguage:
-        return []
-    m = g.order
-    if n <= m:
-        # every pruned vertex has a successor, so a factor of a vertex is a
-        # prefix of a later one; the vertices are already in canonical order
-        return list(dict.fromkeys(v[:n] for v in g.vertices))
-    vs = g.vertices
-    out_edges = [[(vs[j][-1], j) for j in row] for row in g.index.succ]
-    return [v + w for i, v in enumerate(vs) for w in label_words(i, out_edges.__getitem__, n - m)]
-
-
 # ---------------------------------------------------------------------------
 # strip automaton and exact counting
 
@@ -106,7 +89,8 @@ class StripAutomaton:
     (for m = 1, the column itself).  A transition appends a column that moves
     every row along a Rauzy edge and drops the window's first column.
     ``narrow[k - 1]`` is the number of k-column windows for k < m: windows
-    whose every row is a prefix of a vertex.
+    whose every row is a prefix of a vertex.  The build follows each row
+    through H's ``word_automaton``, whose nodes are these row words.
 
     With ``cyclic=True`` only the columns ``_cyclic_ok`` accepts are kept
     (a cylinder strip).  Then a closed walk of w edges is exactly a
@@ -153,20 +137,10 @@ class StripAutomaton:
             raise ValueError("h must be >= 1")
         g = build_rauzy(H)
         m = g.order
-        vs = g.vertices
-        succ = g.index.succ
-        # row words: the prefixes of Rauzy vertices, numbered after the
-        # vertex ranks; step[x][s] is the row word after symbol s (a longer
-        # prefix, or for a vertex the target of its s-edge)
-        ids = {v: i for i, v in enumerate(vs)}
-        for v in vs:
-            for k in range(m):
-                ids.setdefault(v[:k], len(ids))
-        step = [{vs[j][-1]: j for j in row} for row in succ] + [{} for _ in range(len(ids) - len(vs))]
-        for v in vs:
-            for k in range(m):
-                step[ids[v[:k]]][v[k]] = ids[v[: k + 1]]
-        root = ids[()]
+        # row words are the nodes of H's word automaton: the Rauzy vertices
+        # by rank, then the prefixes of vertices; step[x][s] is the row word
+        # after symbol s
+        step, root = g.word_automaton
         cols = _columns_for(constraint, h, H.alphabet.symbols, budget)
         if budget is not None and len(cols) > budget:
             raise BudgetExceeded(f"{len(cols)} columns exceed the budget")
@@ -228,7 +202,7 @@ class StripAutomaton:
         least = sum(map(bool, masks)) + sum(mask.bit_count() for mask in ends.values())
         cap = transitions if budget is None else min(transitions, budget - stored + 1)
         if transitions > least:
-            layers = _row_layers(np.array([rows for _, rows in windows], dtype=np.intp), succ, cap)
+            layers = _row_layers(np.array([rows for _, rows in windows], dtype=np.intp), g.index.succ, cap)
             if layers is not None:
                 return cls(h, states, tuple(narrow), layers, transitions, code)
         _charge(budget, stored + transitions)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,47 @@ def numpy_radius(succ):
             done[comp] = True
             rho = max(rho, float(max(abs(np.linalg.eigvals(a[np.ix_(comp, comp)])))))
     return rho
+
+
+def brute_words(sft, n):
+    """Independent oracle: n-words extendable far enough on both sides.
+
+    Each word is tried after every left context of ``order`` symbols, and
+    only then extended on each side: a forbidden word of at most order + 1
+    symbols cannot meet both extensions past that context, but it can meet
+    both sides of a shorter word.  More steps than there are order-words
+    repeat a window, so a word that goes that far goes on for ever.
+    """
+    m = sft.order
+    pad = len(sft.alphabet) ** m + n
+
+    def extends(word, budget):
+        if budget == 0:
+            return True
+        return any(
+            extends(word + (a,), budget - 1)
+            for a in sft.alphabet
+            if sft.word_locally_admissible(word[-(m + 1) :] + (a,))
+        )
+
+    def extends_left(word, budget):
+        if budget == 0:
+            return True
+        return any(
+            extends_left((a,) + word, budget - 1)
+            for a in sft.alphabet
+            if sft.word_locally_admissible((a,) + word[: m + 1])
+        )
+
+    symbols = sft.alphabet.symbols
+    return {
+        w
+        for w in product(symbols, repeat=n)
+        if any(
+            sft.word_locally_admissible(x + w) and extends(x + w, pad) and extends_left(x + w, pad)
+            for x in product(symbols, repeat=m)
+        )
+    }
 
 
 def closed_walk_count(succ, w):

@@ -14,6 +14,7 @@ from sftkit.core import (
     WangTile,
     WangTileSet,
     _bits,
+    _global_words,
     _locally_admissible_words,
     build_rauzy,
     essential_states,
@@ -25,38 +26,7 @@ from sftkit.core import (
     word_in_language,
 )
 
-from conftest import block_cells
-
-
-def brute_words(sft, n):
-    """Independent oracle: n-words extendable far enough on both sides."""
-    pad = 3 * (sft.order + 1) + n
-
-    def extends(word, budget):
-        if budget == 0:
-            return True
-        return any(
-            extends(word + (a,), budget - 1)
-            for a in sft.alphabet
-            if sft.word_locally_admissible(word[-(sft.order + 1) :] + (a,))
-        )
-
-    def extends_left(word, budget):
-        if budget == 0:
-            return True
-        return any(
-            extends_left((a,) + word, budget - 1)
-            for a in sft.alphabet
-            if sft.word_locally_admissible((a,) + word[: sft.order + 1])
-        )
-
-    out = set()
-    from itertools import product
-
-    for w in product(sft.alphabet.symbols, repeat=n):
-        if sft.word_locally_admissible(w) and extends(w, pad) and extends_left(w, pad):
-            out.add(w)
-    return out
+from conftest import block_cells, brute_words
 
 
 class TestRauzy:
@@ -126,6 +96,18 @@ class TestRauzy:
                 build_rauzy(empty)
         assert language_count(empty, 3) == 0 and builds == [2, 3, 2, 1]
 
+    def test_word_automaton_nodes(self, golden):
+        # vertices by rank, then the proper prefixes of vertices
+        sft = Sft1D.from_words("01", "111")
+        g = build_rauzy(sft)
+        step, root = g.word_automaton
+        assert g.word_automaton is g.word_automaton
+        assert len(step) == len(g.vertices) + 3 and root == len(g.vertices)
+        assert step[root] == {"0": root + 1, "1": root + 2}
+        assert step[g.index.rank[("1", "1")]] == {"0": g.index.rank[("1", "0")]}
+        step, root = build_rauzy(golden).word_automaton
+        assert step == [{"0": 0, "1": 1}, {"0": 0}, {"0": 0, "1": 1}] and root == 2
+
     def test_edge_labels_are_target_suffix(self, golden):
         # an edge u -> v is the word u + v[-1], so u and v overlap
         g = build_rauzy(golden, order=3)
@@ -152,6 +134,19 @@ class TestRauzy:
                 assert count_on(g_hi, n) == language_count(sft, n)
 
 
+def random_sfts(seed, count):
+    """The empty SFT, then ``count`` seeded random SFTs of orders 1-3 in
+    turn, over alphabets whose canonical order is not always sorted."""
+    rng = random.Random(seed)
+    sfts = [Sft1D.from_words("0", "0")]
+    for i in range(count):
+        alphabet, order = rng.choice(["01", "abc", "cab"]), i % 3 + 1
+        words = {"".join(rng.choices(alphabet, k=order + 1))}
+        words |= {"".join(rng.choices(alphabet, k=rng.randint(1, order + 1))) for _ in range(rng.randrange(4))}
+        sfts.append(Sft1D.from_words(alphabet, *words))
+    return sfts
+
+
 class TestCounting:
     def test_full_shift(self, full2):
         assert language_count(full2, 4) == 16
@@ -166,9 +161,19 @@ class TestCounting:
                 assert language_count(sft, n + 1) <= len(sft.alphabet) * language_count(sft, n)
 
     def test_against_brute_force(self, golden, coding_sft):
-        for sft in (golden, coding_sft, Sft1D.from_words("01", "111")):
-            for n in range(1, 6):
-                assert language_count(sft, n) == len(brute_words(sft, n))
+        # _global_words, language_count and word_in_language all walk the
+        # word automaton, below and above the order alike
+        for sft in [golden, coding_sft, Sft1D.from_words("01", "111")] + random_sfts(24, 60):
+            rank = {s: i for i, s in enumerate(sft.alphabet.symbols)}
+            for n in range(max(6, sft.order + 4)):
+                brute = brute_words(sft, n)
+                words = _global_words(sft, n)
+                assert words == sorted(brute, key=lambda w: [rank[s] for s in w]), (sft, n)
+                if n:
+                    assert language_count(sft, n) == len(words), (sft, n)
+                    assert not word_in_language(sft, ("?",) * n)  # not a symbol
+                for w in product(sft.alphabet.symbols, repeat=n):
+                    assert word_in_language(sft, w) == (w in brute), (sft, w)
 
     def test_empty_sft_counts_zero(self):
         assert language_count(Sft1D.from_words("0", "0"), 3) == 0

@@ -156,6 +156,18 @@ class TestFindCyclePair:
         assert report.case_tag == "1.1"
         assert report.admissible
 
+    def test_cycle_is_its_vertices(self, coding_sft):
+        # a cycle over the Rauzy graph equals the same cycle over an equal
+        # plain Digraph: the graph is not part of the value
+        g = build_rauzy(coding_sft)
+        plain = Digraph(g.vertices, g.edges)
+        pair, _ = find_cycle_pair(g)
+        for c in (pair.c1, pair.c2):
+            same = Cycle(plain, c.vertices)
+            assert type(c.graph) is not type(same.graph)
+            assert same == c and hash(same) == hash(c) and repr(same) == repr(c)
+            assert c.rotated(1) != c or len(c) == 1
+
     def test_case33_exemplar_strict(self, exemplars):
         g = exemplars["3.3"]
         pair, report = find_cycle_pair(g)

@@ -45,7 +45,7 @@ from sftkit.entropy import (
     statesplit_entropy,
 )
 
-from conftest import numpy_radius
+from conftest import brute_words, numpy_radius
 
 GOLDEN_ENTROPY = log2((1 + 5 ** 0.5) / 2)
 
@@ -318,6 +318,35 @@ class TestNtilde:
             if v != u and golden.word_locally_admissible(w1 + v + u):
                 brute += 1
         assert ntilde_count(golden, u, w1, alpha) == brute
+
+    def test_short_w1_brute(self):
+        # w1 shorter than the order, the empty word too: the row automaton
+        # reads w1 from the root of the word automaton
+        sfts = (
+            Sft1D.from_words("01", "111"),
+            Sft1D.from_words("01", "0010", "101", "11"),  # the word 1 is stranded
+            Sft1D.from_words("abc", "aa", "bcb", "cab", "ccc"),
+            Sft1D.from_words("ab", "abab", "bbb"),
+        )
+        cases = 0
+        for H in sfts:
+            symbols = H.alphabet.symbols
+            language = {}  # length -> the brute-force words of that length
+            for u in [w for k in (1, 2, 3) for w in product(symbols, repeat=k)][:10]:
+                for w1 in [w for k in range(H.order) for w in product(symbols, repeat=k)]:
+                    for n in (1, 2, 3):
+                        size = len(w1) + n + len(u)
+                        if size not in language:
+                            language[size] = brute_words(H, size)
+                        brute = sum(
+                            1
+                            for v in product(symbols, repeat=n)
+                            if w1 + v + u in language[size]
+                            and not any(v[i : i + len(u)] == u for i in range(n - len(u) + 1))
+                        )
+                        assert ntilde_count(H, u, w1, n) == brute, (H, u, w1, n)
+                        cases += 1
+        assert cases == 3 * 10 * (3 + 7 + 4 + 7)
 
     def test_convergence_to_hu(self, golden):
         u, w1, _, alpha = entropy_words(golden, k=1)
