@@ -65,6 +65,9 @@ class SliceGrammar:
     M = lcm(|C1|, |C2|) is the number of column phases (and the horizontal
     root period); K = 2|C1| + |C2| + 3 counts the meso-slices of a
     macro-slice; heights are micro = N, meso = M*N, macro = K*M*N.
+    The macro-slice words are built once per phase: ``macro_word`` reads
+    them, and ``slice_table`` maps each to its code for ``parse_column``.  A
+    one-tile grammar (N = 1) codes nothing, and all three raise ValueError.
     """
 
     H: Sft1D
@@ -144,6 +147,8 @@ class SliceGrammar:
         coding micro-slice the C2 symbol ``c2``, which there codes ``value``
         for ``register`` ("k" or "l").  A fixed cell is (symbol, None, None, 0).
         """
+        if self.anchor is None:
+            raise ValueError("a one-tile grammar codes nothing; it has no macro-slice layout")
         M, N = self.M, self.N
         out = []
         for p in range(M):
@@ -163,21 +168,43 @@ class SliceGrammar:
             out.append(tuple(cells))
         return tuple(out)
 
-    def macro_word(self, p, k, l):
-        """Cells of a phase-p (k, l)-coding macro-slice, bottom to top.
-
-        Irrelevant registers are canonicalized to 1, so the word is a
-        function of the relevant data only.
-        """
-        p %= self.M
-        code = {
-            "k": k if self.k_relevant(p) else 1,
-            "l": l if self.l_relevant(p) else 1,
-        }
+    @cached_property
+    def _slice_words(self):
+        """For each phase p, (k, l) -> the cells of the phase-p macro-slice
+        coding k, l in 1..N: ``layout[p]`` with the C2 symbol in each cell
+        whose register codes the cell's value."""
+        span = range(1, self.N + 1)
         return tuple(
-            c2 if reg is not None and code[reg] == v else a
-            for a, c2, reg, v in self.layout[p]
+            {
+                (k, l): tuple(c2 if v and v == (k if reg == "k" else l) else a for a, c2, reg, v in cells)
+                for k in span
+                for l in span
+            }
+            for cells in self.layout
         )
+
+    @cached_property
+    def slice_table(self):
+        """For each phase p, every whole phase-p macro-slice word mapped to
+        its code (k, l), None for a register that no cell of ``layout[p]``
+        codes.  These are exactly the whole slices that a cell-by-cell
+        reading accepts: each coding micro-slice holds one C2 symbol, and
+        all C2 symbols of a register code one value."""
+        table = []
+        for cells, words in zip(self.layout, self._slice_words):
+            coded = {reg for _, _, reg, _ in cells}
+            table.append({
+                word: (k if "k" in coded else None, l if "l" in coded else None)
+                for (k, l), word in words.items()
+            })
+        return tuple(table)
+
+    def macro_word(self, p, k, l):
+        """Cells of a phase-p (k, l)-coding macro-slice, bottom to top, for
+        k, l in 1..N: one lookup in the words of ``slice_table``.  A register
+        that the layout does not code is ignored; in a ``build_grammar``
+        grammar it is one that ``k_relevant`` or ``l_relevant`` rejects."""
+        return self._slice_words[p % self.M][k, l]
 
 
 def build_grammar(H, pair, N):
@@ -429,22 +456,15 @@ def _grammar_nfa(grammar, tiles):
     ``follow[b]`` lists the blocks that may sit on top of it: those of the
     same phase whose main tile may sit above k.
     """
-    M, N = grammar.M, grammar.N
-
-    def pairs_for_phase(p):
-        kr, lr = grammar.k_relevant(p), grammar.l_relevant(p)
-        out = []
-        for k in range(1, N + 1) if kr else (1,):
-            for l in range(1, N + 1) if lr else (1,):
-                if kr and lr and not tiles.horizontal_ok(k, l):
-                    continue
-                out.append((k, l))
-        return out
-
-    blocks = []  # (p, k, l, word)
-    for p in range(M):
-        for (k, l) in pairs_for_phase(p):
-            blocks.append((p, k, l, grammar.macro_word(p, k, l)))
+    span = range(1, grammar.N + 1)
+    blocks = [
+        (p, k, l, grammar.macro_word(p, k, l))
+        for p in range(grammar.M)
+        for kr, lr in [(grammar.k_relevant(p), grammar.l_relevant(p))]
+        for k in (span if kr else (1,))
+        for l in (span if lr else (1,))
+        if not (kr and lr) or tiles.horizontal_ok(k, l)
+    ]
 
     follow = []
     succession = set()
@@ -543,7 +563,6 @@ def encode_pattern(grid, grammar, tiles, phase=0):
             cols.append(tuple(grammar.c1[(c + j) % L1] for j in range(height)))
         return Pattern2D.from_columns(cols)
 
-    macro_words = {}  # (p, k, l) -> cells; a grid repeats few of them
     cols = []
     for c in range(a * M):
         p = c % M
@@ -552,12 +571,27 @@ def encode_pattern(grid, grammar, tiles, phase=0):
         for y in range(b):
             k = grid[x][y]
             l = grid[x + 1][y] if x + 1 < a else _right_fill(tiles, grid[x][y])
-            word = macro_words.get((p, k, l))
-            if word is None:
-                word = macro_words[p, k, l] = grammar.macro_word(p, k, l)
-            col.extend(word)
+            col.extend(grammar.macro_word(p, k, l))
         cols.append(tuple(col))
     return Pattern2D.from_columns(cols)
+
+
+def _read_cells(layout, N, cells, t):
+    """Code of ``cells`` read one by one from position t of a macro-slice
+    ``layout``, which they must not pass; None when they do not fit."""
+    code = {}
+    hit = -1  # position of the last C2 symbol read
+    for pos, x in enumerate(cells):
+        a, c2, reg, v = layout[t + pos]
+        if x == c2:
+            if code.setdefault(reg, v) != v:
+                return None
+            hit = pos
+        elif x != a:
+            return None
+        if v == 1 and hit < pos - N + 1:  # the top of a C2-free micro-slice
+            return None
+    return code.get("k"), code.get("l")
 
 
 def parse_column(grammar, cells, p, offset=0):
@@ -568,27 +602,24 @@ def parse_column(grammar, cells, p, offset=0):
     A code is (k, l), None for a register that no C2 symbol codes.  A coding
     micro-slice that lies wholly inside the window holds exactly one C2
     symbol; every C2 symbol of a register in one macro-slice codes one value.
+    Each whole macro-slice is one lookup in ``grammar.slice_table``; only the
+    cut slices at either end (the one ``offset`` enters and a short tail) are
+    read cell by cell.  No reading state crosses a slice boundary, as every
+    macro-slice opens with M*N >= N fixed cells.
     """
-    layout, N = grammar.layout[p], grammar.N
-    codes, code = [], {}
-    hit = -1  # position of the last C2 symbol read
-    t = offset
-    for pos, x in enumerate(cells):
-        a, c2, reg, v = layout[t]
-        if x == c2:
-            if code.setdefault(reg, v) != v:
-                return None
-            hit = pos
-        elif x != a:
+    table, layout = grammar.slice_table[p], grammar.layout[p]
+    height = len(layout)
+    codes, pos, t = [], 0, offset
+    while pos < len(cells) or t:  # t > 0 only at the cut head
+        stop = pos + height - t
+        if t or stop > len(cells):
+            code = _read_cells(layout, grammar.N, islice(cells, pos, stop), t)
+        else:
+            code = table.get(tuple(cells[pos:stop]))
+        if code is None:
             return None
-        if v == 1 and hit < pos - N + 1:  # the top of a C2-free micro-slice
-            return None
-        t += 1
-        if t == len(layout):
-            codes.append((code.get("k"), code.get("l")))
-            code, t = {}, 0
-    if t:
-        codes.append((code.get("k"), code.get("l")))
+        codes.append(code)
+        pos, t = stop, 0
     return codes
 
 
@@ -612,8 +643,7 @@ def decode_pattern(window, grammar, tiles):
         if not tiles.pattern_valid(grid) or window != encode_pattern(grid, grammar, tiles):
             raise MalformedSlices("window is not the encoding of a one-tile grid")
         return grid
-    phases = []
-    codes = []
+    phases, codes = [], []
     for c in range(window.width):
         col = window.column(c)
         for p in range(M):
@@ -634,18 +664,11 @@ def decode_pattern(window, grammar, tiles):
         codes.append(column_codes)
     if phases[0] != 0:
         raise NotInClopen(f"first column has phase {phases[0]}, not the marker phase")
-    for c in range(window.width):
-        if phases[c] != c % M:
-            raise MalformedSlices("column phases are not synchronized")
-    grid = []
-    for x in range(a):
-        col = []
-        for y in range(b):
-            k, _ = codes[x * M][y]
-            if k is None:
-                raise MalformedSlices("marker column carries no main code")
-            col.append(k)
-        grid.append(col)
+    if phases != [c % M for c in range(window.width)]:
+        raise MalformedSlices("column phases are not synchronized")
+    grid = [[k for k, _ in codes[x * M]] for x in range(a)]
+    if any(None in col for col in grid):
+        raise MalformedSlices("marker column carries no main code")
     if not tiles.pattern_valid(grid):
         raise MalformedSlices("decoded tile grid violates Wang adjacency")
     return grid

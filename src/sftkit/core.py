@@ -174,7 +174,7 @@ class Sft1D:
                     raise ValueError(f"forbidden word {w} uses unknown symbol {s!r}")
         object.__setattr__(self, "forbidden", words)
 
-    @property
+    @cached_property
     def order(self):
         if not self.forbidden:
             return 1

@@ -20,6 +20,7 @@ from sftkit.core import (
 )
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
+    SliceGrammar,
     _determinize,
     _first_return_paths,
     _flower_scan,
@@ -293,7 +294,112 @@ class TestRoundTrip:
                 decode_pattern(crop(y0), grammar3, tiles)
 
 
+def parse_column_by_cell(grammar, cells, p, offset=0):
+    """``parse_column`` as one pass over the cells, kept as the oracle of
+    the slice-table reader."""
+    layout, N = grammar.layout[p], grammar.N
+    codes, code = [], {}
+    hit = -1  # position of the last C2 symbol read
+    t = offset
+    for pos, x in enumerate(cells):
+        a, c2, reg, v = layout[t]
+        if x == c2:
+            if code.setdefault(reg, v) != v:
+                return None
+            hit = pos
+        elif x != a:
+            return None
+        if v == 1 and hit < pos - N + 1:  # the top of a C2-free micro-slice
+            return None
+        t += 1
+        if t == len(layout):
+            codes.append((code.get("k"), code.get("l")))
+            code, t = {}, 0
+    if t:
+        codes.append((code.get("k"), code.get("l")))
+    return codes
+
+
+TOURNAMENT_EDGES = (
+    "04 06 07 08 09 10 13 15 17 18 19 20 21 23 24 29 30 34 35 39 41 49 50"
+    " 52 54 57 58 59 61 62 63 64 65 69 72 73 74 76 82 83 84 86 87 89 97"
+).split()  # edge ij goes from t<i> to t<j>: the benchmark's seed-0 draw
+
+
+def _differential_grammars(coding_sft, coding_pair):
+    out = [build_grammar(coding_sft, coding_pair, N) for N in (2, 3, 4)]
+    H = sft_from_edges([f"t{i}" for i in range(10)], [(f"t{e[0]}", f"t{e[1]}") for e in TOURNAMENT_EDGES])
+    out.append(build_grammar(H, find_cycle_pair(build_rauzy(H))[0], 2))
+    # an anchor whose k run stops before the coding run does: at phase 1
+    # the layout codes only l although k_relevant(1) holds
+    g = out[1]
+    out.append(SliceGrammar(g.H, g.c1, g.c2, g.N, g.anchor[:2] + (0,)))
+    return out
+
+
 class TestParseColumn:
+    CORRUPTIONS = (None, "replace", "move", "clear", "add")
+
+    def _stack(self, grammar, p, codes):
+        """Phase-p macro-slices coding ``codes``, built from the layout."""
+        cells = []
+        for k, l in codes:
+            value = {"k": k, "l": l}
+            cells += [c2 if reg and value[reg] == v else a for a, c2, reg, v in grammar.layout[p]]
+        return cells
+
+    def _corrupt(self, grammar, cells, p, offset, how, rng):
+        """Apply ``how`` to a random cell, or to a coding micro-slice that
+        lies wholly in the window; False when the window has none."""
+        layout, N = grammar.layout[p], grammar.N
+        if how == "replace":
+            i = rng.randrange(len(cells))
+            cells[i] = rng.choice([s for s in grammar.H.alphabet.symbols if s != cells[i]])
+            return True
+        # a coding micro-slice's cells have values N (bottom) down to 1
+        bottoms = [
+            i for i in range(len(cells) - N + 1) if layout[(i + offset) % len(layout)][3] == N
+        ]
+        if not bottoms:
+            return False
+        i = rng.choice(bottoms)
+        micro = range(i, i + N)
+        a, c2 = (layout[(i + offset) % len(layout)][j] for j in (0, 1))
+        at = next(j for j in micro if cells[j] == c2)
+        if how == "clear":
+            cells[at] = a
+        else:  # "move" or "add": C2 on another cell; "move" clears the old one
+            cells[rng.choice([j for j in micro if j != at])] = c2
+            if how == "move":
+                cells[at] = a
+        return True
+
+    def test_matches_cell_by_cell_reader(self, coding_sft, coding_pair):
+        rng = random.Random(20261020)
+        fits = misfits = 0
+        for grammar in _differential_grammars(coding_sft, coding_pair):
+            M, N, height = grammar.M, grammar.N, grammar.macro_height
+            for p in range(M):
+                for cut in ("whole", "head", "tail"):
+                    for how in self.CORRUPTIONS * 4:
+                        n = rng.randint(1, 3)
+                        cells = self._stack(grammar, p, [(rng.randint(1, N), rng.randint(1, N)) for _ in range(n)])
+                        offset = 0
+                        if cut == "head":
+                            offset = rng.randrange(1, height)
+                            cells = cells[offset:]
+                        elif cut == "tail":
+                            cells = cells[: -rng.randrange(1, height)]
+                        if how and not self._corrupt(grammar, cells, p, offset, how, rng):
+                            continue
+                        for q in range(M):
+                            for off in {offset, rng.randrange(height)}:
+                                want = parse_column_by_cell(grammar, cells, q, off)
+                                assert parse_column(grammar, cells, q, off) == want, (M, N, p, cut, how, q, off)
+                                fits += want is not None
+                                misfits += want is None
+        assert fits > 300 and misfits > 15000, (fits, misfits)
+
     def test_micro_slice_without_c2_rejected(self, grammar3):
         tiles = free_tile_set(3)
         enc = encode_pattern([[2], [3]], grammar3, tiles)
@@ -335,6 +441,17 @@ class TestOneTileDecode:
         shifted = Pattern2D.from_columns([enc.column(c) for c in (1, 2, 0)])
         with pytest.raises(MalformedSlices):
             decode_pattern(shifted, gram, tiles)
+
+    def test_one_tile_grammar_has_no_slices(self, coding_sft, coding_pair):
+        gram = build_grammar(coding_sft, coding_pair, 1)
+        for read in (
+            lambda: gram.layout,
+            lambda: gram.slice_table,
+            lambda: gram.macro_word(0, 1, 1),
+            lambda: parse_column(gram, ("a",) * 30, 0),
+        ):
+            with pytest.raises(ValueError, match="one-tile grammar codes nothing"):
+                read()
 
 
 class TestCompileHorizontal:

@@ -96,6 +96,13 @@ class TestRauzy:
                 build_rauzy(empty)
         assert language_count(empty, 3) == 0 and builds == [2, 3, 2, 1]
 
+    def test_order_cached_outside_equality(self):
+        a, b = Sft1D.from_words("01", "111", "00"), Sft1D.from_words("01", "00", "111")
+        assert a.order == 2 and "order" in vars(a) and "order" not in vars(b)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert b.order == 2 and a == b and hash(a) == hash(b)
+        assert full_shift("01").order == 1 and Sft1D.from_words("01", "0110").order == 3
+
     def test_word_automaton_nodes(self, golden):
         # vertices by rank, then the proper prefixes of vertices
         sft = Sft1D.from_words("01", "111")
