@@ -650,11 +650,12 @@ def decode_pattern(window, grammar, tiles):
             column_codes = parse_column(grammar, col, p)
             if column_codes is not None:
                 break
-        else:
+        else:  # a shifted parse reads col[0] at a cell that can hold it
             if any(
                 parse_column(grammar, col, p, off) is not None
-                for p in range(M)
+                for p, cells in enumerate(grammar.layout)
                 for off in range(1, height)
+                if col[0] in cells[off][:2]
             ):
                 raise NotInClopen(
                     "window parses at a shifted position; it does not start at the clopen marker"

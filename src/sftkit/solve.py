@@ -8,15 +8,14 @@ enforced; only the 1D structure per row/column is.  All counts are exact
 Python integers.
 
 One strip transfer engine, ``StripAutomaton``, counts for a horizontal SFT of
-any order: its states are windows of legal columns as wide as the order, and
-each window's successor columns are one int bitmask, the AND over its rows
-of the columns whose symbol in that row may follow the row's word.  A width
-step either follows that transition list or, when they hold fewer edges,
-runs through h row layers that move one row of the window at a time: for
-hard squares of height 15, 38,760 layer edges instead of 665,857
-transitions.  Layers are numpy index arrays, built by sorting rather than
-by one dict operation per edge; an exact step sums an object array of
-Python ints, one ``np.add.reduceat`` per layer.  With an SFT column
+any order: its states are windows of legal columns as wide as the order,
+which one numpy join lists, a column at a time, with the successors of
+each.  A width step either follows that transition list or, when they hold
+fewer edges, runs through h row layers that move one row of the window at a
+time: for hard squares of height 15, 38,760 layer edges instead of 665,857
+transitions.  Joins and layers are numpy index arrays, built by sorting
+rather than by one dict operation per edge; an exact step sums an object
+array of Python ints, one ``np.add.reduceat`` per layer.  With an SFT column
 constraint, ``count_rectangles`` builds the strip of the transposed
 rectangles (column words as rows) when its bound on the windows is smaller:
 4 x 30 no-111 rows over golden-mean columns then need 13 rows of width 4 as
@@ -37,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
-from math import lcm
+from itertools import chain, islice, product
+from math import inf, lcm
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .core import (
     Pattern2D,
     PreconditionUnmet,
     Sft1D,
-    _bits,
     _global_words,
     build_rauzy,
     language_count,
@@ -99,17 +97,13 @@ class StripAutomaton:
     m + 1 windows are Rauzy edges, and pruning keeps every cycle.
 
     ``successors`` lists the successor states of each state in ascending
-    order, so by ascending appended column.  The build keeps it as one int
-    bitmask per state over the columns (popcounts give the transition count)
-    and decodes it on first use, or at once when the width step follows it.
-    ``_shortest_torus`` searches it for a shortest cycle (for
-    ``find_torus``, ``semi_decide_emptiness`` and
-    ``decide_with_certificate``), on cylinder strips only; counting,
-    ``has_cycle`` and the spectral radius do not read it unless their layers
-    are that list, or the spectral radius falls back to it.  ``budget`` caps
-    what the build keeps: the columns, every window listed and the stored
-    edges (the layer edges, or the transitions when the width step follows
-    them).
+    order, so by ascending appended column: the pairs of ``_join``, which
+    also lists the windows a column at a time.  ``_shortest_torus`` reads
+    it, on cylinder strips only; counting, ``has_cycle`` and the spectral
+    radius only through their layers, or a spectral radius fallback.
+    ``budget`` caps what the build keeps: the columns, every window listed
+    and the stored edges (the layer edges, or the transitions when the width
+    step follows them); each join and the layers stop once past it.
 
     ``count_width``, ``has_cycle`` and ``spectral_radius`` sweep a vector
     through ``layers``, each a triple (src, dst, size): edge e adds the
@@ -121,7 +115,7 @@ class StripAutomaton:
     ``_row_layers``; otherwise they are the one layer of ``successors``.
     Counts stay exact Python ints: ``count_width`` sweeps an object array,
     one ``np.add.reduceat`` per layer.  ``transitions`` is T, the number
-    of transitions (the popcounts of the masks), decoded or not.
+    of transitions, or of paths through the layers.
     """
 
     height: int
@@ -129,96 +123,78 @@ class StripAutomaton:
     narrow: tuple
     layers: tuple
     transitions: int
-    _code: tuple = field(repr=False)  # ``successors`` before decoding, see ``_decode``
+    _pairs: object = field(repr=False, compare=False)  # cap -> the sorted (state, successor) pairs
 
     @classmethod
     def build(cls, H, constraint, h, budget=None, cyclic=False):
         if h < 1:
             raise ValueError("h must be >= 1")
         g = build_rauzy(H)
-        m = g.order
-        # row words are the nodes of H's word automaton: the Rauzy vertices
-        # by rank, then the prefixes of vertices; step[x][s] is the row word
-        # after symbol s
-        step, root = g.word_automaton
+        step, root = g.word_automaton  # its nodes: the vertices by rank, then their prefixes
         cols = _columns_for(constraint, h, H.alphabet.symbols, budget)
         if budget is not None and len(cols) > budget:
             raise BudgetExceeded(f"{len(cols)} columns exceed the budget")
         symbols = step[root].keys()  # each symbol of a vertex starts one
         cols = [c for c in cols if symbols >= set(c) and (not cyclic or _cyclic_ok(constraint, c))]
-        # follow[r][x]: the columns whose row-r symbol may follow row word x
-        at = [{} for _ in range(h)]
-        for c, col in enumerate(cols):
-            for r, s in enumerate(col):
-                at[r][s] = at[r].get(s, 0) | 1 << c
-        follow = [[0] * len(step) for _ in range(h)]
-        for fr, col_at in zip(follow, at):
-            for x, nxt in enumerate(step):
-                for s in nxt:
-                    fr[x] |= col_at.get(s, 0)
+        # node x reads the symbol ranks read[start[x]:][:degree[x]], and s
+        # into table[x, s], or into ``dead``, a node that reads nothing
+        rank, dead, ncols = {s: k for k, s in enumerate(H.alphabet.symbols)}, len(step), len(cols)
+        degree = np.fromiter(map(len, step), np.intp, dead)
+        read = np.fromiter(map(rank.__getitem__, chain.from_iterable(step)), np.intp, degree.sum())
+        table = np.full((dead + 1, len(rank)), dead)
+        table[np.arange(dead).repeat(degree), read] = list(chain.from_iterable(map(dict.values, step)))
+        automaton = table, degree.cumsum() - degree, degree, read
+        letters = np.fromiter(map(rank.__getitem__, chain.from_iterable(cols)), np.intp, ncols * h).reshape(-1, h)
+        grow, node = _trie(letters, len(rank))
+        trie = grow, node.argsort(), np.bincount(letters[:, 0], minlength=len(rank))
+        # window i has the columns picks[i] and the row words rows[i]; its
+        # key, parent window * ncols + last column, ascends, and tail[i] is
+        # the window of its columns after the first.  The budget counts the
+        # columns, the windows (each column is one) and the edges kept: a
+        # join refuses them once past what is ``left``, at once if < 0
+        left = (inf if budget is None else budget) - 2 * ncols
+        rows, key, tail = table[root, letters], np.arange(ncols), np.zeros(ncols, np.intp)
+        picks, narrow = key[:, None], []
+        for _ in range(1, g.order):
+            src, col = _join(rows, automaton, trie, left + 1) or _refuse(budget)
+            left -= len(src)
+            narrow.append(len(rows))
+            tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
+            rows, picks = table[rows[src], letters[col]], np.column_stack((picks[src], col))
+        states = tuple(sum(map(cols.__getitem__, w), ()) for w in picks.tolist())
 
-        def successor_mask(rows):
-            """The columns that extend the window with these row words."""
-            mask = -1
-            for fr, x in zip(follow, rows):
-                mask &= fr[x]
-            return mask
+        def pairs(cap):
+            """The (state, successor) pairs, sorted; None from ``cap`` on."""
+            found = _join(rows, automaton, trie, cap)
+            return found and (found[0], np.searchsorted(key, tail[found[0]] * ncols + found[1]))
 
-        # windows as (column indices, row word ids), one column at a time;
-        # the budget counts the columns, every window listed (counted from
-        # the masks before the list is made) and the edges the strip keeps
-        stored = len(cols)
-        windows = [((), (root,) * h)]
-        narrow = []
-        for k in range(m):
-            masks = [successor_mask(rows) for _, rows in windows]
-            stored += sum(mask.bit_count() for mask in masks)
-            _charge(budget, stored)
-            if k:
-                narrow.append(len(windows))
-            prev = windows
-            windows = [
-                (w + (c,), tuple(step[x][s] for x, s in zip(rows, cols[c])))
-                for (w, rows), mask in zip(windows, masks)
-                for c in _bits(mask)
-            ]
-        masks = [successor_mask(rows) for _, rows in windows]
-        slot = shifts = None
-        if m > 1:
-            before = {w: j * len(cols) for j, (w, _) in enumerate(prev)}
-            shifts = [before[w[1:]] for w, _ in windows]
-            slot = {before[w[:-1]] + w[-1]: i for i, (w, _) in enumerate(windows)}
-        states = tuple(sum((cols[j] for j in w), ()) for w, _ in windows)
-        code = (masks, shifts, slot)
-        transitions = sum(mask.bit_count() for mask in masks)
-        # for h >= 2 the first row layer has an edge from each window with a
-        # successor and the last one an edge into each window with a
-        # predecessor (for h = 1 the one layer is the list), so row layers
-        # cannot beat a list no longer than that; the windows with shift
-        # base b have the successors b + c for c in the OR of their masks
-        ends = {}
-        for base, mask in zip(shifts or [0] * len(masks), masks):
-            ends[base] = ends.get(base, 0) | mask
-        least = sum(map(bool, masks)) + sum(mask.bit_count() for mask in ends.values())
-        cap = transitions if budget is None else min(transitions, budget - stored + 1)
-        if transitions > least:
-            layers = _row_layers(np.array([rows for _, rows in windows], dtype=np.intp), g.index.succ, cap)
-            if layers is not None:
-                return cls(h, states, tuple(narrow), layers, transitions, code)
-        _charge(budget, stored + transitions)
-        lists = tuple(map(tuple, _decode(*code)))
-        src = np.arange(len(lists)).repeat(np.fromiter(map(len, lists), np.intp, len(lists)))
-        dst = np.fromiter(chain.from_iterable(lists), np.intp, transitions)
+        # the first row layer has an edge from each window per successor of
+        # its row-0 vertex that starts a window: no shorter list needs layers
+        starts = np.zeros(dead + 1, bool)
+        starts[rows[:, 0]] = True
+        first = int(starts[table[rows[:, 0]]].sum())
+        found = pairs(min(first, left) + 1)
+        if found is None and first <= left:  # else the layers overflow too
+            built = _row_layers(rows, g.index.succ, left + 1)
+            if built is not None:
+                layers, edges = built
+                paths = np.ones(len(states))  # exact in floats below 2^53
+                for src, dst, size in layers:
+                    paths = np.bincount(dst, paths[src], size)
+                if edges < paths.sum():
+                    return cls(h, states, tuple(narrow), layers, int(paths.sum()), pairs)
+            found = pairs(left + 1)
+        src, dst = found or _refuse(budget)
         order = dst.argsort(kind="stable")
-        strip = cls(h, states, tuple(narrow), ((src[order], dst[order], len(states)),), transitions, code)
-        strip.successors = lists  # fills the cached property: decoded once
-        return strip
+        return cls(h, states, tuple(narrow), ((src[order], dst[order], len(states)),), len(src), lambda cap: found)
 
     @cached_property
     def successors(self):
-        """Successor state indices of each state, ascending; decoded on first
+        """Successor state indices of each state, ascending; listed on first
         use."""
-        return tuple(map(tuple, _decode(*self._code)))
+        src, dst = self._pairs(inf)
+        dst = iter(dst.tolist())
+        return tuple(tuple(islice(dst, k)) for k in np.bincount(src, minlength=len(self.states)).tolist())
 
     def count_width(self, w):
         """Number of valid w-column strips (exact)."""
@@ -263,7 +239,7 @@ class StripAutomaton:
         The support of the width step, iterated from every window, shrinks
         to the windows that a cycle reaches, so its fixed point is nonempty
         exactly when a cycle exists.  Each layer maps the support with one
-        ``np.bincount``; nothing is decoded.
+        ``np.bincount``; the transitions are not listed.
         """
         live = np.ones(len(self.states), dtype=bool)
         while True:
@@ -316,25 +292,66 @@ class StripAutomaton:
         return value, bracket, steps + more
 
 
-def _charge(budget, stored):
-    """Refuse a strip that keeps more than ``budget`` columns, windows and
-    edges."""
-    if budget is not None and stored > budget:
-        raise BudgetExceeded(f"more than {budget} strip columns, windows and edges")
+def _refuse(budget):
+    raise BudgetExceeded(f"more than {budget} strip columns, windows and edges")
 
 
-def _decode(masks, shifts, slot):
-    """Successor lists from one bitmask per state over the columns; for
-    windows of m > 1 columns, the state of window i less its first column,
-    plus column c, is ``slot[shifts[i] + c]``, and for m = 1 it is c."""
-    if slot is None:
-        return [_bits(mask) for mask in masks]
-    return [[slot[base + c] for c in _bits(mask)] for base, mask in zip(shifts, masks)]
+def _trie(words, base):
+    """The trie of the rows of ``words``, an (n, h) array of letters below
+    ``base``, as (grow, node): grow[r] holds the sorted keys p * base + x of
+    the nodes of depth r + 1, p a node of depth r (the root is 0) and x its
+    last letter, and a node's id is its rank; node[i] is row i's leaf."""
+    grow, node = [], np.zeros(len(words), np.intp)
+    for r in range(words.shape[1]):
+        keys, node, _ = _dedupe(node * base + words[:, r])
+        grow.append(keys)
+    return grow, node
+
+
+def _join(rows, automaton, trie, cap):
+    """The pairs (i, c) such that each row word rows[i, r] reads cell r of
+    column c, sorted by i and then c, as two arrays; None from ``cap`` pairs
+    on.  ``automaton`` is that of ``build`` and ``trie`` the columns' trie,
+    read one depth at a time as ``_row_layers`` reads its prefix trie.  The
+    rows go in chunks, so the join stops soon after ``cap``: the first one
+    cannot pass it, as row i has at most one pair per column that starts
+    with a symbol rows[i, 0] reads, and each later one doubles, or covers
+    the rows that reach ``cap`` at the rate so far."""
+    (table, start, degree, symbol), (grow, leaf, spread) = automaton, trie
+    n, base = len(rows), table.shape[1]
+    out, found, done = [(np.zeros(0, np.intp),) * 2], 0, 0
+    size = max(1, int((spread * (table != len(table) - 1)).sum(1)[rows[:, 0]].cumsum().searchsorted(cap)))
+    while done < n:
+        end = min(n, done + size)
+        i, p = np.arange(done, end), np.zeros(end - done, np.intp)
+        for r, keys in enumerate(grow):
+            x = rows[i, r]
+            src, p = _extend(keys, p, start[x], degree[x], symbol, base)
+            i = i[src]
+        found += len(i)
+        if found >= cap:
+            return None
+        out.append((i, leaf[p]))
+        done, size = end, max(2 * size, (cap - found) * end // max(found, 1))
+    i, c = map(np.concatenate, zip(*out))
+    order = (i * len(leaf) + c).argsort(kind="stable")
+    return i[order], c[order]
+
+
+def _extend(keys, prefix, start, degree, letters, base):
+    """State k once per letter x of letters[start[k]:][:degree[k]], kept
+    when the sorted ``keys`` hold prefix[k] * base + x: the states and the
+    ranks of their keys, as two arrays."""
+    src = np.arange(len(degree)).repeat(degree)
+    key = prefix[src] * base + letters[np.arange(len(src)) + (start - degree.cumsum() + degree).repeat(degree)]
+    q = keys.searchsorted(key)
+    hit = keys[np.minimum(q, len(keys) - 1)] == key
+    return src[hit], q[hit]
 
 
 def _row_layers(rows, succ, cap):
-    """The h row layers of a width step, or None once they reach ``cap``
-    edges.
+    """The h row layers of a width step and the number of edges found, or
+    None once that number reaches ``cap``.
 
     ``rows`` holds each window's h row words (Rauzy vertex ranks) as one row
     of an array, and ``succ`` is the Rauzy successor list.  A width step
@@ -352,29 +369,14 @@ def _row_layers(rows, succ, cap):
     degree = np.fromiter(map(len, succ), np.intp, nv)
     start = degree.cumsum() - degree
     targets = np.fromiter(chain.from_iterable(succ), np.intp, int(degree.sum()))
-    # layer 0 has an edge from each window for each successor of its row-0
-    # vertex that starts a window: when that alone reaches cap, return
-    # before the tries are built
-    starts = np.zeros(nv, bool)
-    starts[rows[:, 0]] = True
-    if np.bincount(np.arange(nv).repeat(degree), starts[targets], nv)[rows[:, 0]].sum() >= cap:
-        return None
-    # prefix trie: the sorted keys p * nv + v of the nodes at depth r + 1,
-    # p a node at depth r; a node's id is its rank
-    grow = []
-    node = np.zeros(n, np.intp)
-    for r in range(h):
-        keys, node, order = _dedupe(node * nv + rows[:, r])
-        grow.append(keys)
-    window = order  # the window of each rank of the full prefixes
-    # suffix trie: for each node of rows r..h-1, the node t of rows r + 1..
-    # below it and its row-r vertex v; at r = 0 the nodes are the windows
-    below = [None] * h
-    node = np.zeros(n, np.intp)
-    for r in range(h - 1, 0, -1):
-        keys, node, _ = _dedupe(node * nv + rows[:, r])
-        below[r] = (keys // nv, keys % nv)
-    below[0] = (node, rows[:, 0])
+    # prefix trie, read from row 0; window[j] is the window of leaf j
+    grow, node = _trie(rows, nv)
+    window = node.argsort()
+    # suffix trie, read from row h - 1: for each node of rows r..h-1, the
+    # node t of rows r + 1.. below it and its row-r vertex v; at r = 0 the
+    # nodes are the windows
+    rest, node = _trie(rows[:, :0:-1], nv)
+    below = [(node, rows[:, 0])] + [np.divmod(keys, nv) for keys in reversed(rest)]
     layers = []
     edges = 0
     prefix, suffix = np.zeros(n, np.intp), np.arange(n)  # the layer-0 states
@@ -382,14 +384,7 @@ def _row_layers(rows, succ, cap):
         t, v = (a[suffix] for a in below[r])
         # each state once per successor of its row-r vertex, then the
         # prefix that successor extends, if the windows have it
-        count = degree[v]
-        src = np.arange(len(suffix)).repeat(count)
-        pos = np.arange(len(src)) + (start[v] - (count.cumsum() - count)).repeat(count)
-        key = prefix[src] * nv + targets[pos]
-        keys = grow[r]
-        q = np.searchsorted(keys, key)
-        hit = keys[np.minimum(q, len(keys) - 1)] == key
-        src, q = src[hit], q[hit]
+        src, q = _extend(grow[r], prefix, start[v], degree[v], targets, nv)
         edges += len(src)
         if edges >= cap:
             return None
@@ -413,7 +408,7 @@ def _row_layers(rows, succ, cap):
             keep = live[pdst]
             layers[r] = (new[src], dst, size)
             layers[r - 1] = (psrc[keep], new[pdst[keep]], int(np.count_nonzero(live)))
-    return tuple(layers)
+    return tuple(layers), edges
 
 
 def _dedupe(keys):

@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sftkit.core import Digraph, Sft1D, full_shift, sft_from_edges
+from sftkit.core import Digraph, Sft1D, _follow, build_rauzy, full_shift, sft_from_edges
+from sftkit.solve import _columns_for
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +85,50 @@ def brute_words(sft, n):
             for x in product(symbols, repeat=m)
         )
     }
+
+
+def brute_strip(H, V, h, cyclic):
+    """Independent oracle for ``StripAutomaton.build(H, V, h, cyclic=cyclic)``:
+    its (states, narrow, successors), from every (window, column) pair.
+
+    The columns are those ``solve._columns_for`` lists, less each one with a
+    symbol that starts no H-word and, for a cylinder strip, each one whose
+    periodic repetition V forbids (a naive scan for an SFT).  A window of k
+    columns is a k-tuple of columns, in lexicographic order of their
+    positions, whose every row ``core._follow`` reads from the root of H's
+    word automaton.  Window w has one successor for each column c such that
+    the rows of w followed by c all read so: the window of w's columns after
+    the first, then c.
+    """
+    g = build_rauzy(H)
+    step, root = g.word_automaton
+
+    def periodic(col):
+        if V is None:
+            return True
+        if isinstance(V, Sft1D):
+            text = col * (2 + max(map(len, V.forbidden), default=1) // len(col))
+            return not any(text[x : x + len(f)] == f for f in V.forbidden for x in range(len(text) - len(f) + 1))
+        return V.is_cyclic(col)
+
+    cols = [
+        c for c in _columns_for(V, h, H.alphabet.symbols)
+        if all(s in step[root] for s in c) and (not cyclic or periodic(c))
+    ]
+
+    def reads(window):
+        return all(_follow(step, root, tuple(cols[j][r] for j in window)) >= 0 for r in range(h))
+
+    levels = [[()]]
+    for _ in range(g.order):
+        levels.append([w + (c,) for w in levels[-1] for c in range(len(cols)) if reads(w + (c,))])
+    windows = levels[-1]
+    index = {w: i for i, w in enumerate(windows)}
+    successors = tuple(
+        tuple(index[w[1:] + (c,)] for c in range(len(cols)) if reads(w + (c,))) for w in windows
+    )
+    states = tuple(sum((cols[j] for j in w), ()) for w in windows)
+    return states, tuple(map(len, levels[1:-1])), successors
 
 
 def closed_walk_count(succ, w):

@@ -18,6 +18,7 @@ from sftkit.core import (
     free_tile_set,
     sft_from_edges,
 )
+import sftkit.compiler
 from sftkit.cycles import Cycle, CyclePair, find_cycle_pair
 from sftkit.compiler import (
     SliceGrammar,
@@ -427,6 +428,34 @@ class TestParseColumn:
         t = next(t for t, (_, c2, _, _) in enumerate(grammar3.layout[0]) if c2 is not None)
         assert col[t] == grammar3.layout[0][t][1]
         assert parse_column(grammar3, col[t + 1 :], 0, t + 1) == [(3, None)]
+
+
+class TestShiftedParseSearch:
+    def test_skips_cells_that_cannot_hold_the_first_symbol(self, monkeypatch):
+        # the seed-0 tournament with free-2 tiles: M = 12 phases and macro
+        # height 312, so a column that parses nowhere could cost 12 x 311 =
+        # 3,732 shifted parses; most of those cells hold neither its first
+        # symbol nor that cell's C2 symbol
+        H = sft_from_edges([f"t{i}" for i in range(10)], [(f"t{e[0]}", f"t{e[1]}") for e in TOURNAMENT_EDGES])
+        grammar = build_grammar(H, find_cycle_pair(build_rauzy(H))[0], 2)
+        tiles = free_tile_set(2)
+        M, height = grammar.M, grammar.macro_height
+        assert M * (height - 1) == 3732
+        rng = random.Random(0)
+        grid = [[rng.randint(1, 2) for _ in range(4)] for _ in range(12)]
+        window = encode_pattern(grid, grammar, tiles)
+        cols = [list(window.column(c)) for c in range(window.width)]
+        cols[5][100] = "?"  # a symbol of no grammar
+        shifted = []
+
+        def spy(grammar, cells, p, offset=0):
+            shifted.append(offset > 0)
+            return parse_column(grammar, cells, p, offset)
+
+        monkeypatch.setattr(sftkit.compiler, "parse_column", spy)
+        with pytest.raises(MalformedSlices, match=r"^column 5 is not a stack of macro-slices$"):
+            decode_pattern(Pattern2D.from_columns(cols), grammar, tiles)
+        assert 0 < sum(shifted) < M * (height - 1), sum(shifted)
 
 
 class TestOneTileDecode:

@@ -3,10 +3,13 @@ import json
 import os
 import random
 import re
+import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from math import inf, lcm, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ from sftkit.solve import (
 import sftkit.entropy
 from sftkit.entropy import _spectral_radius
 
-from conftest import closed_walk_count, numpy_radius
+from conftest import brute_strip, closed_walk_count, numpy_radius
 
 
 def brute_count(H, V, w, h):
@@ -419,6 +422,100 @@ class TestStripAutomaton:
             assert strip.transitions == sum(map(len, strip.successors))
 
 
+@st.composite
+def strip_cases(draw):
+    """(H, columns, h, cyclic) with h <= 3: H of order 1 to 3; columns free,
+    an SFT of order 1 to 3, whose alphabet may list the symbols in the other
+    order (so its words are not in H's order), or a compiled presentation,
+    and then H is over its symbols abc.  The oracle checks every (window,
+    column) pair, about |columns|^(order + 1) of them, so order times h
+    stays at most 9 over 01, 4 over 012 and 6 under a presentation."""
+    columns = draw(st.sampled_from(["none", "sft", "presentation"]))
+    order = draw(st.integers(1, 3))
+    if columns == "presentation":
+        H, V, cap = draw(sfts("abc", order)), coding_presentation(draw(st.sampled_from([1, 2]))), 6
+    else:
+        symbols = draw(st.sampled_from(["01", "012"]))
+        H, cap = draw(sfts(symbols, order)), 9 if symbols == "01" else 4
+        if columns == "sft":
+            V = draw(sfts(draw(st.sampled_from([symbols, symbols[::-1]])), draw(st.integers(1, 3))))
+        else:
+            V = None
+    return H, V, draw(st.integers(1, min(3, cap // order))), draw(st.booleans())
+
+
+class TestStripOracle:
+    """The joins of the build against every (window, column) pair."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(strip_cases())
+    def test_matches_the_brute_strip(self, case):
+        H, V, h, cyclic = case
+        try:
+            strip = StripAutomaton.build(H, V, h, cyclic=cyclic)
+        except EmptyLanguage:
+            return
+        states, narrow, successors = brute_strip(H, V, h, cyclic)
+        assert strip.states == states and strip.narrow == narrow
+        if "successors" not in strip.__dict__:  # the strip keeps its row layers
+            vec = [1] * len(states)
+            for w in range(len(narrow) + 1, len(narrow) + 6):
+                assert strip.count_width(w) == sum(vec)
+                vec = [sum(vec[i] for i in out) for out in successors]
+        assert strip.successors == successors
+        assert strip.transitions == sum(map(len, successors))
+
+
+def order2_instance():
+    """The seed-0 instance of the benchmark's order2-decide decisions: rows
+    of the 8-cycle shift over columns of an order-2 SFT, nonempty by
+    construction.  Its strips of height 5 have about 24,000 windows."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import make_spec
+    finally:
+        sys.path.remove(bench)
+    inst = make_spec("order2-decide", 0)["decide"][0]
+    assert inst["k"] == 8 and inst["verdict"] == "nonempty"
+    return tuple(Sft1D(inst["alphabet"], [tuple(w) for w in inst[key]]) for key in ("h_forbidden", "v_forbidden"))
+
+
+def traced_peak(build):
+    """The result or exception of ``build()`` and the peak of the memory it
+    allocated, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = build()
+    except BudgetExceeded as exc:
+        result = exc
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return result, peak
+
+
+class TestStripMemory:
+    """A strip keeps no column bitmasks, so what it allocates follows what
+    the budget counts, not windows times columns."""
+
+    def test_a_height_5_strip_builds_in_under_20_mb(self):
+        H, V = order2_instance()
+        strip, peak = traced_peak(lambda: StripAutomaton.build(H, V, 5))
+        assert (len(strip.states), strip.transitions, len(strip.layers)) == (24358, 17376, 1)
+        assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_a_refused_strip_allocates_at_most_400_bytes_per_budget_unit(self):
+        # the height-5 strip keeps 2 x 24,358 columns and windows and 17,376
+        # transitions, 66,092 in all; each budget below that is refused
+        H, V = order2_instance()
+        for budget in (48716, 55000, 66091):
+            refused, peak = traced_peak(lambda: StripAutomaton.build(H, V, 5, budget))
+            assert isinstance(refused, BudgetExceeded), budget
+            assert peak <= 400 * budget, (budget, peak)
+        strip = StripAutomaton.build(H, V, 5, 66092)
+        assert strip.transitions == 17376
+
+
 def list_row_layers(windows, succ, h, cap):
     """The row layers built with Python lists and dicts, one dict operation
     per edge: the reference for the array build of ``_row_layers``.
@@ -534,7 +631,7 @@ class TestRowLayersDifferential:
         grid = np.array(windows, dtype=np.intp)
         succ = g.index.succ
         want = list_row_layers(windows, succ, h, inf)
-        got = _row_layers(grid, succ, inf)
+        got, _ = _row_layers(grid, succ, inf)
         assert [(size, len(src)) for src, _, size in got] == [(size, len(src)) for src, _, size in want]
         for src, dst, size in got:
             assert src.dtype == dst.dtype == np.intp and np.all(np.diff(dst) >= 0)
