@@ -6,8 +6,9 @@ uniform shortcut, no cross-bridge, and not both an attractive and a repulsive
 vertex.  ``find_cycle_pair`` tries candidate pairs in one order and keeps the
 first that passes or that a documented exception excuses: an exceptional
 3-vertex graph's own pair, then the pair of the case analysis over the graph
-shape, then (after a refused case 1.3 pair) exceptional 3-vertex subgraphs
-and the five-position 1.3 special cycles, and last a brute-force search.
+shape (for case 3.1 in both orders), then (after a refused case 1.3 pair)
+exceptional 3-vertex subgraphs and the five-position 1.3 special cycles, and
+last a capped brute-force stream of pairs.
 Every answer is checked by an independent admissibility oracle.
 """
 

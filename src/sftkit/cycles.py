@@ -7,9 +7,11 @@ shortcut, no cross-bridge, not both attractive and repulsive vertices).
 that fails the decidability condition.  It tries one stream of candidates in
 order and keeps the first that passes or that a documented exception
 excuses: the documented pair of an exceptional 3-vertex graph; the pair of a
-case analysis over the graph shape; after a refused case 1.3 pair only, the
-documented pairs of exceptional 3-vertex subgraphs and the five-position
-cycles of the 1.3 special shape; last a brute-force search.
+case analysis over the graph shape, and for case 3.1 the same pair swapped;
+after a refused case 1.3 pair only, the documented pairs of exceptional
+3-vertex subgraphs and the five-position cycles of the 1.3 special shape;
+last a capped brute-force stream of pairs over simple and glued cycles.
+That one rule is the only code that accepts a candidate.
 ``verify_pair_admissible`` is the independent oracle used to cross-check it.
 
 Cycle indices are always taken modulo the cycle length, and cycles may repeat
@@ -19,7 +21,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import lcm
 
 from .core import (
@@ -430,12 +432,14 @@ def find_cycle_pair(graph):
     first) and must fail the decidability condition.  The candidates of
     ``_candidates`` are tried in order, and the first that passes condition
     C, or that a documented exception excuses, is returned: a ``len3-*``
-    pair is excused by its own pattern, any other by ``_exemption``.  The
-    report carries the candidate's tag in ``case_tag`` (``case1.3-special``
-    when that exemption excuses it); for an excused pair ``passes`` is false
-    while ``admissible`` is true with the exemption recorded.  Raises
+    pair is excused by its own pattern, any other by ``_exemption``.  No
+    other code accepts or refuses a candidate.  The report carries the
+    candidate's tag in ``case_tag`` (``case1.3-special`` when that exemption
+    excuses it); for an excused pair ``passes`` is false while
+    ``admissible`` is true with the exemption recorded.  Raises
     EmptyLanguage for a graph with no edge (it has no cycle), and
-    SearchExhausted if no candidate is admissible.
+    SearchExhausted if no candidate is admissible (the capped fallback
+    stream runs out).
     """
     if not graph.edges:
         raise EmptyLanguage("the graph has no edge, so no cycle")
@@ -463,10 +467,12 @@ def find_cycle_pair(graph):
 def _candidates(g):
     """Candidate pairs (C1, C2, tag) in the order ``find_cycle_pair`` tries
     them: the documented pair of an exceptional 3-vertex graph; the pair of
-    the case dispatch; after a refused case 1.3 pair only, the documented
-    pair of each exceptional induced 3-vertex subgraph and then each
-    five-position cycle of the 1.3 special shape; last the brute-force
-    pair."""
+    the case dispatch, then for case 3.1 the pair with C1 and C2 swapped;
+    after a refused case 1.3 pair only, the documented pair of each
+    exceptional induced 3-vertex subgraph and then each five-position cycle
+    of the 1.3 special shape; last the first ``_BRUTE_FORCE_CHECKS`` pairs of
+    ``_brute_force_pairs``, tagged ``fallback``.  Nothing here judges a
+    candidate."""
     if len(g.vertices) == 3:
         m = _match_len3_triple(g, g.vertices)
         if m is not None:
@@ -480,16 +486,18 @@ def _candidates(g):
         pair_tag = _case_3(g)
     if pair_tag is not None:
         yield pair_tag
-        if pair_tag[2] == "1.3":
+        c1, c2, tag = pair_tag
+        if tag == "3.1":
+            yield c2, c1, tag
+        elif tag == "1.3":
             for triple in combinations(g.vertices, 3):  # each in canonical order
                 m = _match_len3_triple(g, triple)
                 if m is not None:
                     yield m
             for c1, c2 in _case_13_special_search(g):
                 yield c1, c2, "case1.3-special"
-    fallback = _brute_force_pair(g)
-    if fallback is not None:
-        yield fallback + ("fallback",)
+    for c1, c2 in islice(_brute_force_pairs(g), _BRUTE_FORCE_CHECKS):
+        yield c1, c2, "fallback"
 
 
 def _case_1(g, loops):
@@ -672,11 +680,7 @@ def _case_3(g):
         _, cyc, ix, iy, p = best
         c1 = Cycle(g, _rotate_to(cyc, cyc[ix]))
         c2_vs = p[:-1] + tuple(_rotate_to(cyc, cyc[iy]))[: (ix - iy) % len(cyc)]
-        c2 = Cycle(g, c2_vs)
-        pair = _case_31_adjust(g, c1, c2)
-        if pair is not None:
-            return pair + ("3.1",)
-        return c1, c2, "3.1"
+        return c1, Cycle(g, c2_vs), "3.1"
 
     for cyc in min_cycles:
         if _exterior_paths(g, cyc):
@@ -704,16 +708,6 @@ def _case_3(g):
     c1 = Cycle(g, _rotate_to(cyc, x))
     c2 = Cycle(g, p[:-1])
     return c1, c2, "3.3"
-
-
-def _case_31_adjust(g, c1, c2):
-    """Candidate repairs from the 3.1 analysis: swap roles when both an
-    attractor and a repulsor are present; both orders are tried."""
-    for a, b in ((c1, c2), (c2, c1)):
-        rep = check_condition_c(a, b, g)
-        if rep.passes:
-            return a, b
-    return None
 
 
 def _case_32(g, cyc):
@@ -792,13 +786,14 @@ def _path_with_overlap(g, src, dst, length, prefer):
 
 
 _BRUTE_FORCE_CANDIDATES = 400  # glued cycles, and cycles in the pool
-_BRUTE_FORCE_CHECKS = 30000  # (C1, C2) pairs checked
+_BRUTE_FORCE_CHECKS = 3000  # fallback (C1, C2) pairs judged before SearchExhausted
 
 
-def _brute_force_pair(g):
-    """First admissible pair over simple cycles and bounded repeat cycles.
+def _brute_force_pairs(g):
+    """The fallback's candidate pairs over simple cycles and bounded repeat
+    cycles: every (C1, C2) of the pool with |C1| >= 3, C1 in pool order.
 
-    The search is deterministic and capped: it exists to surface dispatch
+    The pool is deterministic and capped: it exists to surface dispatch
     gaps, not to be complete.  Cycles with uniform shortcuts are dropped up
     front (no exemption tolerates condition iii).
     """
@@ -813,38 +808,10 @@ def _brute_force_pair(g):
         if len(glued) >= _BRUTE_FORCE_CANDIDATES:
             break
     pool = []
-    for vs in list(simples) + glued:
-        try:
-            c = Cycle(g, vs)
-        except ValueError:
-            continue
+    for vs in simples + glued:
+        c = Cycle(g, vs)  # a simple cycle, or two glued at a shared start
         if not uniform_shortcuts(c, g):
             pool.append(c)
         if len(pool) >= _BRUTE_FORCE_CANDIDATES:
             break
-    c1_cands = [c for c in pool if len(c) >= 3]
-    checks = 0
-    deferred = []
-    capped = False
-    for c1 in c1_cands:
-        if capped:
-            break
-        for c2 in pool:
-            checks += 1
-            if checks > _BRUTE_FORCE_CHECKS:
-                capped = True
-                break
-            cb = cross_bridges(c1, c2, g)
-            att, rep_ = attract_repulse(c1, set(c1) | set(c2), g)
-            if not cb and not (att and rep_):
-                if good_pairs(c1, c2):
-                    return c1, c2
-            elif len(deferred) < 64:
-                report = check_condition_c(c1, c2, g)
-                if report.good_pairs and not report.shortcuts_c1 and not report.shortcuts_c2:
-                    deferred.append((c1, c2, report))
-    # second sweep allowing documented exemptions
-    for c1, c2, report in deferred:
-        if _exemption(g, c1, c2, report) is not None:
-            return c1, c2
-    return None
+    return ((c1, c2) for c1 in pool if len(c1) >= 3 for c2 in pool)

@@ -172,13 +172,14 @@ def entropy_1d(H, tol=1e-10, max_iter=10**6):
 
     ``bracket`` holds certified bounds on the spectral radius whose relative
     width is at most ``tol``.  Raises ValueError when ``tol`` is below
-    4 * sys.float_info.epsilon, and RuntimeError when power iteration does
-    not reach that width in ``max_iter`` steps on a component.
+    4 * sys.float_info.epsilon or not below 1, and RuntimeError when power
+    iteration does not reach that width in ``max_iter`` steps on a component.
     """
     # float ratios cannot agree to a few ulps, so a smaller tol would run all
-    # max_iter steps before failing; the check also rejects nan
-    if not tol >= _TOL_MIN:
-        raise ValueError(f"tol must be at least {_TOL_MIN:.3g} (four float epsilons)")
+    # max_iter steps before failing; a tol of 1 or more accepts the first
+    # row-sum bracket, whatever its midpoint; the check also rejects nan
+    if not _TOL_MIN <= tol < 1:
+        raise ValueError(f"tol must be at least {_TOL_MIN:.3g} (four float epsilons) and below 1")
     g = build_rauzy(H)  # raises EmptyLanguage
     val, bracket, iters = _digraph_spectral_radius(g, tol, max_iter)
     return PerronResult(_log2(val), val, bracket, iters)

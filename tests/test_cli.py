@@ -143,6 +143,14 @@ class TestErrors:
         assert code == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize("tol", ["1", "2", "inf"])
+    def test_tol_not_below_one(self, capsys, tol):
+        # any tol >= 1 accepts golden's first row-sum bracket [1, 2] and
+        # would print its midpoint 1.5 as the eigenvalue
+        code, out, err = run(capsys, "entropy", "1d", "--input", path("golden.json"), "--tol", tol)
+        assert code == 2 and out == ""
+        assert "tol" in err
+
     def test_tol_below_float_precision_fails_fast(self, capsys):
         # the float ratios of power iteration cannot agree to 1e-16
         start = time.perf_counter()

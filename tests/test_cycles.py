@@ -147,6 +147,15 @@ class TestConditionC:
         assert not rep.passes and "iii" in rep.failed()
 
 
+# 5-vertex graphs whose brute-force fallback has no pair that passes
+# condition C, but has pairs that the degree-one alignment excuses
+FALLBACK_BY_EXEMPTION = (
+    "00 01 02 03 04 11 12 13 14 20 21 23 24 30 31 40 41 43",
+    "00 02 03 10 11 12 13 14 20 21 24 30 31 32 34 40 42 43 44",
+    "00 01 02 03 04 11 12 14 20 21 23 31 32 33 34 40 41 42 43",
+)
+
+
 class TestFindCyclePair:
     def test_coding_graph(self, coding_sft):
         g = build_rauzy(coding_sft)
@@ -190,6 +199,15 @@ class TestFindCyclePair:
             pair, report = find_cycle_pair(g)
             assert report.case_tag == tag, f"expected {tag}, got {report.case_tag}"
             assert verify_pair_admissible(g, pair.c1, pair.c2)
+
+    @pytest.mark.parametrize("edges", FALLBACK_BY_EXEMPTION)
+    def test_fallback_pair_excused_by_an_exemption(self, edges):
+        # no fallback pair passes condition C here; the first that an
+        # exemption excuses is accepted by the same rule as every candidate
+        g = graph(edges.split())
+        pair, report = find_cycle_pair(g)
+        assert report.case_tag == "fallback" and report.admissible
+        assert verify_pair_admissible(g, pair.c1, pair.c2)
 
     def test_deterministic(self, exemplars):
         for g in exemplars.values():
@@ -300,8 +318,8 @@ class TestEverySmallGraph:
         assert (pair.c1.vertices, pair.c2.vertices, report.case_tag) == (tuple("30210"), ("2",), "case1.3-special")
 
     def test_every_labelling_of_the_gap_class(self):
-        # the answer must not hang on the labels; on the six masks named the
-        # brute-force fallback finds no pair
+        # the answer must not hang on the labels; on the six masks named no
+        # candidate of the brute-force fallback passes or is excused
         mask = sum(1 << (int(u) * 4 + int(v)) for (u, v) in CASE13_SPECIAL_GAP.edges)
         masks = {sum(1 << (p[b // 4] * 4 + p[b % 4]) for b in range(16) if mask >> b & 1) for p in permutations(range(4))}
         assert len(masks) == 24 and {28407, 48890, 57324, 59382, 60155, 61389} <= masks
@@ -327,7 +345,8 @@ def torus_ratio(g):
 
 
 # one graph per tag that ``find_cycle_pair`` gives on at most four vertices,
-# 4-vertex graphs by their ``mask_graph`` mask; len3-d has its own test.  Tag
+# 4-vertex graphs by their ``mask_graph`` mask, and a 5-vertex graph whose
+# fallback pair is excused by an exemption; len3-d has its own test.  Tag
 # 3.1 is left out: its least 4-vertex graph, mask 4742, has M = 12, and its
 # check takes about 20 s (its ratio is 1).
 TORUS_CASES = {
@@ -339,6 +358,7 @@ TORUS_CASES = {
     "mask4426": ("2.2", mask_graph(4426, 4)),
     "mask13819": ("case1.3-special", mask_graph(13819, 4)),
     "mask5855": ("fallback", mask_graph(5855, 4)),
+    "fallback5": ("fallback", graph(FALLBACK_BY_EXEMPTION[0].split())),
     "gap": ("case1.3-special", CASE13_SPECIAL_GAP),
     "len3-a": ("len3-a", graph("ab bc ca cb bb cc".split())),
     "len3-b": ("len3-b", graph("ab bc ca cb ac cc".split())),
