@@ -66,15 +66,16 @@ class SliceGrammar:
     root period); K = 2|C1| + |C2| + 3 counts the meso-slices of a
     macro-slice; heights are micro = N, meso = M*N, macro = K*M*N.
     The macro-slice words are built once per phase: ``macro_word`` reads
-    them, and ``slice_table`` maps each to its code for ``parse_column``.  A
-    one-tile grammar (N = 1) codes nothing, and all three raise ValueError.
+    them, and ``slice_table`` maps each to its code for ``parse_column``.
+    With one tile (N = 1) each coding micro-slice is one cell, which always
+    holds its C2 symbol, so each phase has a single macro-slice word.
     """
 
     H: Sft1D
     c1: tuple  # symbols of C1, in cycle order
     c2: tuple  # symbols of C2, in cycle order
     N: int
-    anchor: tuple | None  # (i0, j0, run_length) of the chosen orbit, None if N == 1
+    anchor: tuple  # (i0, j0, run_length) of the chosen orbit
 
     @cached_property
     def M(self):
@@ -98,8 +99,6 @@ class SliceGrammar:
 
     @property
     def good_pair_orbit(self):
-        if self.anchor is None:
-            return ()
         i0, j0, _ = self.anchor
         return tuple(
             ((i0 + p) % len(self.c1), (j0 + p) % len(self.c2)) for p in range(self.M)
@@ -107,12 +106,10 @@ class SliceGrammar:
 
     # phase p runs over 0..M-1; phase 0 is the orbit anchor (the clopen marker)
     def c1_sym(self, p):
-        i0 = self.anchor[0] if self.anchor else 0
-        return self.c1[(i0 + p) % len(self.c1)]
+        return self.c1[(self.anchor[0] + p) % len(self.c1)]
 
     def c2_sym(self, p):
-        j0 = self.anchor[1] if self.anchor else 0
-        return self.c2[(j0 + p) % len(self.c2)]
+        return self.c2[(self.anchor[1] + p) % len(self.c2)]
 
     def is_buffer(self, p):
         return self.c1_sym(p) == self.c2_sym(p)
@@ -147,8 +144,6 @@ class SliceGrammar:
         coding micro-slice the C2 symbol ``c2``, which there codes ``value``
         for ``register`` ("k" or "l").  A fixed cell is (symbol, None, None, 0).
         """
-        if self.anchor is None:
-            raise ValueError("a one-tile grammar codes nothing; it has no macro-slice layout")
         M, N = self.M, self.N
         out = []
         for p in range(M):
@@ -208,10 +203,10 @@ class SliceGrammar:
 
 
 def build_grammar(H, pair, N):
-    """Slice grammar for a cycle pair and a tile count.
+    """Slice grammar for a cycle pair and a tile count N >= 1, anchored at
+    the pair's first good pair.
 
-    For N = 1 the grammar degenerates to the plain-cycle presentation.
-    Raises NoGoodPair when N >= 2 and the pair has no good pair.
+    Raises NoGoodPair when the pair has no good pair.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -221,13 +216,10 @@ def build_grammar(H, pair, N):
         c1, c2 = pair
     c1_syms = tuple(_sym(v) for v in c1)
     c2_syms = tuple(_sym(v) for v in c2)
-    anchor = None
-    if N >= 2:
-        gps = good_pairs(c1, c2)
-        if not gps:
-            raise NoGoodPair("the pair has no good pair; cannot code more than one tile")
-        anchor = gps[0]
-    return SliceGrammar(H, c1_syms, c2_syms, N, anchor)
+    gps = good_pairs(c1, c2)
+    if not gps:
+        raise NoGoodPair("the pair has no good pair; it has no clopen marker")
+    return SliceGrammar(H, c1_syms, c2_syms, N, gps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +473,12 @@ def _grammar_nfa(grammar, tiles):
     return blocks, follow, frozenset(succession)
 
 
-def _plain_cycle_nfa(grammar):
-    """Degenerate single-tile case: the vertical SFT is the C1 cycle shift,
-    one block that reads C1 rotated by one and follows itself."""
-    c1 = grammar.c1
-    return [(0, 1, 1, c1[1:] + c1[:1])], [(0,)], frozenset({(0, 1, 1, 1, 1)})
-
-
 def compile_wang(H, tiles, pair):
     """Vertical presentation realizing the Wang shift of ``tiles`` as a root.
 
     Requires a nearest-neighbor H whose Rauzy graph fails the decidability
-    condition, and an admissible cycle pair of that graph.  Wang adjacency is
+    condition, and an admissible cycle pair of that graph.  Every tile
+    count, one tile included, gets the same macro-slices.  Wang adjacency is
     enforced by (a) banning code meso-slices whose main and side tiles are
     horizontally incompatible and (b) restricting vertical macro-slice
     succession to vertically compatible main tiles.
@@ -505,7 +491,7 @@ def compile_wang(H, tiles, pair):
     if check_condition_d(g).holds:
         raise ConditionDHolds("the horizontal graph satisfies the decidability condition")
     grammar = build_grammar(H, pair, tiles.N)
-    nfa = _plain_cycle_nfa(grammar) if tiles.N == 1 else _grammar_nfa(grammar, tiles)
+    nfa = _grammar_nfa(grammar, tiles)
     pres = VerticalPresentation(H.alphabet.symbols, *nfa, grammar=grammar, tiles=tiles)
     cert = RootCertificate(
         grammar.M,
@@ -553,14 +539,6 @@ def encode_pattern(grid, grammar, tiles, phase=0):
         wide = encode_pattern(padded, grammar, tiles, phase=0)
         p = phase % M
         cols = [wide.column(c) for c in range(p, p + a * M)]
-        return Pattern2D.from_columns(cols)
-
-    if grammar.N == 1:
-        L1 = len(grammar.c1)
-        height = b * grammar.macro_height
-        cols = []
-        for c in range(a * M):
-            cols.append(tuple(grammar.c1[(c + j) % L1] for j in range(height)))
         return Pattern2D.from_columns(cols)
 
     cols = []
@@ -637,12 +615,6 @@ def decode_pattern(window, grammar, tiles):
     if window.width % M or window.height % height or not (window.width and window.height):
         raise MalformedSlices("window is not a whole number of macro blocks")
     a = window.width // M
-    b = window.height // height
-    if grammar.N == 1:
-        grid = [[1] * b for _ in range(a)]
-        if not tiles.pattern_valid(grid) or window != encode_pattern(grid, grammar, tiles):
-            raise MalformedSlices("window is not the encoding of a one-tile grid")
-        return grid
     phases, codes = [], []
     for c in range(window.width):
         col = window.column(c)

@@ -128,15 +128,19 @@ def good_pairs(c1, c2):
 
     The disagreement run must have length >= 2 (l >= 1) and the agreement run
     length >= 1 (l <= M-2), M = lcm of the lengths; the whole diagonal orbit
-    (i+p, j+p) is derivable from a witness.
+    (i+p, j+p) is derivable from a witness.  Indices are cyclic, and c1, c2
+    may be Cycles or plain vertex sequences.
     """
-    m = lcm(len(c1), len(c2))
+    c1, c2 = tuple(c1), tuple(c2)
+    n1, n2 = len(c1), len(c2)
+    m = lcm(n1, n2)
     out = []
-    for i in range(len(c1)):
-        for j in range(len(c2)):
-            diffs = [c1[i + t] != c2[j + t] for t in range(m)]
-            if not diffs[0] or diffs[m - 1]:
+    for i in range(n1):
+        for j in range(n2):
+            # a run must start at (i, j): disagree there, agree just before
+            if c1[i] == c2[j] or c1[i - 1] != c2[j - 1]:
                 continue
+            diffs = [c1[(i + t) % n1] != c2[(j + t) % n2] for t in range(m)]
             f = diffs.index(False)
             l = f - 1
             if l < 1:

@@ -87,8 +87,11 @@ class TestGrammar:
             build_grammar(g, CyclePair(c1, c1), 2)
 
     def test_degenerate_single_tile(self, coding_sft, coding_pair):
+        # one tile takes the same anchor as any other count
         g = build_grammar(coding_sft, coding_pair, 1)
-        assert g.anchor is None and g.N == 1
+        assert g.anchor == (1, 0, 1) == build_grammar(coding_sft, coding_pair, 2).anchor
+        assert build_grammar(coding_sft, (coding_pair.c1.vertices, coding_pair.c2.vertices), 1) == g
+        assert (g.N, g.macro_height) == (1, 30)
 
     def test_orbit(self, grammar3):
         orbit = grammar3.good_pair_orbit
@@ -157,10 +160,17 @@ class TestCompileWang:
             assert len(labels) == len(set(labels))
 
     def test_monotile_plain_cycle(self, coding_sft, coding_pair):
+        # one tile codes the one macro-slice per phase; a column repeats it,
+        # so the columns of one macro height are its rotations
         pres, cert = compile_wang(coding_sft, free_tile_set(1), coding_pair)
-        # vertical language is the cycle shift: one word per rotation
-        words = pres.words(3)
-        assert sorted(words) == sorted([("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")])
+        gram = pres.grammar
+        assert (cert.m, cert.n) == (3, 30)
+        slices = [gram.macro_word(p, 1, 1) for p in range(gram.M)]
+        rotations = {w[t:] + w[:t] for w in slices for t in range(len(w))}
+        assert len(rotations) == 90
+        assert set(pres.words(30)) == rotations
+        assert all(pres.is_cyclic(w) for w in slices)
+        assert not pres.is_factor(slices[0] + slices[1])
 
     def test_free_set_window_surjectivity(self, coding_sft, coding_pair):
         # every pattern of the full 2-shift on small windows is reachable
@@ -183,7 +193,7 @@ class TestTallWords:
     def test_words_beyond_the_recursion_limit(self, coding_sft, coding_pair):
         pres, _ = compile_wang(coding_sft, free_tile_set(1), coding_pair)
         words = pres.words(2000)
-        assert len(words) == 3 and all(len(w) == 2000 for w in words)
+        assert len(words) == 90 and all(len(w) == 2000 for w in words)
         assert words == sorted(words) and all(pres.is_factor(w) for w in words)
 
 
@@ -468,19 +478,8 @@ class TestOneTileDecode:
         with pytest.raises(MalformedSlices):
             decode_pattern(Pattern2D(3, 30, ("a",) * 90), gram, tiles)
         shifted = Pattern2D.from_columns([enc.column(c) for c in (1, 2, 0)])
-        with pytest.raises(MalformedSlices):
+        with pytest.raises(NotInClopen):
             decode_pattern(shifted, gram, tiles)
-
-    def test_one_tile_grammar_has_no_slices(self, coding_sft, coding_pair):
-        gram = build_grammar(coding_sft, coding_pair, 1)
-        for read in (
-            lambda: gram.layout,
-            lambda: gram.slice_table,
-            lambda: gram.macro_word(0, 1, 1),
-            lambda: parse_column(gram, ("a",) * 30, 0),
-        ):
-            with pytest.raises(ValueError, match="one-tile grammar codes nothing"):
-                read()
 
 
 class TestCompileHorizontal:

@@ -40,6 +40,7 @@ class TestGoodPairs:
         gp = good_pairs(c1, c2)
         # the marked pair: disagreement starts right where the detour forks
         assert (3, 3, 24) in gp
+        assert good_pairs(c1.vertices, c2.vertices) == gp
         orb = SliceGrammar(None, c1.vertices, c2.vertices, 2, (3, 3, 24)).good_pair_orbit
         assert len(orb) == 30 and orb[0] == (3, 3)
         assert orb == tuple(((3 + p) % 5, (3 + p) % 6) for p in range(30))
@@ -330,25 +331,27 @@ class TestEverySmallGraph:
             assert report.case_tag == "case1.3-special", m
 
 
-def torus_ratio(g):
+def torus_ratio(g, n=2):
     """(ratio, tag) for H, the nearest-neighbour SFT whose graph is ``g``,
     and its pair from ``find_cycle_pair``: the closed walks of M edges in the
-    cylinder strip of height mh of H x compile_wang(H, free-2, pair), over
-    M * mh * 2.  These walks are the tori of M x mh cells; the two free
-    tiles have 2 tilings of period (1, 1)."""
+    cylinder strip of height mh of H x compile_wang(H, free-n, pair), over
+    M * mh * n.  These walks are the tori of M x mh cells; the n free tiles
+    have n tilings of period (1, 1)."""
     H = sft_from_edges(g.vertices, g.edges)
     pair, report = find_cycle_pair(build_rauzy(H))
-    pres, _ = compile_wang(H, free_tile_set(2), pair)
+    pres, _ = compile_wang(H, free_tile_set(n), pair)
     M, mh = pres.grammar.M, pres.grammar.macro_height
     tori = closed_walk_count(StripAutomaton.build(H, pres, mh, cyclic=True).successors, M)
-    return Fraction(tori, M * mh * 2), report.case_tag
+    return Fraction(tori, M * mh * n), report.case_tag
 
+
+LEN3_D = graph("ab bc ca ba ac bb cc".split())
 
 # one graph per tag that ``find_cycle_pair`` gives on at most four vertices,
 # 4-vertex graphs by their ``mask_graph`` mask, and a 5-vertex graph whose
-# fallback pair is excused by an exemption; len3-d has its own test.  Tag
-# 3.1 is left out: its least 4-vertex graph, mask 4742, has M = 12, and its
-# check takes about 20 s (its ratio is 1).
+# fallback pair is excused by an exemption; len3-d has its own test with
+# free-2 tiles.  Tag 3.1 is left out: its least 4-vertex graph, mask 4742,
+# has M = 12, and its check takes about 20 s (its ratio is 1).
 TORUS_CASES = {
     "coding3": ("1.1", graph("ab bc ca cb cc".split())),
     "mask4427": ("1.1", mask_graph(4427, 4)),
@@ -365,6 +368,13 @@ TORUS_CASES = {
     "len3-c": ("len3-c", graph("ab bc ca cb ac bb cc".split())),
 }
 
+# each case with free-2 tiles under its own name, then each with one free
+# tile, len3-d included: one tile has no second tiling for its pair to admit
+TORUS_PARAMS = [pytest.param(*case, 2, id=name) for name, case in TORUS_CASES.items()] + [
+    pytest.param(*case, 1, id=f"{name}-free1")
+    for name, case in {**TORUS_CASES, "len3-d": ("len3-d", LEN3_D)}.items()
+]
+
 
 class TestTorusIdentity:
     """H x compile_wang(H, T, pair) has M * mh * P_T tori of M x mh cells,
@@ -372,10 +382,9 @@ class TestTorusIdentity:
     of a macro-slice.  The identity was measured, not proved; a pair that
     does not pin the column alignment gives more tori."""
 
-    @pytest.mark.parametrize("name", TORUS_CASES)
-    def test_tori(self, name):
-        tag, g = TORUS_CASES[name]
-        ratio, got = torus_ratio(g)
+    @pytest.mark.parametrize("tag, g, n", TORUS_PARAMS)
+    def test_tori(self, tag, g, n):
+        ratio, got = torus_ratio(g, n)
         assert got == tag
         assert ratio == 1, f"{ratio} times M * mh * P_T tori"
 
@@ -383,6 +392,6 @@ class TestTorusIdentity:
     def test_len3_d(self):
         # C1 = abc, C2 = ab: 3,168 tori against 1,584; C2 = (b) or (c) gives
         # the ratio 1 but fails condition v, so the oracle refuses it
-        ratio, got = torus_ratio(graph("ab bc ca ba ac bb cc".split()))
+        ratio, got = torus_ratio(LEN3_D)
         assert got == "len3-d"
         assert ratio == 1, f"{ratio} times M * mh * P_T tori"

@@ -22,6 +22,8 @@ from sftkit.core import (
     Pattern2D,
     PreconditionUnmet,
     Sft1D,
+    WangTile,
+    WangTileSet,
     build_rauzy,
     full_shift,
     language_count,
@@ -861,10 +863,11 @@ class TestTorus:
         assert validate_torus(H, V, wit.pattern)
 
     def test_compiled_monotile(self, coding_sft):
-        pair, _ = find_cycle_pair(build_rauzy(coding_sft))
-        pres, _ = compile_wang(coding_sft, free_tile_set(1), pair)
-        wit = find_torus(coding_sft, pres, 4, 4)
-        assert (wit.width, wit.height) == (3, 3)
+        # the one-tile system's least torus is one M x mh block, M = 3, mh = 30
+        pres = coding_presentation(1)
+        assert find_torus(coding_sft, pres, 4, 29) is None
+        wit = find_torus(coding_sft, pres, 4, 30)
+        assert (wit.width, wit.height) == (3, 30)
         assert validate_torus(coding_sft, pres, wit.pattern)
 
 
@@ -975,6 +978,24 @@ class TestSemiDecide:
         out = semi_decide_emptiness(coding_sft, coding_presentation(2), 60)
         assert out.nonempty and (out.witness.width, out.witness.height) == (3, 60)
         assert validate_torus(coding_sft, coding_presentation(2), out.witness.pattern)
+
+    @pytest.mark.parametrize(
+        "tile",
+        [WangTile("x", "y", "v", "v"), WangTile("h", "h", "x", "y")],
+        ids=["east-west", "north-south"],
+    )
+    def test_compiled_one_tile_that_cannot_tile(self, coding_sft, tile):
+        # the tile cannot sit beside, or on, itself; the compiled system
+        # must read its colours to say so
+        pair, _ = find_cycle_pair(build_rauzy(coding_sft))
+        pres, _ = compile_wang(coding_sft, WangTileSet((tile,)), pair)
+        assert semi_decide_emptiness(coding_sft, pres, 20).status == "empty"
+
+    def test_compiled_free_one_tile(self, coding_sft):
+        pres = coding_presentation(1)
+        out = semi_decide_emptiness(coding_sft, pres, 30)
+        assert out.nonempty and (out.witness.width, out.witness.height) == (3, 30)
+        assert validate_torus(coding_sft, pres, out.witness.pattern)
 
     def test_demo_pairs_agree_with_the_reference(self):
         statuses = []
