@@ -513,11 +513,10 @@ def _right_fill(tiles, k):
     raise InvalidWPattern(f"tile {k} has no legal right neighbor; cannot encode a rightmost column")
 
 
-def encode_pattern(grid, grammar, tiles, phase=0):
+def encode_pattern(grid, grammar, tiles):
     """Encode a Wang pattern (grid[x][y] of tile indices, y upward) into a
-    concrete window of size (a*M) x (b*K*M*N).
-
-    With phase 0 the cell (0, 0) is the bottom of a marker-phase macro-slice.
+    concrete window of size (a*M) x (b*K*M*N), whose cell (0, 0) is the
+    bottom of a marker-phase macro-slice.
     """
     a = len(grid)
     b = len(grid[0]) if a else 0
@@ -533,14 +532,6 @@ def encode_pattern(grid, grammar, tiles, phase=0):
         raise InvalidWPattern("tile grid violates Wang adjacency")
 
     M = grammar.M
-    if phase % M != 0:
-        padded = [list(c) for c in grid]
-        padded.append([_right_fill(tiles, grid[-1][y]) for y in range(b)])
-        wide = encode_pattern(padded, grammar, tiles, phase=0)
-        p = phase % M
-        cols = [wide.column(c) for c in range(p, p + a * M)]
-        return Pattern2D.from_columns(cols)
-
     cols = []
     for c in range(a * M):
         p = c % M

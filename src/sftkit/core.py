@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 WILDCARD = "·"  # "·" in 2D forbidden patterns: matches any symbol
 
@@ -548,28 +548,15 @@ def _follow(step, x, word):
     return x
 
 
-# maps the binary digits of ``bin`` to the bytes 0 and 1
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _bits(mask):
-    """The positions of the set bits of ``mask`` (an int >= 0), ascending.
-
-    A sparse mask, at most one set bit per 32 positions, takes one step per
-    set bit, each clearing the lowest.  A denser one is scanned in C, a byte
-    per bit: its binary digits, lowest first, become the bytes 0 and 1, and
-    ``compress`` keeps the positions of the 1s.  Either way no Python step
-    is spent on a clear bit.
-    """
-    if 32 * mask.bit_count() <= mask.bit_length():
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
-    return list(compress(range(len(flags)), flags))
+    """The positions of the set bits of ``mask`` (an int >= 0), ascending:
+    one step per set bit, each clearing the lowest."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def essential_states(succ):

@@ -60,17 +60,32 @@ def _spectral_radius(succ, tol=1e-12, max_iter=10**6):
 
     ``lo <= rho <= hi`` is certified in exact arithmetic, ``hi - lo <= tol *
     hi``, and ``value`` is the midpoint.  Each nontrivial strongly connected
-    component gets its own bracket (``_perron_bracket``); rho is the largest
-    component radius, so each end of the graph's bracket is the largest end
-    among the components.  Raises RuntimeError when ``max_iter`` steps do not
-    certify a component.
+    component gets its own bracket from ``_power_bracket`` on its dense
+    adjacency matrix, which it also squares; rho is the largest component
+    radius, so each end of the graph's bracket is the largest end among the
+    components.  Raises RuntimeError when ``max_iter`` steps do not certify
+    a component, or an entry of its iterate underflows first.
     """
     lo = hi = 0.0
     iters = 0
     for comp in strong_components(succ):
         if len(comp) == 1 and comp[0] not in succ[comp[0]]:
             continue  # transient vertex contributes nothing
-        c_lo, c_hi, steps = _perron_bracket(succ, comp, tol, max_iter)
+        n = len(comp)
+        pos = {v: i for i, v in enumerate(comp)}
+        rows = [[pos[v] for v in succ[u] if v in pos] for u in comp]
+        a = np.empty((n, n))
+        for i, row in enumerate(rows):
+            a[i] = np.bincount(row, minlength=n)
+        c_lo, c_hi, steps, certified = _power_bracket(
+            a.__matmul__, lambda xs: [sum(map(xs.__getitem__, row)) for row in rows], n, tol, max_iter, square=a
+        )
+        if not certified:
+            stop = f"after {steps} iterations" if steps == max_iter else f"when the iterate underflowed at step {steps}"
+            raise RuntimeError(
+                f"power iteration did not certify the spectral radius: float bracket "
+                f"[{c_lo!r}, {c_hi!r}] wider than tol {tol:g} {stop} on a component of {n} states"
+            )
         iters += steps
         lo, hi = max(lo, c_lo), max(hi, c_hi)
     return (lo + hi) / 2, (lo, hi), iters
@@ -82,41 +97,39 @@ def _spectral_radius(succ, tol=1e-12, max_iter=10**6):
 _MAX_SQUARINGS = 60
 
 
-def _perron_bracket(succ, comp, tol, max_iter):
-    """Certified (lo, hi, steps) around the spectral radius of the irreducible
-    component ``comp`` of ``succ``.
+def _power_bracket(apply, image, n, tol, max_iter, square=None):
+    """Power iteration around the spectral radius of a nonnegative n x n
+    matrix A, as (lo, hi, steps, certified).
 
-    Power iteration on B = A + I from x = 1 (the shift makes periodic
-    components primitive).  Once the steps outnumber the component's states,
-    each step also squares a normalised power P of B and applies it, so a
-    small spectral gap costs O(n^3 log steps) rather than O(n^4).  When the
-    float ratios (Ax)_i / x_i agree to ``tol``, ``_exact_bracket`` recomputes
-    their min and max exactly.
+    ``apply(x)`` is the float Ax and ``image(xs)`` the exact int image that
+    ``_exact_bracket`` takes.  The iteration runs on B = A + I from x = 1
+    (the shift makes periodic components primitive).  When the float ratios
+    (Ax)_i / x_i agree to ``tol``, ``_exact_bracket`` recomputes their min
+    and max exactly; if those agree too, (lo, hi) is certified.  With
+    ``square``, the dense A, once the steps outnumber the n states each step
+    also squares a normalised power P of B and applies it, so a small
+    spectral gap costs O(n^3 log steps) rather than O(n^4).  The iteration
+    gives up after ``max_iter`` steps, or at once when an entry of x
+    underflows to 0, and then returns the last float ratios, uncertified.
     """
-    n = len(comp)
-    pos = {v: i for i, v in enumerate(comp)}
-    rows = [[pos[v] for v in succ[u] if v in pos] for u in comp]
-    a = np.empty((n, n))
-    for i, row in enumerate(rows):
-        a[i] = np.bincount(row, minlength=n)
     x = np.ones(n)
     p = None
-    squarings = 0
-    next_check = 0
+    squarings = next_check = steps = 0
     lo, hi = 0.0, inf
-    for steps in range(1, max_iter + 1):
-        ax = a @ x
+    while steps < max_iter:
+        steps += 1
+        ax = apply(x)
         ratios = ax / x
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= tol * hi and steps >= next_check:
-            c_lo, c_hi = _exact_bracket(x, lambda xs: [sum(map(xs.__getitem__, row)) for row in rows])
+            c_lo, c_hi = _exact_bracket(x, image)
             if c_hi - c_lo <= tol * c_hi:
-                return c_lo, c_hi, steps
+                return c_lo, c_hi, steps, True
             next_check = 2 * steps  # the float ratios are too coarse yet
         y = ax + x
-        if steps > n and squarings < _MAX_SQUARINGS:
+        if square is not None and steps > n and squarings < _MAX_SQUARINGS:
             if p is None:
-                p = a.copy()
+                p = square.copy()
                 p.flat[:: n + 1] += 1.0
             else:
                 p = p @ p
@@ -124,11 +137,9 @@ def _perron_bracket(succ, comp, tol, max_iter):
             squarings += 1
             y = p @ y
         x = y / y.max()
-    raise RuntimeError(
-        f"power iteration did not certify the spectral radius: float bracket "
-        f"[{lo!r}, {hi!r}] wider than tol {tol:g} after {max_iter} iterations "
-        f"on a component of {n} states"
-    )
+        if not x.min() > 0:
+            break
+    return lo, hi, steps, False
 
 
 def _exact_bracket(x, image):

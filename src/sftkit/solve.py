@@ -233,19 +233,25 @@ class StripAutomaton:
                 vec = sums
         return vec
 
+    def _sweep(self, x):
+        """One float width step of x through the layers, one ``np.bincount``
+        per layer: the float ``_image``, or Ax for A the transpose of the
+        transfer matrix."""
+        for src, dst, size in self.layers:
+            x = np.bincount(dst, x[src], size)
+        return x
+
     def has_cycle(self):
         """Does the strip have a cycle, i.e. a bi-infinite walk?
 
         The support of the width step, iterated from every window, shrinks
         to the windows that a cycle reaches, so its fixed point is nonempty
-        exactly when a cycle exists.  Each layer maps the support with one
-        ``np.bincount``; the transitions are not listed.
+        exactly when a cycle exists.  ``_sweep`` maps the support; the
+        transitions are not listed.
         """
         live = np.ones(len(self.states), dtype=bool)
         while True:
-            nxt = live
-            for src, dst, size in self.layers:
-                nxt = np.bincount(dst[nxt[src]], minlength=size) > 0
+            nxt = self._sweep(live) > 0
             if np.array_equal(nxt, live):
                 return bool(live.any())
             live = nxt
@@ -255,39 +261,23 @@ class StripAutomaton:
         a certified bracket, ``lo <= value <= hi`` and ``hi - lo <= tol * hi``.
 
         Write A for the transpose of the transfer matrix, which has the same
-        spectral radius: one sweep through the layers maps x to Ax.  Power
-        iteration on B = A + I runs through the layers, one ``np.bincount``
-        per layer, from x = 1 over the whole strip, and
-        ``entropy._exact_bracket`` certifies the Collatz–Wielandt bracket
-        with one exact sweep (``_image``) of the integer-scaled iterate.
-        That bracket holds for any nonnegative A while x > 0, but on a
-        reducible A it need not narrow: a window with no predecessor keeps
-        the ratio 0.  So when n steps, n the number of states, do not
-        certify it, or an entry of x underflows to 0, the per-component
-        iteration of ``entropy._spectral_radius`` over ``successors``
-        decides.  Its ``max_iter`` bounds the steps on each component, and
-        ``iterations`` counts every step, the steps before it too.
+        spectral radius: ``_sweep`` maps x to Ax.  ``entropy._power_bracket``
+        iterates it from x = 1 over the whole strip and certifies with one
+        exact sweep (``_image``) of the integer-scaled iterate.  That bracket
+        holds for any nonnegative A while x > 0, but on a reducible A it need
+        not narrow: a window with no predecessor keeps the ratio 0.  So when
+        n steps, n the number of states, do not certify it, or an entry of x
+        underflows to 0, the per-component iteration of
+        ``entropy._spectral_radius`` over ``successors`` decides.  Its
+        ``max_iter`` bounds the steps on each component, and ``iterations``
+        counts every step, the steps before it too.
         """
-        from .entropy import _exact_bracket, _spectral_radius
+        from .entropy import _power_bracket, _spectral_radius
 
-        x = np.ones(len(self.states))
-        steps = next_check = 0
-        while steps < min(len(x), max_iter):
-            steps += 1
-            ax = x
-            for src, dst, size in self.layers:
-                ax = np.bincount(dst, ax[src], size)
-            ratios = ax / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            if hi - lo <= tol * hi and steps >= next_check:
-                lo, hi = _exact_bracket(x, self._image)
-                if hi - lo <= tol * hi:
-                    return (lo + hi) / 2, (lo, hi), steps
-                next_check = 2 * steps  # the float ratios are too coarse yet
-            y = ax + x
-            x = y / y.max()
-            if not x.min() > 0:
-                break
+        n = len(self.states)
+        lo, hi, steps, certified = _power_bracket(self._sweep, self._image, n, tol, min(n, max_iter))
+        if certified:
+            return (lo + hi) / 2, (lo, hi), steps
         value, bracket, more = _spectral_radius(self.successors, tol, max_iter)
         return value, bracket, steps + more
 

@@ -286,11 +286,6 @@ class TestRoundTrip:
         with pytest.raises(NotInClopen, match="first column has phase 1"):
             decode_pattern(shifted, grammar3, tiles)
 
-    def test_phase_parameter(self, grammar3):
-        tiles = free_tile_set(3)
-        enc = encode_pattern([[1], [2]], grammar3, tiles, phase=1)
-        assert offset0_phase(grammar3, enc.column(0)) == 1  # first column now sits at phase 1
-
     def test_cropped_rows_not_in_clopen(self, grammar3):
         tiles = free_tile_set(3)
         enc = encode_pattern([[1, 2, 3], [2, 3, 1]], grammar3, tiles)

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import time
 from itertools import product
 from fractions import Fraction
 from math import comb, inf, log2, nextafter
@@ -137,6 +138,18 @@ class TestEntropy1D:
             entropy_1d(rll, max_iter=10)
         lo, hi = entropy_1d(rll).bracket
         assert hi - lo <= 1e-10 * hi
+
+    def test_underflow_ends_the_iteration(self):
+        # a 10-vertex complete graph with loops and a path of 340 more
+        # vertices from vertex 0 back to it: the Perron vector falls about
+        # tenfold per vertex down the path, below the smallest float, so an
+        # entry of the iterate underflows to 0 and the ratios would be nan
+        succ = [list(range(10)) for _ in range(10)] + [[v + 1] for v in range(10, 349)] + [[0]]
+        succ[0].append(10)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"underflowed at step \d+ on a component of 350 states"):
+            _spectral_radius(succ)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("d", [20, 40, 80, 200])
     def test_rll_capacity_in_bracket(self, d):
