@@ -43,11 +43,13 @@ from . import entropy as _entropy
 
 
 def _emit(obj, path=None):
-    """Write ``obj`` as one line of JSON with sorted keys.  Without ``indent``
-    the standard library encodes in C, which matters for presentations of
-    a megabyte or more.  Every output is a fresh tree, so the check for
-    circular references is skipped."""
-    text = json.dumps(obj, sort_keys=True, check_circular=False)
+    """Write ``obj`` as one line of strict JSON with sorted keys.  Without
+    ``indent`` the standard library encodes in C, which matters for
+    presentations of a megabyte or more.  Every output is a fresh tree, so
+    the check for circular references is skipped.  JSON has no infinities
+    or nan: callers write a non-finite value as null, and one left over is
+    a ValueError (exit 2), never output."""
+    text = json.dumps(obj, sort_keys=True, check_circular=False, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -227,7 +229,7 @@ def _cmd_entropy(args):
         _emit(
             {
                 "p": rep["p"],
-                "term": rep["term"],
+                "term": _entropy._json_float(rep["term"]),
                 "max_product": rep["max_product"],
                 "identity": [
                     {"m": m, "lhs": str(rep["lhs"](m)), "rhs": str(rep["rhs"](m))}
@@ -248,11 +250,12 @@ def _cmd_entropy(args):
         Sft1D.from_json(h), tuple(u), tuple(w1), tuple(w2), q, r, big_r, WangTileSet.from_json(payload)
     )
     system = _entropy.build_realization(plan)
-    rows = [_entropy.realization_sandwich(system, k) for k in ks]
+    rows = _entropy.realization_sandwich(system, ks)
     for row in rows:
         row["count"] = str(row["count"])
         row["lower"] = str(row["lower"])
         row["upper"] = str(row["upper"])
+        row["sample_entropy"] = _entropy._json_float(row["sample_entropy"])
     _emit({"period": plan.period, "sandwich": rows}, args.out)
     return 0
 

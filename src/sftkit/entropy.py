@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, inf, lcm, log2, nextafter
+from math import gcd, inf, isfinite, lcm, log2, nextafter
 
 import numpy as np
 
@@ -200,6 +200,11 @@ def _log2(v):
     return log2(v) if v > 0 else -inf
 
 
+def _json_float(v):
+    """``v`` for JSON: None (null) where it is not finite, as a log2 of 0 is."""
+    return v if isfinite(v) else None
+
+
 # ---------------------------------------------------------------------------
 # 2D bounds
 
@@ -212,9 +217,9 @@ class EntropyBounds:
 
     def to_json(self):
         return {
-            "samples": [[n, v] for n, v in self.samples],
-            "upper": self.upper,
-            "strip_upper": [[h, v] for h, v in self.strip_upper],
+            "samples": [[n, _json_float(v)] for n, v in self.samples],
+            "upper": _json_float(self.upper),
+            "strip_upper": [[h, _json_float(v)] for h, v in self.strip_upper],
         }
 
 
@@ -511,6 +516,12 @@ class RealizationSystem:
         """The row automaton of (H, u), built on first use."""
         return _RowAutomaton(self.plan.H, self.plan.u)
 
+    @cached_property
+    def table(self):
+        """The moves of the row DP (``_RowTable``), built on first use and
+        shared by every count of the system."""
+        return _RowTable(self)
+
 
 def build_realization(plan):
     """Validate the plan and wrap it as a countable system."""
@@ -528,9 +539,16 @@ def count_realization(system, width, height):
     and the total decomposes over the phase.  Payloads with nontrivial
     adjacency are only supported for height 1.
     """
+    return _window_counts(system, ((width, height),))[0]
+
+
+def _window_counts(system, shapes):
+    """``count_realization`` at each (width, height) of ``shapes``, in order,
+    from one row walk per marker phase to the largest width.  Every shape is
+    checked before any row is counted."""
     plan = system.plan
     n = plan.period
-    if width < n + plan.alpha - 1:
+    if any(width < n + plan.alpha - 1 for width, _ in shapes):
         raise ValueError("window too narrow to pin the marker phase")
     tiles = plan.payload
     free_w = all(
@@ -538,18 +556,22 @@ def count_realization(system, width, height):
         for k in range(1, tiles.N + 1)
         for l in range(1, tiles.N + 1)
     )
-    if not free_w and height > 1:
+    if not free_w and any(height > 1 for _, height in shapes):
         raise NotImplementedError("coupled payloads are counted row by row only")
-    table = _RowTable(system)
-    return sum(_row_count(table, width, phase) ** height for phase in range(n))
+    widths = [width for width, _ in shapes]
+    totals = [0] * len(shapes)
+    for phase in range(n):
+        for i, (rows, (_, height)) in enumerate(zip(_row_counts(system.table, widths, phase), shapes)):
+            totals[i] += rows**height
+    return totals
 
 
 _BOTH = 2  # a code bit that the visible cells of its block do not decide
 
 
 class _RowTable:
-    """The moves of the row DP of one realization system, shared by every
-    marker phase of one ``count_realization``.
+    """The moves of the row DP of one realization system (``system.table``),
+    shared by every marker phase of every count.
 
     Column c of a row at phase p sits at offset o = (c - p) mod n of the
     period.  A DP state pairs a row automaton state with a code register:
@@ -559,7 +581,8 @@ class _RowTable:
     agree with both w1 and w2.  DP states are interned as ints.
     ``moves[o][d]`` lists the DP states one column after d at offset o; it
     is filled on first use from ``options`` and the automaton's successor
-    table, so each phase's DP only looks moves up.
+    table, so each phase's DP only looks moves up; ``step`` moves the DP one
+    column on.
     """
 
     def __init__(self, system):
@@ -655,6 +678,18 @@ class _RowTable:
         out = self.moves[o][d] = tuple(out)
         return out
 
+    def step(self, o, cur):
+        """The DP state counts one column at offset o after those of ``cur``."""
+        moves = self.moves[o]
+        nxt = {}
+        for d, cnt in cur.items():
+            targets = moves.get(d)
+            if targets is None:
+                targets = self.expand(o, d)
+            for t in targets:
+                nxt[t] = nxt.get(t, 0) + cnt
+        return nxt
+
     def _intern(self, key):
         d = self._ids.get(key)
         if d is None:
@@ -664,7 +699,13 @@ class _RowTable:
 
 
 def _row_count(table, width, phase):
-    """Rows of the given width whose marker grid sits at i = phase mod n.
+    """Rows of the given width whose marker grid sits at i = phase mod n."""
+    return _row_counts(table, (width,), phase)[0]
+
+
+def _row_counts(table, widths, phase):
+    """``_row_count`` at each width of ``widths``, in order, from one walk
+    that reads its count at each width on the way to the largest.
 
     The DP emits one symbol per column, so distinct states always emit
     distinct words: a code block whose visible part does not yet distinguish
@@ -672,40 +713,47 @@ def _row_count(table, width, phase):
     code group cut off by the right end of the window counts only if it can
     still address a payload tile.
     """
-    n = table.n
     cur = {table.start(phase): 1}
-    for c in range(width):
-        o = (c - phase) % n
-        moves = table.moves[o]
-        nxt = {}
-        for d, cnt in cur.items():
-            targets = moves.get(d)
-            if targets is None:
-                targets = table.expand(o, d)
-            for t in targets:
-                nxt[t] = nxt.get(t, 0) + cnt
-        cur = nxt
-    return sum(cnt for d, cnt in cur.items() if table.open_group_ok(d))
+    counts, done = {}, 0
+    for width in sorted(set(widths)):
+        for c in range(done, width):
+            cur = table.step((c - phase) % table.n, cur)
+        done = width
+        counts[width] = sum(cnt for d, cnt in cur.items() if table.open_group_ok(d))
+    return [counts[width] for width in widths]
 
 
 def realization_sandwich(system, k):
-    """Exact two-sided bounds around the window count at aspect (k*n) x k."""
+    """Exact two-sided bounds around the window count at aspect (k*n) x k.
+
+    ``k`` may also be a list of ks: then the rows come back as a list in the
+    order given, duplicates included, all read from one row walk per marker
+    phase to the largest width.  Every k must be at least 2, checked before
+    any count: at k = 1 the width n is below n + alpha - 1, since alpha >= 2.
+    """
+    one = isinstance(k, int)
+    ks = [k] if one else list(k)
+    for j in ks:
+        if j < 2:
+            raise ValueError(f"k = {j}: the sandwich needs k >= 2, as k = 1 gives width n < n + alpha - 1")
     plan = system.plan
     n = plan.period
+    distinct = sorted(set(ks))
     nt = _ntilde(system.rows, plan.w1, plan.q * plan.alpha)
     nw = lambda a, b: _payload_count(plan.payload, a, b)
-    nx = count_realization(system, k * n, k)
-    lower = nt ** (k * (k - 1)) * nw(k - 1, k)
-    upper = nt ** (k * (k + 1)) * nw(k + 1, k)
-    sample = log2(nx) / (k * n * k) if nx else -inf
-    return {
-        "k": k,
-        "count": nx,
-        "lower": lower,
-        "upper": upper,
-        "sample_entropy": sample,
-        "ok": lower <= nx <= upper,
-    }
+    rows = {}
+    for j, nx in zip(distinct, _window_counts(system, [(j * n, j) for j in distinct])):
+        lower = nt ** (j * (j - 1)) * nw(j - 1, j)
+        upper = nt ** (j * (j + 1)) * nw(j + 1, j)
+        rows[j] = {
+            "k": j,
+            "count": nx,
+            "lower": lower,
+            "upper": upper,
+            "sample_entropy": log2(nx) / (j * n * j) if nx else -inf,
+            "ok": lower <= nx <= upper,
+        }
+    return rows[k] if one else [dict(rows[j]) for j in ks]  # a row per entry, duplicates too
 
 
 def _payload_count(tiles, a, b):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, product
 from math import inf, lcm
+from operator import add
 
 import numpy as np
 
@@ -161,7 +162,7 @@ class StripAutomaton:
             narrow.append(len(rows))
             tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
             rows, picks = table[rows[src], letters[col]], np.column_stack((picks[src], col))
-        states = tuple(sum(map(cols.__getitem__, w), ()) for w in picks.tolist())
+        states = _window_states(cols, picks) if g.order > 1 else tuple(cols)  # order 1: picks is the identity
 
         def pairs(cap):
             """The (state, successor) pairs, sorted; None from ``cap`` on."""
@@ -284,6 +285,16 @@ class StripAutomaton:
 
 def _refuse(budget):
     raise BudgetExceeded(f"more than {budget} strip columns, windows and edges")
+
+
+def _window_states(cols, picks):
+    """The state of each window: its columns ``cols[c]`` for c in the row
+    ``picks[i]``, joined.  It reads one index list per window column, not
+    one per window."""
+    states = map(cols.__getitem__, picks[:, 0].tolist())
+    for j in range(1, picks.shape[1]):
+        states = map(add, states, map(cols.__getitem__, picks[:, j].tolist()))
+    return tuple(states)
 
 
 def _trie(words, base):

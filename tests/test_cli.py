@@ -423,6 +423,57 @@ class TestEntropyCommands:
         assert code == 0
         assert len(json.loads(out)["samples"]) == 3
 
+    def test_2d_writes_null_for_the_log_of_a_zero_count(self, capsys, tmp_path, monkeypatch):
+        import sftkit.entropy
+
+        argv = _json_commands(tmp_path)["entropy 2d zero"]
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == {
+            "samples": [[1, 0.0], [2, None]],
+            "strip_upper": [[1, 0.0], [2, None], [3, None]],
+            "upper": None,
+        }
+        # a non-finite float that reaches the output is an error, not output
+        monkeypatch.setattr(sftkit.entropy, "_json_float", lambda v: v)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "JSON" in err
+
+    def test_realize_rows_in_the_order_given_match_one_k_runs(self, capsys, tmp_path):
+        capsys.readouterr()
+        head = '{"period": 39, "sandwich": ['
+        single = {}
+        for k in (2, 3, 4, 5):
+            code, out, _ = run(capsys, "entropy", "realize", "--input", str(_realize_spec(tmp_path, [k])))
+            assert code == 0 and out.startswith(head) and out.endswith("]}\n")
+            single[k] = out[len(head) : -len("]}\n")]
+        for ks in ([3, 2, 2], [2, 3, 4, 5], [5, 4, 2]):
+            code, out, _ = run(capsys, "entropy", "realize", "--input", str(_realize_spec(tmp_path, ks)))
+            assert code == 0 and out == head + ", ".join(single[k] for k in ks) + "]}\n", ks
+            assert all(row["ok"] is True for row in json.loads(out)["sandwich"])
+
+    def test_realize_checks_every_k_before_any_count(self, capsys, tmp_path, monkeypatch):
+        import sftkit.entropy
+
+        def no_count(*args):
+            raise AssertionError("a window was counted")
+
+        monkeypatch.setattr(sftkit.entropy, "_window_counts", no_count)
+        capsys.readouterr()
+        for ks, bad in (([3, 1], 1), ([2, 0, 3], 0), ([-1], -1)):
+            code, out, err = run(capsys, "entropy", "realize", "--input", str(_realize_spec(tmp_path, ks)))
+            assert code == 2 and out == "" and err.startswith("error:"), ks
+            assert f"k = {bad}:" in err and "k >= 2" in err, err
+
+    def test_realize_writes_null_for_the_log_of_a_zero_count(self, capsys, tmp_path, monkeypatch):
+        import sftkit.entropy
+
+        monkeypatch.setattr(sftkit.entropy, "_window_counts", lambda system, shapes: [0] * len(shapes))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "entropy", "realize", "--input", str(_realize_spec(tmp_path, [2])))
+        (row,) = json.loads(out)["sandwich"]
+        assert code == 0 and row["count"] == "0" and row["sample_entropy"] is None and row["ok"] is False
+
 
     # each entropy subcommand takes only the options it reads
     @pytest.mark.parametrize(
@@ -540,26 +591,37 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-def _json_commands(tmp_path):
-    """argv of every JSON-writing command on small inputs, by name."""
+def _realize_spec(tmp_path, ks, name="spec.json"):
+    """The path of a realization spec on golden's marker words with the
+    free 2-tile payload (period 39) and the given ks."""
     from sftkit.core import Sft1D, free_tile_set
     from sftkit.entropy import entropy_words
 
+    sft = Sft1D.load(path("golden.json"))
+    u, w1, w2, _ = entropy_words(sft, k=1)
+    spec = tmp_path / name
+    spec.write_text(json.dumps({
+        "H": sft.to_json(), "payload": free_tile_set(2).to_json(),
+        "u": list(u), "w1": list(w1), "w2": list(w2), "q": 1, "r": 2, "R": 1, "ks": ks,
+    }))
+    return spec
+
+
+def _json_commands(tmp_path):
+    """argv of every JSON-writing command on small inputs, by name."""
     golden, coding3, free2 = path("golden.json"), path("coding3.json"), path("free2.json")
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"tiles": [[2], [1]]}))
     window = tmp_path / "window.json"
     assert main(["encode", "--h", coding3, "--w", free2, "--input", str(grid), "--out", str(window)]) == 0
-    sft = Sft1D.load(golden)
-    u, w1, w2, _ = entropy_words(sft, k=1)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "H": sft.to_json(), "payload": free_tile_set(2).to_json(),
-        "u": list(u), "w1": list(w1), "w2": list(w2), "q": 1, "r": 2, "R": 1, "ks": [2],
-    }))
+    spec = _realize_spec(tmp_path, [2])
     ss_h, ss_v = tmp_path / "ss_h.json", tmp_path / "ss_v.json"
     ss_h.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["a", "a"], ["b", "b"]]}))
     ss_v.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["b", "b"]]}))
+    # rows of a alone under columns without aa: no 2 x 2 square
+    zero_h, zero_v = tmp_path / "zero_h.json", tmp_path / "zero_v.json"
+    zero_h.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["b"]]}))
+    zero_v.write_text(json.dumps({"alphabet": ["a", "b"], "forbidden": [["a", "a"]]}))
     return {
         "rauzy": ["rauzy", "--input", golden],
         "classify": ["classify", "--input", golden],
@@ -572,6 +634,7 @@ def _json_commands(tmp_path):
         "solve decide": ["solve", "decide", "--h", golden, "--v", golden],
         "entropy 1d": ["entropy", "1d", "--input", golden],
         "entropy 2d": ["entropy", "2d", "--h", golden, "--v", golden, "--bound", "3"],
+        "entropy 2d zero": ["entropy", "2d", "--h", str(zero_h), "--v", str(zero_v), "--bound", "3"],
         "entropy realize": ["entropy", "realize", "--input", str(spec)],
         "entropy statesplit": ["entropy", "statesplit", "--h", str(ss_h), "--v", str(ss_v), "--bound", "2"],
         "entropy bezout": ["entropy", "bezout", "--input", "3,5"],
@@ -595,6 +658,18 @@ class TestOutputLayout:
             assert out.endswith("\n") and out.count("\n") == 1, name
             obj = json.loads(out)
             assert out == json.dumps(obj, sort_keys=True) + "\n", name
+
+    def test_every_output_is_strict_json(self, capsys, tmp_path):
+        # RFC 8259 has no Infinity, -Infinity or NaN
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        commands = _json_commands(tmp_path)
+        capsys.readouterr()
+        for name, argv in commands.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, name
+            json.loads(out, parse_constant=refuse)
 
     def test_compile_wang_is_the_presentation(self, capsys):
         from sftkit.compiler import compile_wang

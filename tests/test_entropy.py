@@ -32,7 +32,9 @@ from sftkit.entropy import (
     _exact_bracket,
     _payload_count,
     _row_count,
+    _row_counts,
     _spectral_radius,
+    _window_counts,
     bezout_rank,
     build_realization,
     count_realization,
@@ -511,6 +513,20 @@ class TestRowCounts:
         assert counts == [window_oracle(plan, width, phase) for phase in range(plan.period)]
         assert count_realization(system, width, 2) == sum(c * c for c in counts)
 
+    @pytest.mark.parametrize("h, u, w1, w2, N, R, r", SMALL_PLANS)
+    def test_one_walk_matches_window_enumeration_at_every_width(self, h, u, w1, w2, N, R, r):
+        plan = RealizationPlan(Sft1D.from_words(*h), tuple(u), tuple(w1), tuple(w2), 1, r, R, free_tile_set(N))
+        system = build_realization(plan)
+        n, alpha = plan.period, plan.alpha
+        widths = [2 * n, n + alpha - 1, n + 2 * alpha, 2 * n]  # any order, repeats too
+        oracle = {w: [window_oracle(plan, w, phase) for phase in range(n)] for w in set(widths)}
+        for phase in range(n):
+            assert _row_counts(system.table, widths, phase) == [oracle[w][phase] for w in widths], phase
+        shapes = [(2 * n, 2), (n + alpha - 1, 1), (n + 2 * alpha, 3)]
+        expected = [sum(c**height for c in oracle[w]) for w, height in shapes]
+        assert [count_realization(system, w, height) for w, height in shapes] == expected
+        assert _window_counts(system, shapes) == expected
+
     # the golden literals were computed before the row automaton and the
     # transfer payload count; the free-3 ones once a cut-off code group had
     # to address a tile (N = 3 < 2^R, so some groups address none)
@@ -521,6 +537,34 @@ class TestRowCounts:
         assert count_realization(build_realization(free3_plan), 2 * 52, 2) == 97746037164144
         for plan in (golden_plan, free3_plan):
             assert ntilde_count(golden, plan.u, plan.w1, plan.alpha) == 376
+
+    def test_a_ks_list_walks_each_phase_once_to_its_largest_k(self, golden_plan, monkeypatch):
+        import sftkit.entropy
+
+        tables, steps = [], []
+
+        class SpyTable(_RowTable):
+            def __init__(self, system):
+                tables.append(system)
+                super().__init__(system)
+
+            def step(self, o, cur):
+                steps.append(o)
+                return super().step(o, cur)
+
+        monkeypatch.setattr(sftkit.entropy, "_RowTable", SpyTable)
+        n = golden_plan.period
+        for ks in ([2], [2, 3], [3, 2, 2], [2, 3, 4]):
+            system = build_realization(golden_plan)
+            tables.clear()
+            steps.clear()
+            rows = realization_sandwich(system, ks)
+            assert len(tables) == 1 and len(steps) == n * max(ks) * n, ks
+            count_realization(system, 2 * n, 2)  # the system's table serves it too
+            assert len(tables) == 1, ks
+            assert rows == [realization_sandwich(build_realization(golden_plan), k) for k in ks]
+        with pytest.raises(ValueError, match=r"k = 1\b.*k >= 2"):
+            realization_sandwich(build_realization(golden_plan), [3, 2, 1, 4])
 
     def test_free3_sandwich_at_k3(self, free3_plan, monkeypatch):
         import sftkit.entropy

@@ -38,6 +38,7 @@ from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     _row_layers,
+    _window_states,
     count_rectangles,
     decide_with_certificate,
     find_torus,
@@ -516,6 +517,18 @@ class TestStripMemory:
             assert peak <= 400 * budget, (budget, peak)
         strip = StripAutomaton.build(H, V, 5, 66092)
         assert strip.transitions == 17376
+
+    def test_window_states_keep_one_index_list_per_column(self):
+        # 100,000 windows of two height-6 columns: besides the states, the
+        # join holds two index lists, one per window column, about 80 bytes
+        # a window in all; a list per window took about 145
+        n = 100000
+        cols = [tuple(f"s{i >> k & 3}" for k in range(6)) for i in range(n)]
+        picks = np.random.default_rng(0).integers(0, n, (n, 2))
+        states, peak = traced_peak(lambda: _window_states(cols, picks))
+        assert states == tuple(cols[a] + cols[b] for a, b in picks.tolist())
+        kept = sys.getsizeof(states) + sum(map(sys.getsizeof, states))
+        assert peak - kept < 100 * n, f"{(peak - kept) / n:.0f} bytes a window"
 
 
 def list_row_layers(windows, succ, h, cap):
