@@ -226,19 +226,11 @@ def _cmd_entropy(args):
         sft = Sft1D.load(args.h)
         v = _constraint_from_args(args, sft)
         rep = _entropy.statesplit_entropy(sft, v, args.bound)
-        _emit(
-            {
-                "p": rep["p"],
-                "term": _entropy._json_float(rep["term"]),
-                "max_product": rep["max_product"],
-                "identity": [
-                    {"m": m, "lhs": str(rep["lhs"](m)), "rhs": str(rep["rhs"](m))}
-                    for m in range(1, 3)
-                ],
-            },
-            args.out,
-        )
-        return 0
+        sides = [(m, rep["lhs"](m), rep["rhs"](m)) for m in (1, 2)]
+        rows = [{"m": m, "lhs": str(lhs), "rhs": str(rhs), "ok": lhs == rhs} for m, lhs, rhs in sides]
+        out = {"p": rep["p"], "term": _entropy._json_float(rep["term"]), "max_product": rep["max_product"]}
+        _emit({**out, "identity": rows}, args.out)
+        return 0 if all(row["ok"] for row in rows) else 1
     # realize
     with open(args.input) as fh:
         spec = json.load(fh)

@@ -37,9 +37,11 @@ from .core import (
     Sft1D,
     WangTileSet,
     _bits,
+    _follow,
+    _word_tuples,
+    _words,
     build_rauzy,
     essential_states,
-    label_words,
 )
 from .classify import check_condition_d
 from .cycles import CyclePair, _return_paths, good_pairs
@@ -245,10 +247,10 @@ class VerticalPresentation:
     macro-slices (p, k, l, word), each a chain of cells that reads its word
     bottom to top, and ``follow[b]`` the blocks that may sit on top of block
     b.  It keeps only the essential part of the subset construction
-    (``_determinize``); every query runs on that DFA, where
-    ``transitions[s][a]`` is the unique a-successor of state s, each state's
-    labels in sorted order.  A legal column word is a factor of a
-    bi-infinite column.
+    (``_determinize``); every query runs on that DFA or its subset automaton
+    ``word_automaton``, where ``transitions[s][a]`` is the unique
+    a-successor of state s, each state's labels in sorted order.  A legal
+    column word is a factor of a bi-infinite column.
     """
 
     def __init__(self, alphabet, blocks, follow, allowed_succession, grammar=None, tiles=None):
@@ -258,37 +260,36 @@ class VerticalPresentation:
         self.tiles = tiles
         self.states, self.transitions, self.decode_annotations = _determinize(blocks, follow)
 
-    def scan(self, word, states=None):
-        """States reached by reading ``word`` from ``states`` (default: all);
-        empty when ``word`` is not a factor."""
-        trans = self.transitions
-        current = set(self.states if states is None else states)
-        for a in word:
-            current = {trans[s][a] for s in current if a in trans[s]}
-            if not current:
-                break
-        return frozenset(current)
+    @cached_property
+    def word_automaton(self):
+        """The legal column words as (step, root), like ``RauzyGraph.word_automaton``:
+        the subset automaton of the DFA from the set of all its states, node
+        0, nodes numbered breadth-first, each node's symbols in alphabet order."""
+        trans, rank = self.transitions, {a: i for i, a in enumerate(self.alphabet)}
+        subsets = [frozenset(self.states)]
+        ids, step = {subsets[0]: 0}, []
+        for subset in subsets:
+            image = {}
+            for s in subset:
+                for a, t in trans[s].items():
+                    image.setdefault(a, set()).add(t)
+            row = {}
+            for a in sorted(image, key=rank.__getitem__):
+                key = frozenset(image[a])
+                if key not in ids:
+                    ids[key] = len(subsets)
+                    subsets.append(key)
+                row[a] = ids[key]
+            step.append(row)
+        return step, 0
 
     def is_factor(self, word):
-        return bool(self.scan(word))
+        return bool(self.states) and _follow(*self.word_automaton, word) >= 0
 
     def words(self, h):
         """All legal column words of length h, in canonical alphabet order:
-        a depth-first walk over the sets of DFA states a prefix reaches."""
-        trans = self.transitions
-        rank = {a: i for i, a in enumerate(self.alphabet)}
-        memo = {}  # the walk meets the same state set at many depths
-
-        def branches(current):
-            if current not in memo:
-                by_label = {}
-                for s in current:
-                    for a, t in trans[s].items():
-                        by_label.setdefault(a, set()).add(t)
-                memo[current] = [(a, frozenset(by_label[a])) for a in sorted(by_label, key=rank.get)]
-            return memo[current]
-
-        return label_words(frozenset(self.states), branches, h)
+        ``core._words`` of ``word_automaton``, as tuples."""
+        return _word_tuples(_words(*self.word_automaton, h, self.alphabet)[0], self.alphabet)
 
     def is_cyclic(self, word):
         """Is the periodic column ``word`` repeated forever legal?
@@ -709,15 +710,13 @@ def compile_horizontal(H, tiles):
     # a vertex with two distinct return paths exists iff H is not periodic-only
     if all(g.out_degree(v) == 1 and g.in_degree(v) == 1 for v in g.vertices):
         raise OnlyPeriodicPoints("H has only periodic points; no segmentation vertex")
-    s = None
     for v in g.vertices:
         if g.out_degree(v) >= 2 or g.in_degree(v) >= 2:
             paths = _first_return_paths(g, v, want=2)
             if len(paths) >= 2:
-                s = v
                 g1, g2 = paths[0], paths[1]
                 break
-    if s is None:
+    else:
         raise OnlyPeriodicPoints("no vertex with two distinct return paths")
 
     n = tiles.N
@@ -740,10 +739,10 @@ def compile_horizontal(H, tiles):
     # separator alignment: a separator above any other factor of the
     # flower; a row that is no factor holds a minimal forbidden word of at
     # most |separator| < max_len symbols, which a one-row pattern forbids
-    def branches(states):
-        return [(a, t) for a in H.alphabet.symbols if (t := scan((a,), states))]
-
-    for w in label_words(scan(()), branches, len(separator)):
+    rows = [((), scan(()))]
+    for _ in separator:
+        rows = [(w + (a,), t) for w, s in rows for a in H.alphabet.symbols if (t := scan((a,), s))]
+    for w, _ in rows:
         if w != separator:
             patterns.append(Pattern2D(len(separator), 2, tuple(w) + tuple(separator)))
     # Wang couplings on adjacent code blocks

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+
+import numpy as np
 
 WILDCARD = "·"  # "·" in 2D forbidden patterns: matches any symbol
 
@@ -491,51 +493,64 @@ class RauzyGraph(Digraph):
         return "\n".join(lines)
 
 
-def label_words(start, branches, n):
-    """Every word of n labels read along walks from ``start``, depth first.
-
-    ``branches(node)`` lists the (label, next node) pairs that leave
-    ``node``, in the order the words should come out.  The walk keeps its
-    own stack, so n is not limited by Python's recursion depth.
-    """
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if n == 0:
-        return [()]
-    out, word, stack = [], [], [iter(branches(start))]
-    while stack:
-        for a, node in stack[-1]:
-            word.append(a)
-            if len(word) < n:
-                stack.append(iter(branches(node)))
-                break
-            out.append(tuple(word))
-            word.pop()
-        else:
-            stack.pop()
-            if word:
-                word.pop()
-    return out
-
-
 def _locally_admissible_words(sft, n):
-    """All n-words over the alphabet containing no forbidden factor, in
-    canonical order: a depth-first walk of the forbidden-factor automaton."""
-    # each row lists its symbols in alphabet order
-    live = [[(s, q) for s, q in row.items() if q >= 0] for row in sft._factor_automaton]
-    return label_words(0, live.__getitem__, n)
+    """The n-words with no forbidden factor, in canonical order, and the
+    forbidden-factor automaton's state after each: ``_words`` of its live part."""
+    live = [{s: q for s, q in row.items() if q >= 0} for row in sft._factor_automaton]
+    words, states = _words(live, 0, n, sft.alphabet.symbols)
+    return _word_tuples(words, sft.alphabet.symbols), states.tolist()
 
 
 def _global_words(sft, n):
-    """All globally admissible n-words in canonical order: a depth-first
-    walk of the word automaton from its root."""
+    """All globally admissible n-words in canonical order: ``_words`` of
+    the word automaton, as tuples."""
     try:
         step, root = build_rauzy(sft).word_automaton
     except EmptyLanguage:
         return []
-    # per-node lists, not a function per node: the walk calls this per step
-    out_edges = [list(row.items()) for row in step]
-    return label_words(root, out_edges.__getitem__, n)
+    return _word_tuples(_words(step, root, n, sft.alphabet.symbols)[0], sft.alphabet.symbols)
+
+
+def _arcs(step, alphabet):
+    """The word automaton ``step`` as arrays (degree, start, code, target):
+    node x reads code[start[x]:][:degree[x]] into target[start[x]:][:degree[x]],
+    a symbol's code its rank in ``alphabet`` (len(alphabet) outside it)."""
+    rank = {s: k for k, s in enumerate(alphabet)}
+    degree = np.fromiter(map(len, step), np.intp, len(step))
+    code = np.fromiter(map(rank.get, chain.from_iterable(step), repeat(len(rank))), np.intp, degree.sum())
+    target = np.fromiter(chain.from_iterable(map(dict.values, step)), np.intp, degree.sum())
+    return degree, degree.cumsum() - degree, code, target
+
+
+def _words(step, root, n, alphabet, budget=None):
+    """The words of length n that ``step`` reads from node ``root``, in
+    canonical order, as rows of symbol codes (``_arcs``), and the node each
+    reaches.  Each word grows once per symbol its node reads, a level at a
+    time; a level of more than ``budget`` words raises BudgetExceeded.
+    Where every word extends to the right, no level outgrows the last."""
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    degree, start, code, target = _arcs(step, alphabet)
+    node, levels = np.array([root], np.intp), []
+    for r in range(1, n + 1):
+        deg = degree[node]
+        count = int(deg.sum())
+        if budget is not None and count > budget:
+            what = "columns" if r == n else f"column prefixes of height {r}"
+            raise BudgetExceeded(f"{count} {what} exceed the budget")
+        parent = np.arange(len(node)).repeat(deg)
+        arc = np.arange(count) + (start[node] - deg.cumsum() + deg)[parent]
+        levels.append((parent, code[arc]))
+        node = target[arc]
+    words, at = np.empty((len(node), n), np.intp), np.arange(len(node))
+    for r, (parent, letters) in reversed(list(enumerate(levels))):  # read back each row's parents
+        words[:, r], at = letters[at], parent[at]
+    return words, node
+
+
+def _word_tuples(words, alphabet):
+    """The rows of symbol ranks ``words`` as tuples of ``alphabet``'s symbols."""
+    return list(map(tuple, np.array(alphabet, object)[words].tolist()))
 
 
 def _follow(step, x, word):
@@ -710,17 +725,12 @@ def build_rauzy(sft, order=None):
 
 def _build_rauzy(sft, m):
     """The Rauzy graph of ``sft`` at order m, or None when it is empty."""
-    vertices = _locally_admissible_words(sft, m)
+    vertices, states = _locally_admissible_words(sft, m)
     index = {v: i for i, v in enumerate(vertices)}
     # u + s has no forbidden factor iff the factor automaton, in its state
-    # after the admissible u, does not die on s; then u[1:] + s is a vertex
+    # q after the admissible u, does not die on s; then u[1:] + s is a vertex
     delta = sft._factor_automaton
-    succ = []
-    for u in vertices:
-        q = 0
-        for s in u:
-            q = delta[q][s]
-        succ.append([index[u[1:] + (s,)] for s, t in delta[q].items() if t >= 0])
+    succ = [[index[u[1:] + (s,)] for s, t in delta[q].items() if t >= 0] for u, q in zip(vertices, states)]
 
     keep = essential_states(succ)
     if not keep:
@@ -744,13 +754,12 @@ def language_count(sft, n):
         g = build_rauzy(sft)
     except EmptyLanguage:
         return 0
-    m = g.order
-    if n <= m:
-        return len(_global_words(sft, n))
+    if n <= g.order:  # each n-word starts a vertex
+        return len({v[:n] for v in g.vertices})
     # each n-word is spelled by exactly one path of n-m edges
     pred = g.index.pred
     counts = [1] * len(pred)
-    for _ in range(n - m):
+    for _ in range(n - g.order):
         counts = [sum(counts[u] for u in row) for row in pred]
     return sum(counts)
 

@@ -212,7 +212,7 @@ def _json_float(v):
 @dataclass(frozen=True)
 class EntropyBounds:
     samples: tuple  # (n, log2 N(n,n) / n^2)
-    upper: float  # running infimum over the samples
+    upper: float  # the least of the samples and the strip bounds, each an upper bound
     strip_upper: tuple  # (h, log2(hi_h) / h), hi_h the certified upper end for lambda_h
 
     def to_json(self):
@@ -228,21 +228,18 @@ def entropy_bounds_2d(H, V, bound, budget=None):
     height h <= bound, each from the upper end of the strip's certified
     spectral-radius bracket.  The strip of height n counts the n x n
     square and gives the bound at n; the samples stop at the first zero
-    count."""
+    count.  Both bound the entropy from above (by subadditivity), so
+    ``upper`` is the least of them."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    samples = []
-    upper = inf
-    strip = []
+    samples, strip = [], []
     for n in range(1, bound + 1):
         sa = StripAutomaton.build(H, V, n, budget)
-        if upper > -inf:
+        if not samples or samples[-1][1] > -inf:
             c = sa.count_width(n)
-            v = log2(c) / (n * n) if c else -inf
-            samples.append((n, v))
-            upper = min(upper, v)
+            samples.append((n, log2(c) / (n * n) if c else -inf))
         strip.append((n, _log2(sa.spectral_radius()[1][1]) / n))
-    return EntropyBounds(tuple(samples), upper, tuple(strip))
+    return EntropyBounds(tuple(samples), min(v for _, v in samples + strip), tuple(strip))
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +326,12 @@ def entropy_words(H, k=1):
         raise ZeroEntropy("entropy must be positive")
     if not lo > 1.0:
         raise RuntimeError(f"the spectral radius bracket [{lo!r}, {hi!r}] does not decide positive entropy")
-    s = None
     for v in g.vertices:
         paths = _first_return_paths(g, v, want=2)
         if len(paths) >= 2:
-            s = v
             g1, g2 = _labels(paths[0]), _labels(paths[1])
             break
-    if s is None:
+    else:
         raise ZeroEntropy("no vertex with two distinct return paths")
     u = g2 + g1 + g2 + g1 + g1 + g1 + g2 + g1 * k + g2
     w1 = g2 + g1 + g1 + g2 + g1 + g1 + g2 + g1 * k + g2
@@ -698,14 +693,10 @@ class _RowTable:
         return d
 
 
-def _row_count(table, width, phase):
-    """Rows of the given width whose marker grid sits at i = phase mod n."""
-    return _row_counts(table, (width,), phase)[0]
-
-
 def _row_counts(table, widths, phase):
-    """``_row_count`` at each width of ``widths``, in order, from one walk
-    that reads its count at each width on the way to the largest.
+    """The rows whose marker grid sits at i = phase mod n, counted at each
+    width of ``widths``, in order, from one walk that reads its count at
+    each width on the way to the largest.
 
     The DP emits one symbol per column, so distinct states always emit
     distinct words: a code block whose visible part does not yet distinguish

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from math import inf, lcm
 from operator import add
 
@@ -48,7 +48,10 @@ from .core import (
     Pattern2D,
     PreconditionUnmet,
     Sft1D,
+    _arcs,
     _global_words,
+    _word_tuples,
+    _words,
     build_rauzy,
     language_count,
     require_same_alphabet,
@@ -63,16 +66,19 @@ from .compiler import VerticalPresentation
 
 
 def _columns_for(constraint, h, alphabet, budget=None):
-    """Legal column words of height h under the constraint."""
-    if constraint is None:
-        if budget is not None and len(alphabet) ** h > budget:
-            raise BudgetExceeded(f"|A|^{h} columns exceed the budget")
-        return [tuple(c) for c in product(alphabet, repeat=h)]
-    if isinstance(constraint, Sft1D):
-        return _global_words(constraint, h)
+    """Legal columns of height h, as ``core._words`` of the rule's word
+    automaton (no rule: one node that reads every symbol), within ``budget``."""
+    automaton = [dict.fromkeys(alphabet, 0)], 0
     if isinstance(constraint, VerticalPresentation):
-        return constraint.words(h)
-    raise TypeError(f"unsupported column constraint {constraint!r}")
+        automaton = constraint.word_automaton
+    elif isinstance(constraint, Sft1D):
+        try:
+            automaton = build_rauzy(constraint).word_automaton
+        except EmptyLanguage:
+            automaton = [{}], 0
+    elif constraint is not None:
+        raise TypeError(f"unsupported column constraint {constraint!r}")
+    return _words(*automaton, h, alphabet, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +108,10 @@ class StripAutomaton:
     also lists the windows a column at a time.  ``_shortest_torus`` reads
     it, on cylinder strips only; counting, ``has_cycle`` and the spectral
     radius only through their layers, or a spectral radius fallback.
-    ``budget`` caps what the build keeps: the columns, every window listed
-    and the stored edges (the layer edges, or the transitions when the width
-    step follows them); each join and the layers stop once past it.
+    ``budget`` caps what the build keeps: the columns, counted a height at a
+    time as they are listed, every window listed and the stored edges (the
+    layer edges, or the transitions when the width step follows them); each
+    join and the layers stop once past what is left.
 
     ``count_width``, ``has_cycle`` and ``spectral_radius`` sweep a vector
     through ``layers``, each a triple (src, dst, size): edge e adds the
@@ -132,22 +139,24 @@ class StripAutomaton:
             raise ValueError("h must be >= 1")
         g = build_rauzy(H)
         step, root = g.word_automaton  # its nodes: the vertices by rank, then their prefixes
-        cols = _columns_for(constraint, h, H.alphabet.symbols, budget)
-        if budget is not None and len(cols) > budget:
-            raise BudgetExceeded(f"{len(cols)} columns exceed the budget")
-        symbols = step[root].keys()  # each symbol of a vertex starts one
-        cols = [c for c in cols if symbols >= set(c) and (not cyclic or _cyclic_ok(constraint, c))]
+        symbols, dead = H.alphabet.symbols, len(step)
         # node x reads the symbol ranks read[start[x]:][:degree[x]], and s
-        # into table[x, s], or into ``dead``, a node that reads nothing
-        rank, dead, ncols = {s: k for k, s in enumerate(H.alphabet.symbols)}, len(step), len(cols)
-        degree = np.fromiter(map(len, step), np.intp, dead)
-        read = np.fromiter(map(rank.__getitem__, chain.from_iterable(step)), np.intp, degree.sum())
-        table = np.full((dead + 1, len(rank)), dead)
-        table[np.arange(dead).repeat(degree), read] = list(chain.from_iterable(map(dict.values, step)))
-        automaton = table, degree.cumsum() - degree, degree, read
-        letters = np.fromiter(map(rank.__getitem__, chain.from_iterable(cols)), np.intp, ncols * h).reshape(-1, h)
-        grow, node = _trie(letters, len(rank))
-        trie = grow, node.argsort(), np.bincount(letters[:, 0], minlength=len(rank))
+        # into table[x, s], or into ``dead``, a node that reads nothing; the
+        # last rank, len(symbols), stands for a symbol that is not H's
+        degree, start, read, target = _arcs(step, symbols)
+        table = np.full((dead + 1, len(symbols) + 1), dead)
+        table[np.arange(dead).repeat(degree), read] = target
+        automaton = table, start, degree, read
+        # the columns whose symbols all start H-words and, if cyclic, repeat
+        letters = _columns_for(constraint, h, symbols, budget)
+        letters = letters[(table[root, letters] < dead).all(1)]
+        cols = _word_tuples(letters, symbols)
+        if cyclic:
+            keep = [_cyclic_ok(constraint, c) for c in cols]
+            letters, cols = letters[np.array(keep, bool)], list(compress(cols, keep))
+        ncols = len(cols)
+        grow, node = _trie(letters, table.shape[1])
+        trie = grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
         # window i has the columns picks[i] and the row words rows[i]; its
         # key, parent window * ncols + last column, ascends, and tail[i] is
         # the window of its columns after the first.  The budget counts the

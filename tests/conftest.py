@@ -3,8 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sftkit.core import Digraph, Sft1D, _follow, build_rauzy, full_shift, sft_from_edges
-from sftkit.solve import _columns_for
+from sftkit.core import Digraph, Sft1D, _follow, build_rauzy, full_shift, sft_from_edges, word_in_language
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +90,9 @@ def brute_strip(H, V, h, cyclic):
     """Independent oracle for ``StripAutomaton.build(H, V, h, cyclic=cyclic)``:
     its (states, narrow, successors), from every (window, column) pair.
 
-    The columns are those ``solve._columns_for`` lists, less each one with a
+    The columns are the words of height h over the column rule's alphabet,
+    in its order, that its own membership test accepts (``word_in_language``
+    or ``is_factor``; every word without a rule), less each one with a
     symbol that starts no H-word and, for a cylinder strip, each one whose
     periodic repetition V forbids (a naive scan for an SFT).  A window of k
     columns is a k-tuple of columns, in lexicographic order of their
@@ -111,8 +112,14 @@ def brute_strip(H, V, h, cyclic):
             return not any(text[x : x + len(f)] == f for f in V.forbidden for x in range(len(text) - len(f) + 1))
         return V.is_cyclic(col)
 
+    if V is None:
+        legal = product(H.alphabet.symbols, repeat=h)
+    elif isinstance(V, Sft1D):
+        legal = (c for c in product(V.alphabet.symbols, repeat=h) if word_in_language(V, c))
+    else:
+        legal = (c for c in product(V.alphabet, repeat=h) if V.is_factor(c))
     cols = [
-        c for c in _columns_for(V, h, H.alphabet.symbols)
+        c for c in legal
         if all(s in step[root] for s in c) and (not cyclic or periodic(c))
     ]
 

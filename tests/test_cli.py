@@ -402,6 +402,18 @@ class TestCyclesAndCompile:
 
 
 class TestEntropyCommands:
+    def test_statesplit_exits_1_when_an_identity_row_fails(self, capsys):
+        # alt011 has order 3, and the classes read per symbol lose the
+        # vertex classes: N(3m, 2) = 9 against a product sum of 0
+        code, out, _ = run(
+            capsys, "entropy", "statesplit", "--h", path("alt011.json"), "--v", path("no111.json"), "--bound", "2"
+        )
+        assert code == 1
+        assert json.loads(out)["identity"] == [
+            {"m": 1, "lhs": "9", "rhs": "0", "ok": False},
+            {"m": 2, "lhs": "9", "rhs": "0", "ok": False},
+        ]
+
     def test_bezout(self, capsys):
         code, out, _ = run(capsys, "entropy", "bezout", "--input", "3,5")
         assert code == 0

@@ -14,6 +14,7 @@ from sftkit.core import (
     Sft1D,
     WangTile,
     WangTileSet,
+    _follow,
     build_rauzy,
     free_tile_set,
     sft_from_edges,
@@ -187,6 +188,27 @@ class TestCompileWang:
         c1 = Cycle(g, ((("0",)), (("1",))))
         with pytest.raises(ConditionDHolds):
             compile_wang(golden, free_tile_set(2), CyclePair(c1, c1))
+
+
+class TestWordAutomaton:
+    """``words`` and ``word_automaton`` against a subset scan of the DFA."""
+
+    @pytest.mark.parametrize("n_tiles, nodes", [(1, 173), (2, 378), (3, 618)])
+    def test_words_are_the_scanned_words_in_product_order(self, coding_sft, coding_pair, n_tiles, nodes):
+        from itertools import product
+
+        pres, _ = compile_wang(coding_sft, free_tile_set(n_tiles), coding_pair)
+        assert len(pres.word_automaton[0]) == nodes
+        trans = pres.transitions
+
+        def factor(word):
+            reached = set(pres.states)
+            for a in word:
+                reached = {trans[s][a] for s in reached if a in trans[s]}
+            return bool(reached)
+
+        for h in range(7):
+            assert pres.words(h) == [w for w in product(pres.alphabet, repeat=h) if factor(w)], h
 
 
 class TestTallWords:
@@ -610,7 +632,13 @@ class TestFirstReturnPaths:
 class TestForbiddenExport:
     def test_monotile_export_matches_language(self, coding_sft, coding_pair):
         pres, _ = compile_wang(coding_sft, free_tile_set(1), coding_pair)
-        words = _minimal_forbidden(pres.scan, pres.alphabet, 4)
+        step, root = pres.word_automaton
+
+        def scan(word, states=None):  # a node of the word automaton, as a one-element set
+            x = _follow(step, root if states is None else states[0], word)
+            return (x,) if x >= 0 else ()
+
+        words = _minimal_forbidden(scan, pres.alphabet, 4)
         assert words  # the cycle shift forbids plenty of short words
         # every exported word is indeed not a factor, minimally so
         for w in words:

@@ -241,6 +241,23 @@ class TestCountRectangles:
         sa = StripAutomaton.build(golden, golden, 4, budget=57)  # 8 + 8 + 41 kept
         assert sa.count_width(4) == count_rectangles(golden, golden, 4, 4)
 
+    def test_columns_are_counted_while_they_are_listed(self, golden):
+        # each level of a language whose words all extend holds at most as
+        # many words as the last, so a budget refuses where the whole list
+        # would: 2^h free columns, and 144 golden columns of height 10
+        for h in (3, 9, 10):
+            with pytest.raises(BudgetExceeded):
+                StripAutomaton.build(golden, None, h, budget=2**h - 1)
+        with pytest.raises(BudgetExceeded, match="^1024 columns exceed the budget$"):
+            StripAutomaton.build(golden, None, 10, budget=1000)
+        with pytest.raises(BudgetExceeded, match="^512 column prefixes of height 9 exceed the budget$"):
+            StripAutomaton.build(golden, None, 10, budget=500)
+        with pytest.raises(BudgetExceeded, match="^144 columns exceed the budget$"):
+            StripAutomaton.build(golden, golden, 10, budget=143)
+        with pytest.raises(BudgetExceeded, match="strip columns, windows and edges"):
+            StripAutomaton.build(golden, golden, 10, budget=144)  # listed, then the windows pass it
+        assert StripAutomaton.build(golden, None, 3, budget=100).count_width(3) == 5**3  # golden rows of width 3
+
     def test_monotonicity_of_emptiness(self):
         H = Sft1D.from_words("01", "00", "11")
         V = Sft1D.from_words("01", "00", "010", "111")
@@ -517,6 +534,17 @@ class TestStripMemory:
             assert peak <= 400 * budget, (budget, peak)
         strip = StripAutomaton.build(H, V, 5, 66092)
         assert strip.transitions == 17376
+
+    def test_a_height_8_strip_is_refused_while_its_columns_are_listed(self):
+        # 9,253,065 columns of height 8; the listing stops at height 6, the
+        # first to hold more than 100,000 prefixes, where listing them all
+        # took 15 s and a gigabyte
+        H, V = order2_instance()
+        t0 = time.perf_counter()
+        refused, peak = traced_peak(lambda: StripAutomaton.build(H, V, 8, 100000))
+        assert time.perf_counter() - t0 < 1
+        assert str(refused) == "176411 column prefixes of height 6 exceed the budget"
+        assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_window_states_keep_one_index_list_per_column(self):
         # 100,000 windows of two height-6 columns: besides the states, the
