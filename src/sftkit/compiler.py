@@ -294,17 +294,18 @@ class VerticalPresentation:
     def is_cyclic(self, word):
         """Is the periodic column ``word`` repeated forever legal?
 
-        It is when the partial map f(s) = (state after reading ``word`` from
-        s) has a cycle, and then f has a fixed point: the subsets reached by
-        reading word, word^2, ... from the full NFA set shrink to a nonempty
-        subset that ``word`` maps to itself, a state the trim keeps because
-        it lies on a loop.
+        It is when the partial map f(s) = (the DFA state after reading
+        ``word`` from s) has a cycle.  Reading ``word`` again and again from
+        node 0 of ``word_automaton``, the set of all states, gives subsets
+        that shrink until ``word`` maps one onto itself, or to none.  On a
+        nonempty one f is a permutation, so it has a cycle; and a cycle of f
+        stays in every subset.  So the word repeats exactly when the node
+        where the reading stops is live.
         """
-        trans = self.transitions
-        image = {s: s for s in self.states}
-        for a in word:
-            image = {s: trans[q][a] for s, q in image.items() if a in trans[q]}
-        return any(s == q for s, q in image.items())
+        (step, x), last = self.word_automaton, None
+        while x >= 0 and x != last:
+            last, x = x, _follow(step, x, word)
+        return bool(self.states) and x >= 0
 
     def to_json(self):
         return {

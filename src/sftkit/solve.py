@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, product
+from itertools import chain, islice, product
 from math import inf, lcm
-from operator import add
 
 import numpy as np
 
@@ -89,13 +88,18 @@ def _columns_for(constraint, h, alphabet, budget=None):
 class StripAutomaton:
     """Transfer structure on windows of legal columns of one height.
 
-    For a horizontal SFT of order m, a state is a window of m legal columns
-    whose every row is a Rauzy vertex, its cells listed column by column
-    (for m = 1, the column itself).  A transition appends a column that moves
-    every row along a Rauzy edge and drops the window's first column.
-    ``narrow[k - 1]`` is the number of k-column windows for k < m: windows
-    whose every row is a prefix of a vertex.  The build follows each row
-    through H's ``word_automaton``, whose nodes are these row words.
+    ``columns`` holds the kept legal columns, one row of H's symbol ranks
+    (``core._words``) each, in canonical order.  For a horizontal SFT of
+    order m, a state is a window of m of them whose every row is a Rauzy
+    vertex: row i of the (n, m) ``intp`` array ``states`` holds window i's
+    column indices into ``columns``, the windows in lexicographic order of
+    these rows.  A strip keeps no symbol tuple: only ``_shortest_torus``
+    spells out the columns of the cycle it replays.  A transition appends a
+    column that moves every row along a Rauzy edge and drops the window's
+    first column.  ``narrow[k - 1]`` is the number of k-column windows for
+    k < m: windows whose every row is a prefix of a vertex.  The build
+    follows each row through H's ``word_automaton``, whose nodes are these
+    row words.
 
     With ``cyclic=True`` only the columns ``_cyclic_ok`` accepts are kept
     (a cylinder strip).  Then a closed walk of w edges is exactly a
@@ -127,7 +131,8 @@ class StripAutomaton:
     """
 
     height: int
-    states: tuple
+    columns: np.ndarray
+    states: np.ndarray
     narrow: tuple
     layers: tuple
     transitions: int
@@ -150,11 +155,10 @@ class StripAutomaton:
         # the columns whose symbols all start H-words and, if cyclic, repeat
         letters = _columns_for(constraint, h, symbols, budget)
         letters = letters[(table[root, letters] < dead).all(1)]
-        cols = _word_tuples(letters, symbols)
         if cyclic:
-            keep = [_cyclic_ok(constraint, c) for c in cols]
-            letters, cols = letters[np.array(keep, bool)], list(compress(cols, keep))
-        ncols = len(cols)
+            keep = [_cyclic_ok(constraint, c) for c in _word_tuples(letters, symbols)]
+            letters = letters[np.array(keep, bool)]
+        ncols = len(letters)
         grow, node = _trie(letters, table.shape[1])
         trie = grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
         # window i has the columns picks[i] and the row words rows[i]; its
@@ -171,7 +175,6 @@ class StripAutomaton:
             narrow.append(len(rows))
             tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
             rows, picks = table[rows[src], letters[col]], np.column_stack((picks[src], col))
-        states = _window_states(cols, picks) if g.order > 1 else tuple(cols)  # order 1: picks is the identity
 
         def pairs(cap):
             """The (state, successor) pairs, sorted; None from ``cap`` on."""
@@ -188,15 +191,16 @@ class StripAutomaton:
             built = _row_layers(rows, g.index.succ, left + 1)
             if built is not None:
                 layers, edges = built
-                paths = np.ones(len(states))  # exact in floats below 2^53
+                paths = np.ones(len(picks))  # exact in floats below 2^53
                 for src, dst, size in layers:
                     paths = np.bincount(dst, paths[src], size)
                 if edges < paths.sum():
-                    return cls(h, states, tuple(narrow), layers, int(paths.sum()), pairs)
+                    return cls(h, letters, picks, tuple(narrow), layers, int(paths.sum()), pairs)
             found = pairs(left + 1)
         src, dst = found or _refuse(budget)
         order = dst.argsort(kind="stable")
-        return cls(h, states, tuple(narrow), ((src[order], dst[order], len(states)),), len(src), lambda cap: found)
+        layers = ((src[order], dst[order], len(picks)),)
+        return cls(h, letters, picks, tuple(narrow), layers, len(src), lambda cap: found)
 
     @cached_property
     def successors(self):
@@ -294,16 +298,6 @@ class StripAutomaton:
 
 def _refuse(budget):
     raise BudgetExceeded(f"more than {budget} strip columns, windows and edges")
-
-
-def _window_states(cols, picks):
-    """The state of each window: its columns ``cols[c]`` for c in the row
-    ``picks[i]``, joined.  It reads one index list per window column, not
-    one per window."""
-    states = map(cols.__getitem__, picks[:, 0].tolist())
-    for j in range(1, picks.shape[1]):
-        states = map(add, states, map(cols.__getitem__, picks[:, j].tolist()))
-    return tuple(states)
 
 
 def _trie(words, base):
@@ -590,9 +584,10 @@ def semi_decide_emptiness(H, column_constraint, bound, budget=None):
 def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=()):
     """The torus of a shortest cycle of the cylinder strip of height h whose
     rows follow the SFT ``rows`` and whose columns are the cyclic words of
-    ``columns``, or None when it has no cycle or ``rows`` no words.  ``read``
-    makes the pattern from the cycle's columns, and it must pass
-    ``validate_torus(H, constraint, pattern, forbidden2d)``."""
+    ``columns``, or None when it has no cycle or ``rows`` no words.  The
+    cycle's columns, the first of each state on it, are the only ones spelled
+    out as symbol tuples; ``read`` makes the pattern from them, and it must
+    pass ``validate_torus(H, constraint, pattern, forbidden2d)``."""
     try:
         strip = StripAutomaton.build(rows, columns, h, budget, cyclic=True)
     except EmptyLanguage:
@@ -600,7 +595,7 @@ def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=(
     walk = shortest_cycle(strip.successors)
     if not walk:
         return None
-    pat = read([strip.states[i][:h] for i in walk])
+    pat = read(_word_tuples(strip.columns[strip.states[walk, 0]], rows.alphabet.symbols))
     if not validate_torus(H, constraint, pat, forbidden2d):
         raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
     return TorusWitness(pat.width, pat.height, pat)

@@ -24,6 +24,7 @@ from sftkit.core import (
     Sft1D,
     WangTile,
     WangTileSet,
+    _word_tuples,
     build_rauzy,
     full_shift,
     language_count,
@@ -37,8 +38,8 @@ from sftkit.cycles import find_cycle_pair
 from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
+    _columns_for,
     _row_layers,
-    _window_states,
     count_rectangles,
     decide_with_certificate,
     find_torus,
@@ -49,6 +50,13 @@ import sftkit.entropy
 from sftkit.entropy import _spectral_radius
 
 from conftest import brute_strip, closed_walk_count, numpy_radius
+
+
+def spelled(strip, H):
+    """Each state of ``strip`` as its columns' cells, column by column, as a
+    tuple of H's symbols."""
+    cells = strip.columns[strip.states].reshape(-1, strip.states.shape[1] * strip.height)
+    return tuple(_word_tuples(cells, H.alphabet.symbols))
 
 
 def brute_count(H, V, w, h):
@@ -476,7 +484,8 @@ class TestStripOracle:
         except EmptyLanguage:
             return
         states, narrow, successors = brute_strip(H, V, h, cyclic)
-        assert strip.states == states and strip.narrow == narrow
+        assert strip.states.dtype == np.intp
+        assert spelled(strip, H) == states and strip.narrow == narrow
         if "successors" not in strip.__dict__:  # the strip keeps its row layers
             vec = [1] * len(states)
             for w in range(len(narrow) + 1, len(narrow) + 6):
@@ -484,6 +493,22 @@ class TestStripOracle:
                 vec = [sum(vec[i] for i in out) for out in successors]
         assert strip.successors == successors
         assert strip.transitions == sum(map(len, successors))
+
+    @pytest.mark.parametrize("n_tiles, h, kept, listed", [(1, 60, 90, 90), (2, 60, 480, 500), (2, 120, 1440, 1496)])
+    def test_cylinder_columns_of_a_presentation_repeat(self, n_tiles, h, kept, listed):
+        # above h = 3 coding3's columns repeat; a column is cyclic iff its
+        # (states + 2)-fold repetition is a factor, as a path reading it
+        # passes some DFA state twice at the start of a copy.  Rows that
+        # only repeat their symbol keep one transition per column
+        pres = coding_presentation(n_tiles)
+        H = sft_from_edges(pres.alphabet, [(a, a) for a in pres.alphabet])
+        words = _word_tuples(_columns_for(pres, h, pres.alphabet), pres.alphabet)
+        cyclic = [w for w in words if pres.is_factor(w * (len(pres.states) + 2))]
+        assert (len(cyclic), len(words)) == (kept, listed)
+        assert [w for w in words if pres.is_cyclic(w)] == cyclic
+        strip = StripAutomaton.build(H, pres, h, cyclic=True)
+        assert _word_tuples(strip.columns, H.alphabet.symbols) == cyclic
+        assert strip.states.shape == (kept, 1) and strip.transitions == kept
 
 
 def order2_instance():
@@ -546,17 +571,13 @@ class TestStripMemory:
         assert str(refused) == "176411 column prefixes of height 6 exceed the budget"
         assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
 
-    def test_window_states_keep_one_index_list_per_column(self):
-        # 100,000 windows of two height-6 columns: besides the states, the
-        # join holds two index lists, one per window column, about 80 bytes
-        # a window in all; a list per window took about 145
-        n = 100000
-        cols = [tuple(f"s{i >> k & 3}" for k in range(6)) for i in range(n)]
-        picks = np.random.default_rng(0).integers(0, n, (n, 2))
-        states, peak = traced_peak(lambda: _window_states(cols, picks))
-        assert states == tuple(cols[a] + cols[b] for a, b in picks.tolist())
-        kept = sys.getsizeof(states) + sum(map(sys.getsizeof, states))
-        assert peak - kept < 100 * n, f"{(peak - kept) / n:.0f} bytes a window"
+    def test_a_height_6_strip_holds_no_symbol_tuples(self):
+        # 176,411 windows of one column each, a row of column indices, where
+        # spelling every column out as symbol tuples peaked at 55.7 MB
+        H, V = order2_instance()
+        strip, peak = traced_peak(lambda: StripAutomaton.build(H, V, 6))
+        assert strip.states.shape == (176411, 1) and strip.transitions == 112284
+        assert peak < 45 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def list_row_layers(windows, succ, h, cap):
@@ -665,12 +686,12 @@ class TestRowLayersDifferential:
             strip = StripAutomaton.build(H, V, h, budget=200000)
         except (EmptyLanguage, BudgetExceeded):
             return
-        if not strip.states:
+        if not len(strip.states):
             return
         g = build_rauzy(H)
         rank = {v: i for i, v in enumerate(g.vertices)}
         # a state lists its cells column by column, so row r is state[r::h]
-        windows = [tuple(rank[state[r::h]] for r in range(h)) for state in strip.states]
+        windows = [tuple(rank[state[r::h]] for r in range(h)) for state in spelled(strip, H)]
         grid = np.array(windows, dtype=np.intp)
         succ = g.index.succ
         want = list_row_layers(windows, succ, h, inf)
