@@ -36,6 +36,7 @@ from .core import (
     Pattern2D,
     Sft1D,
     WangTileSet,
+    WordAutomaton,
     _bits,
     _follow,
     _word_tuples,
@@ -262,7 +263,7 @@ class VerticalPresentation:
 
     @cached_property
     def word_automaton(self):
-        """The legal column words as (step, root), like ``RauzyGraph.word_automaton``:
+        """The legal column words as a ``WordAutomaton``, like ``RauzyGraph.word_automaton``:
         the subset automaton of the DFA from the set of all its states, node
         0, nodes numbered breadth-first, each node's symbols in alphabet order."""
         trans, rank = self.transitions, {a: i for i, a in enumerate(self.alphabet)}
@@ -281,7 +282,7 @@ class VerticalPresentation:
                     subsets.append(key)
                 row[a] = ids[key]
             step.append(row)
-        return step, 0
+        return WordAutomaton(step, 0)
 
     def is_factor(self, word):
         return bool(self.states) and _follow(*self.word_automaton, word) >= 0
@@ -289,7 +290,7 @@ class VerticalPresentation:
     def words(self, h):
         """All legal column words of length h, in canonical alphabet order:
         ``core._words`` of ``word_automaton``, as tuples."""
-        return _word_tuples(_words(*self.word_automaton, h, self.alphabet)[0], self.alphabet)
+        return _word_tuples(_words(self.word_automaton, h, self.alphabet)[0], self.alphabet)
 
     def is_cyclic(self, word):
         """Is the periodic column ``word`` repeated forever legal?

@@ -462,7 +462,8 @@ class RauzyGraph(Digraph):
 
     @cached_property
     def word_automaton(self):
-        """The language read one symbol at a time, as (step, root).
+        """The language read one symbol at a time, as a ``WordAutomaton``
+        (step, root).
 
         Nodes 0..|V|-1 are the vertices by rank; after them come the proper
         prefixes of vertices, ``root`` (the empty word) first.  ``step[x]``
@@ -481,7 +482,7 @@ class RauzyGraph(Digraph):
         for v in vs:
             for k in range(m):
                 step[ids[v[:k]]][v[k]] = ids[v[: k + 1]]
-        return step, ids[()]
+        return WordAutomaton(step, ids[()])
 
     def to_dot(self, name="rauzy"):
         lines = [f"digraph {name} {{"]
@@ -497,7 +498,7 @@ def _locally_admissible_words(sft, n):
     """The n-words with no forbidden factor, in canonical order, and the
     forbidden-factor automaton's state after each: ``_words`` of its live part."""
     live = [{s: q for s, q in row.items() if q >= 0} for row in sft._factor_automaton]
-    words, states = _words(live, 0, n, sft.alphabet.symbols)
+    words, states = _words(WordAutomaton(live, 0), n, sft.alphabet.symbols)
     return _word_tuples(words, sft.alphabet.symbols), states.tolist()
 
 
@@ -505,10 +506,10 @@ def _global_words(sft, n):
     """All globally admissible n-words in canonical order: ``_words`` of
     the word automaton, as tuples."""
     try:
-        step, root = build_rauzy(sft).word_automaton
+        automaton = build_rauzy(sft).word_automaton
     except EmptyLanguage:
         return []
-    return _word_tuples(_words(step, root, n, sft.alphabet.symbols)[0], sft.alphabet.symbols)
+    return _word_tuples(_words(automaton, n, sft.alphabet.symbols)[0], sft.alphabet.symbols)
 
 
 def _arcs(step, alphabet):
@@ -522,16 +523,48 @@ def _arcs(step, alphabet):
     return degree, degree.cumsum() - degree, code, target
 
 
-def _words(step, root, n, alphabet, budget=None):
-    """The words of length n that ``step`` reads from node ``root``, in
-    canonical order, as rows of symbol codes (``_arcs``), and the node each
+class WordAutomaton(tuple):
+    """A word automaton (step, root): ``step[x]`` maps each symbol node x
+    reads to the next node.  It keeps its array forms, each made on first use
+    and shared by every reader, which must not change them: ``arcs`` and
+    ``table`` for each alphabet whose symbol ranks they use."""
+
+    def __new__(cls, step, root):
+        self = super().__new__(cls, (step, root))
+        self._forms = {}
+        return self
+
+    def arcs(self, alphabet):
+        """``_arcs`` of ``step`` for ``alphabet``, converted once."""
+        key = "arcs", tuple(alphabet)
+        if key not in self._forms:
+            self._forms[key] = _arcs(self[0], key[1])
+        return self._forms[key]
+
+    def table(self, alphabet):
+        """The dense step: node x reads rank s into table[x, s], or into
+        ``dead`` = len(step), a node that reads nothing, as does rank
+        len(alphabet), which stands for every symbol outside ``alphabet``."""
+        key = "table", tuple(alphabet)
+        if key not in self._forms:
+            degree, _, code, target = self.arcs(key[1])
+            dead, inside = len(degree), code < len(key[1])
+            table = np.full((dead + 1, len(key[1]) + 1), dead)
+            table[np.arange(dead).repeat(degree)[inside], code[inside]] = target[inside]
+            self._forms[key] = table
+        return self._forms[key]
+
+
+def _words(automaton, n, alphabet, budget=None):
+    """The words of length n that the ``WordAutomaton`` reads from its root,
+    in canonical order, as rows of symbol codes (``_arcs``), and the node each
     reaches.  Each word grows once per symbol its node reads, a level at a
     time; a level of more than ``budget`` words raises BudgetExceeded.
     Where every word extends to the right, no level outgrows the last."""
     if n < 0:
         raise ValueError("word length must be >= 0")
-    degree, start, code, target = _arcs(step, alphabet)
-    node, levels = np.array([root], np.intp), []
+    degree, start, code, target = automaton.arcs(alphabet)
+    node, levels = np.array([automaton[1]], np.intp), []
     for r in range(1, n + 1):
         deg = degree[node]
         count = int(deg.sum())

@@ -7,35 +7,36 @@ from the compiler.  2D global admissibility is undecidable and is *not*
 enforced; only the 1D structure per row/column is.  All counts are exact
 Python integers.
 
-One strip transfer engine, ``StripAutomaton``, counts for a horizontal SFT of
-any order: its states are windows of legal columns as wide as the order,
-which one numpy join lists, a column at a time, with the successors of
-each.  A width step either follows that transition list or, when they hold
-fewer edges, runs through h row layers that move one row of the window at a
-time: for hard squares of height 15, 38,760 layer edges instead of 665,857
-transitions.  Joins and layers are numpy index arrays, built by sorting
-rather than by one dict operation per edge; an exact step sums an object
-array of Python ints, one ``np.add.reduceat`` per layer.  With an SFT column
-constraint, ``count_rectangles`` builds the strip of the transposed
-rectangles (column words as rows) when its bound on the windows is smaller:
-4 x 30 no-111 rows over golden-mean columns then need 13 rows of width 4 as
-columns, not the 2.2 million golden columns of height 30.  One check,
-``_cyclic_ok``, decides whether a row or column repeats periodically, for
-cylinder strips (``cyclic=True``: only such columns, so the closed walks
-are the tori), replay and decisions alike.  ``find_torus`` takes the
-shortest cycle of the cylinder strip of each height, the narrowest torus of
-that height.  ``semi_decide_emptiness`` reads one free and one cylinder
-strip per height: a free strip with no cycle proves emptiness, a cylinder
-strip with one a torus.  In the decidable regimes ``decide_with_certificate``
-reads one cylinder strip, whose columns are the cyclic rows of the one width
-a torus must have; all three take the shortest cycle through
-``_shortest_torus``.
+One strip transfer engine, ``StripAutomaton``, counts for a horizontal SFT
+of any order: its states are windows of legal columns as wide as the order,
+which one join lists, a column at a time, with the successors of each: one
+dense array test of every (window, column) pair on small strips, a walk of
+the columns' trie on the others.  A width step either follows that
+transition list or, when they hold fewer edges, runs through h row layers
+that move one row of the window at a time: for hard squares of height 15,
+38,760 layer edges instead of 665,857 transitions.  Joins and layers are
+numpy index arrays, built by sorting rather than by one dict operation per
+edge; an exact step sums an object array of Python ints, one
+``np.add.reduceat`` per layer.  With an SFT column constraint,
+``count_rectangles`` builds the strip of the transposed rectangles (column
+words as rows) when its bound on the windows is smaller: 4 x 30 no-111 rows
+over golden-mean columns then need 13 rows of width 4 as columns, not the
+2.2 million golden columns of height 30.  One check, ``_repeats``, decides
+which rows or columns repeat periodically, an array of them at a time, for
+cylinder strips (``cyclic=True``: only such columns, so the closed walks are
+the tori), replay and decisions alike.  ``find_torus`` takes the shortest
+cycle of the cylinder strip of each height, the narrowest torus of that
+height.  ``semi_decide_emptiness`` reads one free and one cylinder strip per
+height: a free strip with no cycle proves emptiness, a cylinder strip with
+one a torus.  In the decidable regimes ``decide_with_certificate`` reads one
+cylinder strip, whose columns are the cyclic rows of the one width a torus
+must have; all three take the shortest cycle through ``_shortest_torus``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice, product
 from math import inf, lcm
 
@@ -47,8 +48,7 @@ from .core import (
     Pattern2D,
     PreconditionUnmet,
     Sft1D,
-    _arcs,
-    _global_words,
+    WordAutomaton,
     _word_tuples,
     _words,
     build_rauzy,
@@ -67,17 +67,17 @@ from .compiler import VerticalPresentation
 def _columns_for(constraint, h, alphabet, budget=None):
     """Legal columns of height h, as ``core._words`` of the rule's word
     automaton (no rule: one node that reads every symbol), within ``budget``."""
-    automaton = [dict.fromkeys(alphabet, 0)], 0
+    automaton = WordAutomaton([dict.fromkeys(alphabet, 0)], 0)
     if isinstance(constraint, VerticalPresentation):
         automaton = constraint.word_automaton
     elif isinstance(constraint, Sft1D):
         try:
             automaton = build_rauzy(constraint).word_automaton
         except EmptyLanguage:
-            automaton = [{}], 0
+            automaton = WordAutomaton([{}], 0)
     elif constraint is not None:
         raise TypeError(f"unsupported column constraint {constraint!r}")
-    return _words(*automaton, h, alphabet, budget)[0]
+    return _words(automaton, h, alphabet, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +101,18 @@ class StripAutomaton:
     follows each row through H's ``word_automaton``, whose nodes are these
     row words.
 
-    With ``cyclic=True`` only the columns ``_cyclic_ok`` accepts are kept
-    (a cylinder strip).  Then a closed walk of w edges is exactly a
+    With ``cyclic=True`` only the columns that ``_repeats`` accepts are
+    kept (a cylinder strip).  Then a closed walk of w edges is exactly a
     w-periodic column sequence, the first column of each state on it, whose
     rows all repeat into legal H-words: a periodic row is legal iff its
     m + 1 windows are Rauzy edges, and pruning keeps every cycle.
 
     ``successors`` lists the successor states of each state in ascending
     order, so by ascending appended column: the pairs of ``_join``, which
-    also lists the windows a column at a time.  ``_shortest_torus`` reads
+    also lists the windows a column at a time.  A join of fewer than
+    ``_DENSE_CELLS`` windows x columns x rows cells, such as those of the
+    small cylinder strips of ``decide_with_certificate``, is one dense array
+    test; a larger one walks the columns' trie, built on first use.  ``_shortest_torus`` reads
     it, on cylinder strips only; counting, ``has_cycle`` and the spectral
     radius only through their layers, or a spectral radius fallback.
     ``budget`` caps what the build keeps: the columns, counted a height at a
@@ -143,24 +146,28 @@ class StripAutomaton:
         if h < 1:
             raise ValueError("h must be >= 1")
         g = build_rauzy(H)
-        step, root = g.word_automaton  # its nodes: the vertices by rank, then their prefixes
-        symbols, dead = H.alphabet.symbols, len(step)
-        # node x reads the symbol ranks read[start[x]:][:degree[x]], and s
-        # into table[x, s], or into ``dead``, a node that reads nothing; the
-        # last rank, len(symbols), stands for a symbol that is not H's
-        degree, start, read, target = _arcs(step, symbols)
-        table = np.full((dead + 1, len(symbols) + 1), dead)
-        table[np.arange(dead).repeat(degree), read] = target
+        # H's word automaton, whose nodes are the vertices by rank and then
+        # their prefixes: node x reads the symbol ranks read[start[x]:][:degree[x]],
+        # and s into table[x, s], or into ``dead``, a node that reads nothing;
+        # the last rank, len(symbols), stands for a symbol that is not H's
+        words, symbols = g.word_automaton, H.alphabet.symbols
+        degree, start, read, _ = words.arcs(symbols)
+        table, root = words.table(symbols), words[1]
+        dead = len(table) - 1
         automaton = table, start, degree, read
         # the columns whose symbols all start H-words and, if cyclic, repeat
         letters = _columns_for(constraint, h, symbols, budget)
         letters = letters[(table[root, letters] < dead).all(1)]
         if cyclic:
-            keep = [_cyclic_ok(constraint, c) for c in _word_tuples(letters, symbols)]
-            letters = letters[np.array(keep, bool)]
+            letters = letters[_repeats(constraint, letters, symbols)]
         ncols = len(letters)
-        grow, node = _trie(letters, table.shape[1])
-        trie = grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
+
+        @cache
+        def trie():
+            grow, node = _trie(letters, table.shape[1])
+            return grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
+
+        columns = letters, trie
         # window i has the columns picks[i] and the row words rows[i]; its
         # key, parent window * ncols + last column, ascends, and tail[i] is
         # the window of its columns after the first.  The budget counts the
@@ -170,7 +177,7 @@ class StripAutomaton:
         rows, key, tail = table[root, letters], np.arange(ncols), np.zeros(ncols, np.intp)
         picks, narrow = key[:, None], []
         for _ in range(1, g.order):
-            src, col = _join(rows, automaton, trie, left + 1) or _refuse(budget)
+            src, col = _join(rows, automaton, columns, left + 1) or _refuse(budget)
             left -= len(src)
             narrow.append(len(rows))
             tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
@@ -178,7 +185,7 @@ class StripAutomaton:
 
         def pairs(cap):
             """The (state, successor) pairs, sorted; None from ``cap`` on."""
-            found = _join(rows, automaton, trie, cap)
+            found = _join(rows, automaton, columns, cap)
             return found and (found[0], np.searchsorted(key, tail[found[0]] * ncols + found[1]))
 
         # the first row layer has an edge from each window per successor of
@@ -312,17 +319,35 @@ def _trie(words, base):
     return grow, node
 
 
-def _join(rows, automaton, trie, cap):
+# The dense join tests every (window, column) pair at once: its temporaries
+# hold windows x columns x rows cells, 128 KB of node indices at this cut.
+# Below it one array test beats the trie walk's 20 or so numpy calls per row.
+# Golden-mean and no-111 strips build as fast either way at about 2^15 cells,
+# and above that the trie walk, which reads only the columns a window's rows
+# can reach, is the faster
+_DENSE_CELLS = 1 << 14
+
+
+def _join(rows, automaton, columns, cap):
     """The pairs (i, c) such that each row word rows[i, r] reads cell r of
     column c, sorted by i and then c, as two arrays; None from ``cap`` pairs
-    on.  ``automaton`` is that of ``build`` and ``trie`` the columns' trie,
-    read one depth at a time as ``_row_layers`` reads its prefix trie.  The
-    rows go in chunks, so the join stops soon after ``cap``: the first one
-    cannot pass it, as row i has at most one pair per column that starts
-    with a symbol rows[i, 0] reads, and each later one doubles, or covers
-    the rows that reach ``cap`` at the rate so far."""
-    (table, start, degree, symbol), (grow, leaf, spread) = automaton, trie
+    on, unless there are no rows.  ``automaton`` is that of ``build``, and
+    ``columns`` the pair (letters, trie): the columns as an array of symbol
+    ranks, and a function that gives their trie.
+
+    Under ``_DENSE_CELLS`` rows times columns cells the join tests every pair
+    in one array step, whose row-major order sorts the pairs.  Otherwise it
+    reads the trie one depth at a time, as ``_row_layers`` reads its prefix
+    trie.  The rows go in chunks, so that walk stops soon after ``cap``: the
+    first one cannot pass it, as row i has at most one pair per column that
+    starts with a symbol rows[i, 0] reads, and each later one doubles, or
+    covers the rows that reach ``cap`` at the rate so far."""
+    (table, start, degree, symbol), (letters, trie) = automaton, columns
     n, base = len(rows), table.shape[1]
+    if rows.size * len(letters) < _DENSE_CELLS:
+        i, c = np.nonzero((table[rows[:, None], letters] < len(table) - 1).all(2))
+        return None if n and len(i) >= cap else (i, c)
+    grow, leaf, spread = trie()
     out, found, done = [(np.zeros(0, np.intp),) * 2], 0, 0
     size = max(1, int((spread * (table != len(table) - 1)).sum(1)[rows[:, 0]].cumsum().searchsorted(cap)))
     while done < n:
@@ -475,16 +500,30 @@ class TorusWitness:
         return {"width": self.width, "height": self.height, "pattern": self.pattern.to_json()}
 
 
-def _cyclic_ok(constraint, word):
-    """Does ``word`` repeat periodically into a legal bi-infinite word?"""
+def _repeats(constraint, words, alphabet):
+    """Which rows of ``words``, an array of ranks in ``alphabet``, repeat
+    periodically into a legal bi-infinite word, as a bool array.
+
+    A presentation reads each word with ``is_cyclic``.  An SFT of order m
+    reads them all at once, one array step per cell through its word
+    automaton, repeated 2 + (m + 1) // len(word) times: a word that long
+    holds every factor of the periodic word of length m + 1 or less, so the
+    periodic word is legal iff the repeated one is a word of the SFT."""
     if constraint is None:
-        return True
-    if isinstance(constraint, Sft1D):
-        reps = 2 + (constraint.order + 1) // max(1, len(word))
-        return constraint.word_locally_admissible(tuple(word) * reps)
+        return np.ones(len(words), bool)
     if isinstance(constraint, VerticalPresentation):
-        return constraint.is_cyclic(tuple(word))
-    raise TypeError(f"unsupported column constraint {constraint!r}")
+        return np.array([constraint.is_cyclic(w) for w in _word_tuples(words, alphabet)], bool)
+    if not isinstance(constraint, Sft1D):
+        raise TypeError(f"unsupported column constraint {constraint!r}")
+    try:
+        automaton = build_rauzy(constraint).word_automaton
+    except EmptyLanguage:  # only the empty word repeats, trivially
+        return np.full(len(words), words.shape[1] == 0)
+    table, node = automaton.table(alphabet), np.full(len(words), automaton[1])
+    for _ in range(2 + (constraint.order + 1) // max(1, words.shape[1])):
+        for cell in words.T:
+            node = table[node, cell]
+    return node < len(table) - 1
 
 
 def validate_torus(H, column_constraint, pattern, forbidden2d=()):
@@ -497,12 +536,12 @@ def validate_torus(H, column_constraint, pattern, forbidden2d=()):
         symbols &= set(column_constraint.alphabet.symbols)
     if not symbols.issuperset(pattern.cells):
         return False
-    for j in range(pattern.height):
-        if not _cyclic_ok(H, pattern.row(j)):
-            return False
-    for i in range(pattern.width):
-        if not _cyclic_ok(column_constraint, pattern.column(i)):
-            return False
+    alphabet = H.alphabet.symbols
+    rank = dict(zip(alphabet, range(len(alphabet))))
+    grid = np.fromiter(map(rank.__getitem__, pattern.cells), np.intp, len(pattern.cells))
+    grid = grid.reshape(pattern.height, pattern.width)
+    if not (_repeats(H, grid, alphabet).all() and _repeats(column_constraint, grid.T, alphabet).all()):
+        return False
     for p in forbidden2d:
         if p.occurs_in(pattern, wrap=True):
             return False
@@ -647,7 +686,9 @@ def decide_with_certificate(H, constraint, budget=200000):
         if vertical:
             wit = _shortest_torus(constraint, H, width, budget, Pattern2D.from_rows, H, constraint)
         else:
-            rows = [r for r in _global_words(H, width) if _cyclic_ok(H, r)]
+            symbols = H.alphabet.symbols
+            rows = _words(g.word_automaton, width, symbols)[0]
+            rows = _word_tuples(rows[_repeats(H, rows, symbols)], symbols)
             wit = _shortest_torus(
                 _stack_sft(rows, forbidden2d, budget), None, 1, budget,
                 lambda cols: Pattern2D.from_rows([rows[int(k)] for (k,) in cols]), H, None, forbidden2d,

@@ -198,7 +198,7 @@ def _prune(g):
 
 
 def _sample_words(sft, n, limit):
-    from sftkit.solve import _global_words
+    from sftkit.core import _global_words
 
     return _global_words(sft, n)[:limit]
 

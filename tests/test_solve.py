@@ -6,6 +6,7 @@ import re
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 from math import inf, lcm, log2
@@ -39,6 +40,7 @@ from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
     _columns_for,
+    _repeats,
     _row_layers,
     count_rectangles,
     decide_with_certificate,
@@ -46,7 +48,9 @@ from sftkit.solve import (
     semi_decide_emptiness,
     validate_torus,
 )
+import sftkit.core
 import sftkit.entropy
+import sftkit.solve
 from sftkit.entropy import _spectral_radius
 
 from conftest import brute_strip, closed_walk_count, numpy_radius
@@ -511,19 +515,29 @@ class TestStripOracle:
         assert strip.states.shape == (kept, 1) and strip.transitions == kept
 
 
-def order2_instance():
-    """The seed-0 instance of the benchmark's order2-decide decisions: rows
-    of the 8-cycle shift over columns of an order-2 SFT, nonempty by
-    construction.  Its strips of height 5 have about 24,000 windows."""
+def order2_decisions():
+    """The seed-0 instances of the benchmark's order2-decide decisions, each
+    as (k, verdict, rows, columns): rows of the k-cycle shift over columns of
+    an order-2 SFT, with the verdict they are built to have."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, bench)
     try:
         from workloads import make_spec
     finally:
         sys.path.remove(bench)
-    inst = make_spec("order2-decide", 0)["decide"][0]
-    assert inst["k"] == 8 and inst["verdict"] == "nonempty"
-    return tuple(Sft1D(inst["alphabet"], [tuple(w) for w in inst[key]]) for key in ("h_forbidden", "v_forbidden"))
+    out = []
+    for inst in make_spec("order2-decide", 0)["decide"]:
+        H, V = (Sft1D(inst["alphabet"], [tuple(w) for w in inst[key]]) for key in ("h_forbidden", "v_forbidden"))
+        out.append((inst["k"], inst["verdict"], H, V))
+    return out
+
+
+def order2_instance():
+    """The first of ``order2_decisions``: rows of the 8-cycle shift, nonempty
+    by construction.  Its strips of height 5 have about 24,000 windows."""
+    k, verdict, H, V = order2_decisions()[0]
+    assert k == 8 and verdict == "nonempty"
+    return H, V
 
 
 def traced_peak(build):
@@ -578,6 +592,153 @@ class TestStripMemory:
         strip, peak = traced_peak(lambda: StripAutomaton.build(H, V, 6))
         assert strip.states.shape == (176411, 1) and strip.transitions == 112284
         assert peak < 45 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+@contextmanager
+def dense_cut(cells):
+    """``_join`` takes its dense step below ``cells`` cells, its trie walk
+    from there on."""
+    saved, sftkit.solve._DENSE_CELLS = sftkit.solve._DENSE_CELLS, cells
+    try:
+        yield
+    finally:
+        sftkit.solve._DENSE_CELLS = saved
+
+
+def same_join(a, b):
+    return a is None and b is None or (
+        a is not None and b is not None
+        and all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
+    )
+
+
+def both_ways(joins):
+    """A stand-in for ``_join`` that also runs each join a build makes with
+    the dense step and with the trie walk, at the build's cap and just below,
+    at and above the number of pairs, requires the same answers and appends
+    its arguments to ``joins``."""
+    join = sftkit.solve._join
+
+    def checked(rows, automaton, columns, cap):
+        answers = []
+        for cut in (0, inf):
+            with dense_cut(cut):
+                pairs = len(join(rows, automaton, columns, inf)[0])
+                answers.append([join(rows, automaton, columns, c) for c in (cap, pairs - 1, pairs, pairs + 1)])
+        assert all(map(same_join, *answers))
+        joins.append((rows, automaton, columns, cap))
+        return join(rows, automaton, columns, cap)
+
+    return checked
+
+
+def strip_arrays(strip):
+    """What a strip holds, as plain values: columns, states, narrow,
+    transitions, layer arrays and successors."""
+    layers = [(src.tolist(), dst.tolist(), size) for src, dst, size in strip.layers]
+    return (
+        strip.columns.tolist(), strip.columns.dtype, strip.states.tolist(), strip.states.dtype,
+        strip.narrow, strip.transitions, layers, strip.successors,
+    )
+
+
+@st.composite
+def join_cases(draw):
+    """(H, columns, h, cyclic): H of order 1 or 2; columns free, an SFT of
+    order 1 or 2, or a compiled presentation, and then H is over its symbols
+    abc.  Heights go to 5 over 01, 3 over 012 and 2 over 0123, so the dense
+    step of every join stays below a few million cells."""
+    columns = draw(st.sampled_from(["none", "sft", "presentation"]))
+    order = draw(st.integers(1, 2))
+    if columns == "presentation":
+        H, V, top = draw(sfts("abc", order)), coding_presentation(draw(st.sampled_from([1, 2]))), 6
+    else:
+        symbols = draw(st.sampled_from(["01", "012", "0123"]))
+        H, top = draw(sfts(symbols, order)), {2: 5, 3: 3, 4: 2}[len(symbols)]
+        V = draw(sfts(symbols, draw(st.integers(1, 2)))) if columns == "sft" else None
+    return H, V, draw(st.integers(1, top)), draw(st.booleans())
+
+
+class TestJoinCut:
+    """``_join`` tests small joins as one dense array and walks the columns'
+    trie for the others; both give the same pairs, the same refusals and the
+    same strips."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(join_cases())
+    def test_dense_step_and_trie_walk_agree(self, case):
+        H, V, h, cyclic = case
+        joins = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sftkit.solve, "_join", both_ways(joins))
+            try:
+                StripAutomaton.build(H, V, h, cyclic=cyclic).successors
+            except EmptyLanguage:
+                return
+        assert joins
+
+    def test_no_windows_give_no_pairs_at_any_cap(self, golden):
+        # a join over no rows lists no pairs, even where a cap <= 0 refuses
+        # any other join
+        joins = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sftkit.solve, "_join", both_ways(joins))
+            StripAutomaton.build(golden, golden, 3).successors
+        rows, automaton, columns, _ = joins[0]
+        for cut in (0, inf):
+            with dense_cut(cut):
+                assert sftkit.solve._join(rows, automaton, columns, 0) is None
+                for cap in (0, -1, 1):
+                    i, c = sftkit.solve._join(rows[:0], automaton, columns, cap)
+                    assert i.tolist() == c.tolist() == [] and i.dtype == c.dtype == np.intp
+
+    def test_strips_are_equal_on_both_sides_of_the_cut(self, golden):
+        # golden x golden up to h = 9 (71,289 cells at the last join) and the
+        # transposed cylinder strips of the four seed-0 k-cycle decisions
+        # of the order2-decide benchmark, whose width is k
+        builds = [(golden, golden, h, False) for h in range(1, 10)]
+        builds += [(V, H, k, True) for k, _, H, V in order2_decisions()]
+        for rows, cols, h, cyclic in builds:
+            strips = []
+            for cut in (0, inf):
+                with dense_cut(cut):
+                    strips.append(strip_arrays(StripAutomaton.build(rows, cols, h, cyclic=cyclic)))
+            assert strips[0] == strips[1], (h, cyclic)
+            assert not cyclic or len(strips[0][0]) == h  # the k rotations of the cycle
+
+
+class TestCylinderFilter:
+    @pytest.mark.parametrize("h, kept", [(5, 19932), (6, 144345)])
+    def test_the_array_pass_keeps_the_columns_that_repeat(self, h, kept):
+        # one array step per cell against a scan of each repeated column by
+        # the forbidden-factor automaton, as many times as the pass repeats it
+        H, V = order2_instance()
+        symbols = H.alphabet.symbols
+        cols = _columns_for(V, h, symbols)
+        reps = 2 + (V.order + 1) // h
+        repeats = [V.word_locally_admissible(w * reps) for w in _word_tuples(cols, symbols)]
+        assert _repeats(V, cols, symbols).tolist() == repeats
+        assert sum(repeats) == kept
+
+    def test_each_automaton_is_converted_once_per_alphabet(self):
+        # coding3 x free-2: the semi-decision builds 12 strips to bound 6 and
+        # lists the columns of each, but converts the rows' automaton and the
+        # presentation's once each
+        coding = sft_from_edges("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "b"), ("c", "c")])
+        pair, _ = find_cycle_pair(build_rauzy(coding))
+        pres = compile_wang(coding, free_tile_set(2), pair)[0]
+        convert, calls = sftkit.core._arcs, []
+
+        def spy(step, alphabet):
+            calls.append((step, tuple(alphabet)))
+            return convert(step, alphabet)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sftkit.core, "_arcs", spy)
+            out = semi_decide_emptiness(coding, pres, 6)
+        assert (out.status, out.rationale) == ("unknown", "no decision up to height 6")
+        assert sorted((len(step), alphabet) for step, alphabet in calls) == [(4, tuple("abc")), (378, tuple("abc"))]
+        assert calls[0][0] is not calls[1][0]
 
 
 def list_row_layers(windows, succ, h, cap):
