@@ -364,95 +364,51 @@ def _check_word_properties(H, u, w1, w2, blocks=4):
 
 def ntilde_count(H, u, w1, n):
     """Exact count of n-words v with u not a factor of v and w1+v+u in the
-    language; w1 may be any word, the empty word too."""
+    language; w1 may be any word, the empty word too.  Every word has the
+    empty word as a factor, so an empty u counts 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _ntilde(_RowAutomaton(H, u), w1, n)
+    if not u:
+        return 0
+    step, root = build_rauzy(H).word_automaton  # raises EmptyLanguage
+    return _ntilde(step, root, _marker_table(u), u, w1, n)
 
 
-def _ntilde(rows, w1, n):
-    """``ntilde_count`` on the row automaton of (H, u)."""
-    x0 = _follow(rows.step, rows.root, w1)
+def _ntilde(step, root, marker, u, w1, n):
+    """``ntilde_count`` on the word automaton (step, root) of H and the
+    marker table of u: a dict DP over (node, marker state) pairs."""
+    x0 = _follow(step, root, w1)
     if x0 < 0:
         return 0
-    delta, marked = rows.delta, rows.marked
-    cur = {rows.state(x0, 0): 1}
+    done = len(u)
+    cur = {(x0, 0): 1}
     for _ in range(n):
         nxt = {}
-        for s, cnt in cur.items():
-            for t in delta[s]:
-                if t >= 0 and not marked[t]:
-                    nxt[t] = nxt.get(t, 0) + cnt
+        for (x, j), cnt in cur.items():
+            row = marker[j]
+            for a, y in step[x].items():
+                k = row.get(a, 0)
+                if k < done:
+                    nxt[y, k] = nxt.get((y, k), 0) + cnt
         cur = nxt
-    return sum(cnt for s, cnt in cur.items() if _follow(rows.step, rows.node[s], rows.u) >= 0)
+    return sum(cnt for (x, _), cnt in cur.items() if _follow(step, x, u) >= 0)
 
 
-def _kmp_table(u, symbols):
-    """Knuth-Morris-Pratt automaton of ``u`` over the symbol indices:
-    ``table[j][a]`` is the length of the longest suffix of u[:j] followed by
-    ``symbols[a]`` that is a prefix of u, for j in 0..len(u); from j = len(u)
-    it moves on as from the longest proper border of u."""
-    index = {a: i for i, a in enumerate(symbols)}
-    table = [[0] * len(symbols)]
-    border = 0  # the state after u[1:j]
-    for j, x in enumerate(u):
-        a = index.get(x)
-        if j:
-            table.append(list(table[border]))
-            border = table[border][a] if a is not None else 0
-        if a is not None:
-            table[j][a] = j + 1
-    table.append(list(table[border]))
-    return table
+def _marker_table(u):
+    """The Knuth-Morris-Pratt automaton of the nonempty marker ``u``:
+    ``table[j].get(a, 0)`` is the length of the longest suffix of u[:j] + (a,)
+    that is a prefix of u, for j in 0..len(u).
 
-
-class _RowAutomaton:
-    """The rows of H read one symbol at a time, with the marker u tracked.
-
-    The product of H's word automaton (``RauzyGraph.word_automaton``, whose
-    nodes are the Rauzy vertices and their proper prefixes) and the KMP
-    automaton of u, on integer states numbered as they are first reached.
-    A state is a pair (node, j), j the length of the longest suffix of the
-    row that is a prefix of u; state 0 is (root, 0), the row that has read
-    nothing.  A state with j = |u| has just completed u and is ``marked``.
-    ``delta[s][a]`` is the state after the symbol of index a, or -1 when
-    the row leaves the language; ``node[s]`` is the node of s, and
-    ``symbol_index`` maps each symbol to its index.  Only the states
-    reachable from 0 and from those asked of ``state`` are built.
+    Rows 0..len(u)-1 are the Aho-Corasick rows of {u}
+    (``Sft1D._factor_automaton``), with the step that completes u read as
+    len(u).  Row len(u) is the row of the state after u[1:], the longest
+    proper border of u, so the table moves on from a completed u as KMP does.
     """
-
-    def __init__(self, H, u):
-        self.step, self.root = build_rauzy(H).word_automaton  # raises EmptyLanguage
-        self.u = tuple(u)
-        self.symbols = H.alphabet.symbols
-        self.symbol_index = {a: i for i, a in enumerate(self.symbols)}
-        self._kmp = _kmp_table(self.u, self.symbols)
-        self.delta, self.marked, self.node = [], [], []
-        self._keys, self._ids, self._todo = [], {}, []
-        self.state(self.root, 0)
-
-    def state(self, x, j):
-        """The state (node x, marker progress j)."""
-        s = self._intern((x, j))
-        while self._todo:  # build the states reached from it
-            t = self._todo.pop()
-            y, k = self._keys[t]
-            row = self.delta[t] = [-1] * len(self.symbols)
-            for sym, z in self.step[y].items():
-                a = self.symbol_index[sym]
-                row[a] = self._intern((z, self._kmp[k][a]))
-        return s
-
-    def _intern(self, key):
-        s = self._ids.get(key)
-        if s is None:
-            s = self._ids[key] = len(self._keys)
-            self._keys.append(key)
-            self.delta.append(None)
-            self.marked.append(key[1] == len(self.u))
-            self.node.append(key[0])
-            self._todo.append(s)
-        return s
+    rows = [
+        {a: len(u) if j < 0 else j for a, j in row.items()}
+        for row in Sft1D(dict.fromkeys(u), {u})._factor_automaton
+    ]
+    return rows + [rows[_follow(rows, 0, u[1:])]]
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +461,6 @@ class RealizationSystem:
     """
 
     plan: RealizationPlan
-
-    @cached_property
-    def rows(self):
-        """The row automaton of (H, u), built on first use."""
-        return _RowAutomaton(self.plan.H, self.plan.u)
 
     @cached_property
     def table(self):
@@ -569,20 +520,22 @@ class _RowTable:
     shared by every marker phase of every count.
 
     Column c of a row at phase p sits at offset o = (c - p) mod n of the
-    period.  A DP state pairs a row automaton state with a code register:
+    period.  A DP state is a triple (node, j, register): the node of H's
+    word automaton (``automaton``) after the row so far; j, the state of the
+    marker table of u (``_marker_table``) after it; and a code register,
     None outside code blocks, else (bits, bit), where ``bits`` holds the bits
     of the finished blocks of this R-group (None: before the window) and
     ``bit`` is the current block's bit, or _BOTH while its visible cells
     agree with both w1 and w2.  DP states are interned as ints.
     ``moves[o][d]`` lists the DP states one column after d at offset o; it
-    is filled on first use from ``options`` and the automaton's successor
-    table, so each phase's DP only looks moves up; ``step`` moves the DP one
-    column on.
+    is filled on first use from ``options`` and the two automata, so each
+    phase's DP only looks moves up; ``step`` moves the DP one column on.
     """
 
     def __init__(self, system):
         plan = system.plan
-        self.rows = system.rows
+        self.automaton = build_rauzy(plan.H).word_automaton  # raises EmptyLanguage
+        self.marker = _marker_table(plan.u)
         self.n, self.alpha = plan.period, plan.alpha
         self._plan = plan
         self.moves = [{} for _ in range(self.n)]
@@ -604,16 +557,14 @@ class _RowTable:
     def start(self, phase):
         """The DP state before column 0 at the given phase."""
         z = self._zone(-phase % self.n)
-        return self._intern((0, ((None,) * z[1], _BOTH) if z[0] == "code" else None))
+        reg = ((None,) * z[1], _BOTH) if z[0] == "code" else None
+        return self._intern((self.automaton[1], 0, reg))
 
     def options(self, o, reg):
-        """(symbol index, next register) pairs at offset o from register reg."""
+        """(symbol, next register) pairs at offset o from register reg."""
         opts = self._option_table[o].get(reg)
         if opts is None:
-            index = self.rows.symbol_index
-            opts = self._option_table[o][reg] = tuple(
-                (index[a], reg2) for a, reg2 in self._symbols(o, reg) if a in index
-            )
+            opts = self._option_table[o][reg] = tuple(self._symbols(o, reg))
         return opts
 
     def _symbols(self, o, reg):
@@ -624,7 +575,7 @@ class _RowTable:
         if z[0] == "w1":
             return [(plan.w1[z[1]], None)]
         if z[0] == "free":
-            return [(a, None) for a in self.rows.symbols]
+            return [(a, None) for a in plan.H.alphabet.symbols]
         blk, pos = z[1], z[2]
         bits, bit = reg if reg is not None else ((None,) * blk, _BOTH)  # (re-)entering
         w1, w2 = plan.w1, plan.w2
@@ -646,7 +597,7 @@ class _RowTable:
     def open_group_ok(self, d):
         """Can the code group open in DP state d, if any, still address a
         payload tile when the row goes on past the window?"""
-        reg = self._states[d][1]
+        reg = self._states[d][2]
         if reg is None:
             return True
         bits, bit = reg
@@ -662,14 +613,16 @@ class _RowTable:
 
     def expand(self, o, d):
         """The DP states one column after DP state d at offset o."""
-        s, reg = self._states[d]
-        row, marked = self.rows.delta[s], self.rows.marked
+        x, j, reg = self._states[d]
+        succ, marker = self.automaton[0][x], self.marker[j]
+        last = o == self.alpha - 1
         out = []
         for a, reg2 in self.options(o, reg):
-            t = row[a]
+            y = succ.get(a)
+            k = marker.get(a, 0)
             # u may end only where a marker ends
-            if t >= 0 and (o == self.alpha - 1 or not marked[t]):
-                out.append(self._intern((t, reg2)))
+            if y is not None and (last or k < self.alpha):
+                out.append(self._intern((y, k, reg2)))
         out = self.moves[o][d] = tuple(out)
         return out
 
@@ -730,7 +683,8 @@ def realization_sandwich(system, k):
     plan = system.plan
     n = plan.period
     distinct = sorted(set(ks))
-    nt = _ntilde(system.rows, plan.w1, plan.q * plan.alpha)
+    table = system.table
+    nt = _ntilde(*table.automaton, table.marker, plan.u, plan.w1, plan.q * plan.alpha)
     nw = lambda a, b: _payload_count(plan.payload, a, b)
     rows = {}
     for j, nx in zip(distinct, _window_counts(system, [(j * n, j) for j in distinct])):
@@ -824,7 +778,8 @@ def statesplit_entropy(H, V, n, budget=None):
     The graph of H must be a disjoint union of state-split cycles; p is the
     lcm of the class counts.  Returns the term log2(max_v prod_j N_{v^j})/(p n)
     together with the data needed to check
-    N(p*m, n) = sum_u (prod_j N_{u^j})^m exactly.
+    N(p*m + order - 1, n) = sum_u (prod_j N_{u^j})^m exactly.  The classes
+    are those of H's Rauzy vertices, and u runs over the columns of vertices.
     """
     g = build_rauzy(H)
     comps = g.sccs()
@@ -840,39 +795,37 @@ def statesplit_entropy(H, V, n, budget=None):
     p = 1
     for part in infos:
         p = lcm(p, len(part))
-    # class id of each symbol: (component index, class index, class count)
+    # class id of each vertex: (component index, class index)
     cls = {}
     for ci, part in enumerate(infos):
         for k, group in enumerate(part):
             for v in group:
-                cls[v[-1]] = (ci, k, len(part))
+                cls[v] = (ci, k)
 
-    cols = [c for c in _global_words(V, n) if all(x in cls for x in c)]
+    # the columns of vertices: g.order tracks, each a V-word, whose rows are
+    # vertices, listed a track at a time with rows that are vertex prefixes;
+    # a row of width w in vertices is one of width w + order - 1 in H
+    words = _global_words(V, n)
+    prefixes = {v[:t] for v in cls for t in range(1, g.order + 1)}
+    cols = [()]
+    for _ in range(g.order):
+        cols = [c + (w,) for c in cols for w in words if all(r in prefixes for r in zip(*c, w))]
     groups = {}
     for c in cols:
-        key = tuple(cls[x][:2] for x in c)
-        groups.setdefault(key, 0)
-        groups[key] += 1
-
-    def shifted(key, j):
-        return tuple((ci, (k + j) % cls_count(ci)) for (ci, k) in key)
-
-    def cls_count(ci):
-        return len(infos[ci])
+        key = tuple(cls[v] for v in zip(*c))
+        groups[key] = groups.get(key, 0) + 1
 
     def column_product(key):
         prod = 1
         for j in range(p):
-            prod *= groups.get(shifted(key, j), 0)
+            prod *= groups.get(tuple((ci, (k + j) % len(infos[ci])) for ci, k in key), 0)
         return prod
 
-    best = 0
-    for key in groups:
-        best = max(best, column_product(key))
+    best = max(map(column_product, groups), default=0)
     term = log2(best) / (p * n) if best else -inf
 
     def identity_lhs(m):
-        return count_rectangles(H, V, p * m, n, budget)
+        return count_rectangles(H, V, p * m + g.order - 1, n, budget)
 
     def identity_rhs(m):
         return sum(column_product(key) ** m for key in groups)

@@ -402,16 +402,24 @@ class TestCyclesAndCompile:
 
 
 class TestEntropyCommands:
-    def test_statesplit_exits_1_when_an_identity_row_fails(self, capsys):
-        # alt011 has order 3, and the classes read per symbol lose the
-        # vertex classes: N(3m, 2) = 9 against a product sum of 0
+    def test_statesplit_exits_1_when_an_identity_row_fails(self, capsys, monkeypatch):
+        # a product sum one too large at m = 2 fails that row alone
+        import sftkit.entropy
+
+        real = sftkit.entropy.statesplit_entropy
+
+        def off_by_one(*args):
+            rep = real(*args)
+            return {**rep, "rhs": lambda m: rep["rhs"](m) + (m == 2)}
+
+        monkeypatch.setattr(sftkit.entropy, "statesplit_entropy", off_by_one)
         code, out, _ = run(
             capsys, "entropy", "statesplit", "--h", path("alt011.json"), "--v", path("no111.json"), "--bound", "2"
         )
         assert code == 1
         assert json.loads(out)["identity"] == [
-            {"m": 1, "lhs": "9", "rhs": "0", "ok": False},
-            {"m": 2, "lhs": "9", "rhs": "0", "ok": False},
+            {"m": 1, "lhs": "9", "rhs": "9", "ok": True},
+            {"m": 2, "lhs": "9", "rhs": "10", "ok": False},
         ]
 
     def test_bezout(self, capsys):

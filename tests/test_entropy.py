@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftkit.core import (
+    Alphabet,
     NotStateSplit,
     NotTransitive,
     Sft1D,
@@ -30,6 +31,7 @@ from sftkit.entropy import (
     RealizationPlan,
     _RowTable,
     _exact_bracket,
+    _marker_table,
     _payload_count,
     _row_counts,
     _spectral_radius,
@@ -369,12 +371,38 @@ class TestNtilde:
                         cases += 1
         assert cases == 3 * 10 * (3 + 7 + 4 + 7)
 
+    def test_empty_marker_counts_0(self, golden):
+        # every window has the empty word as a factor
+        _, w1, _, _ = entropy_words(golden, k=1)
+        for w in (w1, ()):
+            assert [ntilde_count(golden, (), w, n) for n in (1, 2, 5)] == [0, 0, 0]
+
     def test_convergence_to_hu(self, golden):
         u, w1, _, alpha = entropy_words(golden, k=1)
         hu = entropy_1d(Sft1D(golden.alphabet, golden.forbidden | {u})).log2_value
         n = 8
         val = ntilde_count(golden, u, w1, n * alpha)
         assert abs(log2(val) / (n * alpha) - hu) < 0.05
+
+
+def _border(text, u):
+    """The length of the longest suffix of ``text`` that is a prefix of u."""
+    return max(k for k in range(min(len(text), len(u)) + 1) if text[len(text) - k :] == u[:k])
+
+
+class TestMarkerTable:
+    def test_every_marker_up_to_length_6(self):
+        # state j has read a text ending in u[:j]; a symbol outside u resets it
+        markers = 0
+        for length in range(1, 7):
+            for u in product("012", repeat=length):
+                table = _marker_table(u)
+                assert len(table) == length + 1
+                for j in range(length + 1):
+                    for a in "0123":
+                        assert table[j].get(a, 0) == _border(u[:j] + (a,), u), (u, j, a)
+                markers += 1
+        assert markers == 3 + 9 + 27 + 81 + 243 + 729
 
 
 @pytest.fixture(scope="module")
@@ -620,7 +648,60 @@ class TestRootEntropy:
         assert ratios[0] < ratios[1] <= rep["mn"]
 
 
+@st.composite
+def statesplit_pairs(draw):
+    """(H, V, split): H a state-split SFT, V of order 1-2 on its alphabet.
+
+    H is either complete between consecutive classes (2-3 classes of 1-2
+    symbols), lifted to order 2-3 by a forbidden word that contains a
+    forbidden 2-word, so the language stays the same; or the orbit of a
+    primitive word w, which forbids every (k+1)-word not read around w for
+    a k in 1..3 at which the k-words around w are distinct (alt011 is the
+    orbit of 011 at k = 2).  ``split`` is False when a lifted class has two
+    symbols: then the Rauzy graph is not state-split, since the successors
+    of a vertex are fixed by its last order - 1 symbols.
+    """
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+        symbols = "abcdef"[: sum(sizes)]
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        classes = [symbols[a:b] for a, b in zip(starts, starts[1:])]
+        edges = [(x, y) for c, d in zip(classes, classes[1:] + classes[:1]) for x in c for y in d]
+        H = sft_from_edges(symbols, edges)
+        lift = draw(st.integers(0, 2))
+        if lift:
+            pad = draw(st.lists(st.sampled_from(symbols), min_size=lift, max_size=lift))
+            cut = draw(st.integers(0, lift))
+            word = tuple(pad[:cut]) + draw(st.sampled_from(sorted(H.forbidden))) + tuple(pad[cut:])
+            H = Sft1D(H.alphabet, H.forbidden | {word})
+        split = not lift or max(sizes) == 1
+    else:
+        symbols = "abc"[: draw(st.integers(2, 3))]
+        w = draw(st.text(symbols, min_size=2, max_size=6).filter(lambda w: w not in (w + w)[1:-1]))
+        ring = w + w + w
+        k = draw(st.integers(1, 3).filter(lambda k: len({ring[i : i + k] for i in range(len(w))}) == len(w)))
+        allowed = {tuple(ring[i : i + k + 1]) for i in range(len(w))}
+        H = Sft1D(Alphabet(tuple(symbols)), frozenset(set(product(symbols, repeat=k + 1)) - allowed))
+        split = True
+    rules = [x for length in (2, 3) for x in product(H.alphabet.symbols, repeat=length)]
+    V = Sft1D(H.alphabet, frozenset(draw(st.lists(st.sampled_from(rules), min_size=1, max_size=3))))
+    return H, V, split
+
+
 class TestStateSplit:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(statesplit_pairs())
+    def test_identity_sweep(self, pair):
+        H, V, split = pair
+        for n in (1, 2, 3):
+            if not split:
+                with pytest.raises(NotStateSplit):
+                    statesplit_entropy(H, V, n)
+                continue
+            rep = statesplit_entropy(H, V, n)
+            for m in (1, 2):
+                assert rep["lhs"](m) == rep["rhs"](m), (H, V, n, m)
+
     def test_degenerate_full_shift(self, full2):
         golden_cols = Sft1D.from_words("01", "11")
         rep = statesplit_entropy(full2, golden_cols, 4)
@@ -663,16 +744,15 @@ class TestStateSplit:
             for m in range(1, 4):
                 assert rep["lhs"](m) == rep["rhs"](m)
 
-    @pytest.mark.xfail(strict=True, reason="classes are read per symbol, which rows of order >= 2 do not determine")
     def test_identity_on_rows_of_order_3(self):
-        # alt011 x no111: the counts N(3m, n) are 9 at n = 2 and 6 at n = 3,
-        # but the product sums read 0
+        # alt011 x no111: the counts N(3m + 1, n) are 9 at n = 2 and 6 at
+        # n = 3, and so are the product sums over the vertex classes
         data = Path(__file__).resolve().parents[1] / "demos" / "data"
         H, V = (Sft1D.load(str(data / f"{name}.json")) for name in ("alt011", "no111"))
-        for n in (2, 3):
+        for n, count in ((2, 9), (3, 6)):
             rep = statesplit_entropy(H, V, n)
             for m in (1, 2):
-                assert rep["lhs"](m) == rep["rhs"](m), (n, m)
+                assert rep["lhs"](m) == rep["rhs"](m) == count, (n, m)
 
     def test_not_state_split(self, golden):
         with pytest.raises(NotStateSplit):
