@@ -9,6 +9,7 @@ make every derived object byte-reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -130,7 +131,7 @@ class Alphabet:
     symbols: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(str(s) for s in self.symbols))
+        object.__setattr__(self, "symbols", _as_word(self.symbols))
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
@@ -150,7 +151,7 @@ class Alphabet:
 
 
 def _as_word(w):
-    return tuple(str(s) for s in w)
+    return tuple(map(str, w))
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,8 @@ class Sft1D:
 
     ``order`` is (max forbidden word length) - 1, at least 1; a
     nearest-neighbor SFT has all forbidden words of length <= 2.
+    ``forbidden`` may be any collection of words, each a sequence of
+    symbols; it is kept as a frozenset of tuples of str.
     """
 
     alphabet: Alphabet
@@ -167,13 +170,14 @@ class Sft1D:
     def __post_init__(self):
         if not isinstance(self.alphabet, Alphabet):
             object.__setattr__(self, "alphabet", Alphabet(tuple(self.alphabet)))
-        words = frozenset(_as_word(w) for w in self.forbidden)
-        for w in words:
-            if not w:
-                raise ValueError("empty forbidden word")
-            for s in w:
-                if s not in self.alphabet:
-                    raise ValueError(f"forbidden word {w} uses unknown symbol {s!r}")
+        words = frozenset(map(_as_word, self.forbidden))
+        if () in words or not set(self.alphabet.symbols).issuperset(chain.from_iterable(words)):
+            for w in words:  # the first bad word names the fault
+                if not w:
+                    raise ValueError("empty forbidden word")
+                for s in w:
+                    if s not in self.alphabet:
+                        raise ValueError(f"forbidden word {w} uses unknown symbol {s!r}")
         object.__setattr__(self, "forbidden", words)
 
     @cached_property
@@ -215,6 +219,7 @@ class Sft1D:
         the state of the longest trie prefix that ends the text read so far
         followed by ``s``, or -1 when that text ends with a forbidden word
         (the state is dead).  State 0 is the root; dead states get no row.
+        Each row lists the symbols in alphabet order.
         """
         symbols = self.alphabet.symbols
         children = [{}]
@@ -229,24 +234,23 @@ class Sft1D:
                 q = children[q][s]
             final[q] = True
         # breadth first, so a state's failure link (a shorter suffix) is
-        # finished before the state; the children of a dead state are dead
-        # and are never reached
-        live = {0: 0}
-        rows = [{s: children[0].get(s, 0) for s in symbols}]
-        queue = list(children[0].values())
-        fail = dict.fromkeys(queue, 0)
-        for q in queue:
-            if final[q] or fail[q] not in live:
-                continue
-            live[q] = len(rows)
-            back = rows[live[fail[q]]]
+        # numbered, and its row made, before the state's row.  A state is
+        # numbered when it is reached, unless it is dead: it ends a
+        # forbidden word or its failure link is dead.  The children of a
+        # dead state are never reached
+        zero = dict.fromkeys(symbols, 0)
+        rows, queue = [], [(0, 0)]  # (trie node, number of its failure link)
+        for q, f in queue:
+            back = rows[f] if q else zero
             row = dict(back)
             for s, c in children[q].items():
-                fail[c] = back[s]
-                row[s] = c
-                queue.append(c)
+                if final[c] or back[s] < 0:
+                    row[s] = -1
+                else:
+                    row[s] = len(queue)
+                    queue.append((c, back[s]))
             rows.append(row)
-        return tuple({s: live.get(t, -1) for s, t in row.items()} for row in rows)
+        return tuple(rows)
 
     # -- serialization ------------------------------------------------------
 
@@ -265,7 +269,7 @@ class Sft1D:
             raise ValueError("alphabet must be a list of strings")
         if not all(isinstance(w, list) for w in forbidden):
             raise ValueError("forbidden must be a list of lists of symbols")
-        return cls(Alphabet(tuple(alphabet)), frozenset(tuple(w) for w in forbidden))
+        return cls(Alphabet(tuple(alphabet)), forbidden)  # each word is converted once, by __post_init__
 
     @classmethod
     def load(cls, path):
@@ -275,7 +279,7 @@ class Sft1D:
     @classmethod
     def from_words(cls, alphabet, *words):
         """Convenience: forbidden words given as strings of 1-char symbols."""
-        return cls(Alphabet(tuple(alphabet)), frozenset(tuple(w) for w in words))
+        return cls(Alphabet(tuple(alphabet)), words)
 
 
 def full_shift(alphabet):
@@ -416,20 +420,40 @@ class GraphIndex:
 
     ``rank[v]`` is the position of v in ``vertices``; ``succ[i]`` and
     ``pred[i]`` list the positions of the successors and predecessors of
-    vertex i in ascending order.  ``sccs`` (in vertex form) is computed on
-    first use.
+    vertex i in ascending order.  ``GraphIndex(vertices, edges)`` finds the
+    successors from the edges; ``from_succ`` takes the lists a build already
+    has.  ``pred``, ``sccs`` (in vertex form) and, unless the edges needed
+    it, ``rank`` are computed on first use.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = vertices
         self.rank = rank = {v: i for i, v in enumerate(vertices)}
         self.succ = succ = [[] for _ in vertices]
-        self.pred = pred = [[] for _ in vertices]
         for u, v in edges:
             succ[rank[u]].append(rank[v])
-            pred[rank[v]].append(rank[u])
-        for row in succ + pred:
+        for row in succ:
             row.sort()
+
+    @classmethod
+    def from_succ(cls, vertices, succ):
+        """The index of the graph on ``vertices`` whose successor lists by
+        position are ``succ``, each ascending; it keeps ``succ``."""
+        self = cls.__new__(cls)
+        self.vertices, self.succ = vertices, succ
+        return self
+
+    @cached_property
+    def rank(self):
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def pred(self):
+        pred = [[] for _ in self.vertices]
+        for i, row in enumerate(self.succ):  # so each list of sources ascends
+            for j in row:
+                pred[j].append(i)
+        return pred
 
     @cached_property
     def sccs(self):
@@ -448,7 +472,9 @@ class RauzyGraph(Digraph):
     Stranded vertices (in- or out-degree 0) have been removed to fixpoint, so
     every remaining vertex lies on a bi-infinite path and its label is a
     globally admissible word.  The edge (u1..uM, u2..u(M+1)) carries the label
-    u(M+1), which is always the last symbol of the target vertex.
+    u(M+1), which is always the last symbol of the target vertex.  A graph
+    from ``build_rauzy`` comes with its ``index``, the successor lists its
+    build found; one made from vertices and edges builds it on first use.
     """
 
     sft: Sft1D
@@ -459,6 +485,19 @@ class RauzyGraph(Digraph):
         """The graph itself: kept only because the benchmark scripts read
         ``build_rauzy(h).graph``."""
         return self
+
+    @classmethod
+    def _from_succ(cls, vertices, succ, sft, order):
+        """The graph on ``vertices`` whose successor lists by rank are
+        ``succ``, each ascending, with its ``index`` seeded from them.  The
+        edges are frozen once, from the lists; the build that found them
+        made them join vertices, so no endpoint is checked."""
+        g = object.__new__(cls)
+        pairs = (zip(repeat(u), map(vertices.__getitem__, row)) for u, row in zip(vertices, succ))
+        edges = frozenset(chain.from_iterable(pairs))
+        index = GraphIndex.from_succ(vertices, succ)
+        vars(g).update(vertices=vertices, edges=edges, sft=sft, order=order, index=index)
+        return g
 
     @cached_property
     def word_automaton(self):
@@ -473,16 +512,19 @@ class RauzyGraph(Digraph):
         words, each once.  Every reader shares the one table and must not
         change it.
         """
-        vs, m = self.vertices, self.order
-        ids = dict(self.index.rank)
-        for v in vs:
-            for k in range(m):
-                ids.setdefault(v[:k], len(ids))
-        step = [{vs[j][-1]: j for j in row} for row in self.index.succ] + [{} for _ in range(len(ids) - len(vs))]
-        for v in vs:
-            for k in range(m):
-                step[ids[v[:k]]][v[k]] = ids[v[: k + 1]]
-        return WordAutomaton(step, ids[()])
+        vs = self.vertices
+        step = [{vs[j][-1]: j for j in row} for row in self.index.succ] + [{}]
+        # each vertex walks down the prefix trie from the root, one step per
+        # symbol, and a prefix met for the first time becomes the next node
+        root = len(vs)
+        for i, v in enumerate(vs):
+            x = root
+            for s in v[:-1]:
+                x = step[x].setdefault(s, len(step))
+                if x == len(step):
+                    step.append({})
+            step[x][v[-1]] = i
+        return WordAutomaton(step, root)
 
     def to_dot(self, name="rauzy"):
         lines = [f"digraph {name} {{"]
@@ -494,12 +536,29 @@ class RauzyGraph(Digraph):
         return "\n".join(lines)
 
 
-def _locally_admissible_words(sft, n):
-    """The n-words with no forbidden factor, in canonical order, and the
-    forbidden-factor automaton's state after each: ``_words`` of its live part."""
-    live = [{s: q for s, q in row.items() if q >= 0} for row in sft._factor_automaton]
-    words, states = _words(WordAutomaton(live, 0), n, sft.alphabet.symbols)
-    return _word_tuples(words, sft.alphabet.symbols), states.tolist()
+def _local_words(sft, n):
+    """The n-words with no forbidden factor, in canonical order, as rows of
+    symbol ranks, listed a length at a time by the forbidden-factor
+    automaton, with three arrays over them: which symbol ranks may follow
+    each word (a bool row each: the automaton does not die on them), the
+    rank of each word's shift (the word without its first symbol) among the
+    (n - 1)-words, and each word's key, its prefix's rank times the
+    alphabet size plus its last symbol's rank.
+
+    The words of each length are sorted, so their keys ascend, and the word
+    u[1:] + a is found by a binary search of shift(u) * |A| + a among them:
+    the shift of p + a is shift(p) + a."""
+    base = len(sft.alphabet)
+    rows = sft._factor_automaton
+    table = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.intp, len(rows) * base).reshape(-1, base)
+    step, shift, keys, levels = table[:1], None, None, []  # step: the rows of the states reached
+    for r in range(n):
+        parent, letter = np.nonzero(step >= 0)
+        step = table[step[parent, letter]]
+        shift = keys.searchsorted(shift[parent] * base + letter) if r else np.zeros(len(letter), np.intp)
+        keys = parent * base + letter
+        levels.append((parent, letter))
+    return _unwind(levels, len(step)), step >= 0, shift, keys
 
 
 def _global_words(sft, n):
@@ -575,10 +634,19 @@ def _words(automaton, n, alphabet, budget=None):
         arc = np.arange(count) + (start[node] - deg.cumsum() + deg)[parent]
         levels.append((parent, code[arc]))
         node = target[arc]
-    words, at = np.empty((len(node), n), np.intp), np.arange(len(node))
+    return _unwind(levels, len(node)), node
+
+
+def _unwind(levels, n):
+    """The n entries of the last of ``levels`` spelled out, as an (n,
+    len(levels)) array.  Each level is a pair (parent, letter) of arrays:
+    entry i of level r extends entry parent[i] of level r - 1 (the first
+    level's parents are ignored) by letter[i], so row i holds the letters on
+    the way from the first level to entry i.  Each level is read once."""
+    out, at = np.empty((n, len(levels)), np.intp), np.arange(n)
     for r, (parent, letters) in reversed(list(enumerate(levels))):  # read back each row's parents
-        words[:, r], at = letters[at], parent[at]
-    return words, node
+        out[:, r], at = letters[at], parent[at]
+    return out
 
 
 def _word_tuples(words, alphabet):
@@ -618,14 +686,16 @@ def essential_states(succ):
     """
     n = len(succ)
     indeg = [0] * n
-    outdeg = [len(vs) for vs in succ]
-    pred = [[] for _ in range(n)]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            indeg[v] += 1
-            pred[v].append(u)
-    dead = [indeg[i] == 0 or outdeg[i] == 0 for i in range(n)]
+    for v, k in Counter(chain.from_iterable(succ)).items():
+        indeg[v] = k
+    outdeg = list(map(len, succ))
+    dead = [not (a and b) for a, b in zip(indeg, outdeg)]
     stack = [i for i in range(n) if dead[i]]
+    if stack:  # the predecessor lists are read only once a state dies
+        pred = [[] for _ in range(n)]
+        for u, vs in enumerate(succ):
+            for v in vs:
+                pred[v].append(u)
     while stack:
         u = stack.pop()
         for v in succ[u]:
@@ -757,22 +827,34 @@ def build_rauzy(sft, order=None):
 
 
 def _build_rauzy(sft, m):
-    """The Rauzy graph of ``sft`` at order m, or None when it is empty."""
-    vertices, states = _locally_admissible_words(sft, m)
-    index = {v: i for i, v in enumerate(vertices)}
-    # u + s has no forbidden factor iff the factor automaton, in its state
-    # q after the admissible u, does not die on s; then u[1:] + s is a vertex
-    delta = sft._factor_automaton
-    succ = [[index[u[1:] + (s,)] for s, t in delta[q].items() if t >= 0] for u, q in zip(vertices, states)]
+    """The Rauzy graph of ``sft`` at order m, or None when it is empty.
 
+    The edges are found once, as vertex indices by ``_local_words``, and
+    pruned to the essential vertices; the graph keeps the successor lists
+    as its ``index``."""
+    words, follow, shift, keys = _local_words(sft, m)
+    # u + a has no forbidden factor iff a may follow u; then u[1:] + a is a vertex
+    src, letter = np.nonzero(follow)
+    dst = keys.searchsorted(shift[src] * len(sft.alphabet) + letter)
+    succ = _successor_lists(src, dst, len(words))
     keep = essential_states(succ)
     if not keep:
         return None
-    alive = set(keep)
-    edges = frozenset(
-        (vertices[i], vertices[j]) for i in keep for j in succ[i] if j in alive
-    )
-    return RauzyGraph(tuple(vertices[i] for i in keep), edges, sft, m)
+    if len(keep) < len(words):  # number the kept vertices in order and drop the edges of the rest
+        new = np.full(len(words), -1)
+        new[keep] = np.arange(len(keep))
+        src, dst = new[src], new[dst]
+        alive = (src >= 0) & (dst >= 0)
+        succ, words = _successor_lists(src[alive], dst[alive], len(keep)), words[keep]
+    return RauzyGraph._from_succ(tuple(_word_tuples(words, sft.alphabet.symbols)), succ, sft, m)
+
+
+def _successor_lists(src, dst, n):
+    """The successor lists of the n vertices of the edges src[e] -> dst[e],
+    two arrays with the edges sorted by src."""
+    ends = np.bincount(src, minlength=n).cumsum().tolist()
+    dst = dst.tolist()
+    return [dst[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def language_count(sft, n):

@@ -49,6 +49,7 @@ from .core import (
     PreconditionUnmet,
     Sft1D,
     WordAutomaton,
+    _unwind,
     _word_tuples,
     _words,
     build_rauzy,
@@ -143,71 +144,29 @@ class StripAutomaton:
 
     @classmethod
     def build(cls, H, constraint, h, budget=None, cyclic=False):
-        if h < 1:
-            raise ValueError("h must be >= 1")
-        g = build_rauzy(H)
-        # H's word automaton, whose nodes are the vertices by rank and then
-        # their prefixes: node x reads the symbol ranks read[start[x]:][:degree[x]],
-        # and s into table[x, s], or into ``dead``, a node that reads nothing;
-        # the last rank, len(symbols), stands for a symbol that is not H's
-        words, symbols = g.word_automaton, H.alphabet.symbols
-        degree, start, read, _ = words.arcs(symbols)
-        table, root = words.table(symbols), words[1]
-        dead = len(table) - 1
-        automaton = table, start, degree, read
-        # the columns whose symbols all start H-words and, if cyclic, repeat
-        letters = _columns_for(constraint, h, symbols, budget)
-        letters = letters[(table[root, letters] < dead).all(1)]
-        if cyclic:
-            letters = letters[_repeats(constraint, letters, symbols)]
-        ncols = len(letters)
-
-        @cache
-        def trie():
-            grow, node = _trie(letters, table.shape[1])
-            return grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
-
-        columns = letters, trie
-        # window i has the columns picks[i] and the row words rows[i]; its
-        # key, parent window * ncols + last column, ascends, and tail[i] is
-        # the window of its columns after the first.  The budget counts the
-        # columns, the windows (each column is one) and the edges kept: a
-        # join refuses them once past what is ``left``, at once if < 0
-        left = (inf if budget is None else budget) - 2 * ncols
-        rows, key, tail = table[root, letters], np.arange(ncols), np.zeros(ncols, np.intp)
-        picks, narrow = key[:, None], []
-        for _ in range(1, g.order):
-            src, col = _join(rows, automaton, columns, left + 1) or _refuse(budget)
-            left -= len(src)
-            narrow.append(len(rows))
-            tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
-            rows, picks = table[rows[src], letters[col]], np.column_stack((picks[src], col))
-
-        def pairs(cap):
-            """The (state, successor) pairs, sorted; None from ``cap`` on."""
-            found = _join(rows, automaton, columns, cap)
-            return found and (found[0], np.searchsorted(key, tail[found[0]] * ncols + found[1]))
-
+        win = _Windows(H, constraint, h, budget, cyclic, H.order)
+        table, rows, left, letters = win.automaton[0], win.rows, win.left, win.columns[0]
+        picks, narrow = win.picks, tuple(win.narrow)
         # the first row layer has an edge from each window per successor of
         # its row-0 vertex that starts a window: no shorter list needs layers
-        starts = np.zeros(dead + 1, bool)
+        starts = np.zeros(len(table), bool)
         starts[rows[:, 0]] = True
         first = int(starts[table[rows[:, 0]]].sum())
-        found = pairs(min(first, left) + 1)
+        found = win.pairs(min(first, left) + 1)
         if found is None and first <= left:  # else the layers overflow too
-            built = _row_layers(rows, g.index.succ, left + 1)
+            built = _row_layers(rows, win.graph.index.succ, left + 1)
             if built is not None:
                 layers, edges = built
                 paths = np.ones(len(picks))  # exact in floats below 2^53
                 for src, dst, size in layers:
                     paths = np.bincount(dst, paths[src], size)
                 if edges < paths.sum():
-                    return cls(h, letters, picks, tuple(narrow), layers, int(paths.sum()), pairs)
-            found = pairs(left + 1)
+                    return cls(h, letters, picks, narrow, layers, int(paths.sum()), win.pairs)
+            found = win.pairs(left + 1)
         src, dst = found or _refuse(budget)
         order = dst.argsort(kind="stable")
         layers = ((src[order], dst[order], len(picks)),)
-        return cls(h, letters, picks, tuple(narrow), layers, len(src), lambda cap: found)
+        return cls(h, letters, picks, narrow, layers, len(src), lambda cap: found)
 
     @cached_property
     def successors(self):
@@ -301,6 +260,72 @@ class StripAutomaton:
             return (lo + hi) / 2, (lo, hi), steps
         value, bracket, more = _spectral_radius(self.successors, tol, max_iter)
         return value, bracket, steps + more
+
+
+class _Windows:
+    """The windows of ``width`` legal columns of height h whose every row is
+    a prefix of a vertex of H's Rauzy graph, listed by ``_join`` a column at
+    a time, within ``budget``: those of ``StripAutomaton.build`` at the
+    width of H's order, whose docstring defines the column rule, ``cyclic``
+    and the budget.  ``graph`` is H's Rauzy graph.
+
+    ``columns`` is the pair (letters, trie) of ``_join``: ``letters`` holds
+    the kept columns as rows of H's symbol ranks, in canonical order.
+    Window i has the row words rows[i], nodes of H's word automaton.  Its
+    key, parent window * ncols + last column, ascends, and tail[i] is the
+    window of its columns after the first.  ``narrow`` counts the windows of
+    each narrower width, and ``left`` is what the budget leaves: it counts
+    the columns, the windows (each column is one) and later the edges kept,
+    and a join refuses them once past it, at once if < 0.  ``picks`` holds
+    the windows' columns, one row of column indices each, read back once
+    from each join's (window, column) pairs after the last join.
+    """
+
+    def __init__(self, H, constraint, h, budget, cyclic, width):
+        if h < 1:
+            raise ValueError("h must be >= 1")
+        # H's word automaton, whose nodes are the vertices by rank and then
+        # their prefixes: node x reads the symbol ranks read[start[x]:][:degree[x]],
+        # and s into table[x, s], or into ``dead``, a node that reads nothing;
+        # the last rank, len(symbols), stands for a symbol that is not H's
+        self.graph = build_rauzy(H)
+        words, symbols = self.graph.word_automaton, H.alphabet.symbols
+        degree, start, read, _ = words.arcs(symbols)
+        table, root = words.table(symbols), words[1]
+        dead = len(table) - 1
+        self.automaton = table, start, degree, read
+        # the columns whose symbols all start H-words and, if cyclic, repeat
+        letters = _columns_for(constraint, h, symbols, budget)
+        letters = letters[(table[root, letters] < dead).all(1)]
+        if cyclic:
+            letters = letters[_repeats(constraint, letters, symbols)]
+        self.ncols = ncols = len(letters)
+
+        @cache
+        def trie():
+            grow, node = _trie(letters, table.shape[1])
+            return grow, node.argsort(), np.bincount(letters[:, 0], minlength=table.shape[1])
+
+        self.columns = letters, trie
+        left = (inf if budget is None else budget) - 2 * ncols
+        rows, key, tail = table[root, letters], np.arange(ncols), np.zeros(ncols, np.intp)
+        levels, self.narrow = [(tail, key)], []
+        for _ in range(1, width):
+            src, col = _join(rows, self.automaton, self.columns, left + 1) or _refuse(budget)
+            left -= len(src)
+            self.narrow.append(len(rows))
+            tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
+            rows = table[rows[src], letters[col]]
+            levels.append((src, col))
+        self.rows, self.key, self.tail, self.left = rows, key, tail, left
+        # with no join window i is column i: a view of key, not a copy
+        self.picks = _unwind(levels, len(rows)) if len(levels) > 1 else key[:, None]
+
+    def pairs(self, cap):
+        """The (window, successor) pairs of one more join, sorted; None from
+        ``cap`` on."""
+        found = _join(self.rows, self.automaton, self.columns, cap)
+        return found and (found[0], np.searchsorted(self.key, self.tail[found[0]] * self.ncols + found[1]))
 
 
 def _refuse(budget):
@@ -480,6 +505,8 @@ def count_rectangles(H, column_constraint, w, h, budget=None):
         if rows ** column_constraint.order < cols ** H.order:
             H, column_constraint, w, h = column_constraint, H, h, w
     try:
+        if w <= H.order:  # the windows of w columns are the rectangles
+            return len(_Windows(H, column_constraint, h, budget, False, w).rows)
         strip = StripAutomaton.build(H, column_constraint, h, budget)
     except EmptyLanguage:
         return 0

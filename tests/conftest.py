@@ -2,8 +2,20 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sftkit.core import Digraph, Sft1D, _follow, build_rauzy, full_shift, sft_from_edges, word_in_language
+
+
+# one bad SFT per check of Sft1D, with the message that check gives
+BAD_SFTS = [
+    (
+        {"alphabet": ["0", "1"], "forbidden": [["0", "1", "1"], ["1", "2", "3"]]},
+        "forbidden word ('1', '2', '3') uses unknown symbol '2'",
+    ),
+    ({"alphabet": ["a", "b"], "forbidden": [["b"], []]}, "empty forbidden word"),
+    ({"alphabet": ["0", "1", "0"], "forbidden": [["1", "1"]]}, "duplicate symbols in alphabet"),
+]
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +32,23 @@ def coding_sft():
 @pytest.fixture(scope="session")
 def full2():
     return full_shift("01")
+
+
+def rll(d, k):
+    """RLL(d, k) over 01: between two 1s lie d..k 0s, so its order is k."""
+    return Sft1D.from_words("01", *("1" + "0" * j + "1" for j in range(d)), "0" * (k + 1))
+
+
+@st.composite
+def sfts_of_order(draw, max_order=4):
+    """SFTs over 2-4 symbols of order 1..``max_order``: one forbidden word
+    of length order + 1 and up to four more of length 2 to order + 1."""
+    symbols = "abcd"[: draw(st.integers(2, 4))]
+    order = draw(st.integers(1, max_order))
+    word = st.text(alphabet=symbols, min_size=2, max_size=order + 1)
+    words = draw(st.lists(word, max_size=4))
+    words.append(draw(st.text(alphabet=symbols, min_size=order + 1, max_size=order + 1)))
+    return Sft1D.from_words(symbols, *words)
 
 
 def numpy_radius(succ):

@@ -7,6 +7,8 @@ import pytest
 
 from sftkit.cli import main
 
+from conftest import BAD_SFTS
+
 DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 
 
@@ -204,6 +206,13 @@ class TestErrors:
             capsys, "decode", "--h", path("coding3.json"), "--w", path("free2.json"), "--input", str(window),
         )
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_bad_sft_file_names_the_fault(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for obj, message in BAD_SFTS:
+            bad.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "solve", "count", "--h", str(bad), "--width", "2", "--height", "2")
+            assert (code, out, err) == (2, "", f"error: {message}\n"), obj
 
     def test_sft_file_not_an_object(self, capsys, tmp_path):
         bad = tmp_path / "list.json"

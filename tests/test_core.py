@@ -9,13 +9,16 @@ from sftkit.core import (
     Alphabet,
     Digraph,
     EmptyLanguage,
+    GraphIndex,
     Pattern2D,
+    RauzyGraph,
     Sft1D,
     WangTile,
     WangTileSet,
     _bits,
     _global_words,
-    _locally_admissible_words,
+    _local_words,
+    _word_tuples,
     build_rauzy,
     essential_states,
     free_tile_set,
@@ -26,7 +29,7 @@ from sftkit.core import (
     word_in_language,
 )
 
-from conftest import block_cells, brute_words
+from conftest import BAD_SFTS, block_cells, brute_words, rll, sfts_of_order
 
 
 class TestRauzy:
@@ -333,6 +336,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Sft1D.from_words("01", "2")
 
+    @pytest.mark.parametrize("obj, message", BAD_SFTS)
+    def test_sft_checks_name_the_fault(self, obj, message):
+        # from JSON and from the constructor alike, each check has its own message
+        with pytest.raises(ValueError) as exc:
+            Sft1D.from_json(obj)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            Sft1D(tuple(obj["alphabet"]), frozenset(map(tuple, obj["forbidden"])))
+        assert str(exc.value) == message
+
 
 # ---------------------------------------------------------------------------
 # the forbidden-factor automaton against naive scans
@@ -389,6 +402,62 @@ OVERLAPPING = Sft1D.from_words("abc", "abab", "bab", "cc")
 NOTHING = Sft1D.from_words("ab")
 
 
+def sliced_word_automaton(g):
+    """The word automaton of ``g`` by its definition, slicing every prefix:
+    the vertices by rank, then each proper prefix v[:k] (k = 0..order - 1)
+    of each vertex v in turn, numbered when first met; a vertex reads the
+    last symbol of each successor, a prefix v[:k] reads v[k] into v[:k + 1].
+    Each node's symbols are listed in the order first met."""
+    vs, m = g.vertices, g.order
+    ids = {v: i for i, v in enumerate(vs)}
+    for v in vs:
+        for k in range(m):
+            ids.setdefault(v[:k], len(ids))
+    step = [{} for _ in ids]
+    for u in vs:
+        for v in vs:
+            if (u, v) in g.edges:
+                step[ids[u]][v[-1]] = ids[v]
+    for v in vs:
+        for k in range(m):
+            step[ids[v[:k]]][v[k]] = ids[v[: k + 1]]
+    return [list(row.items()) for row in step], ids[()]
+
+
+class TestIntegerBuild:
+    """The Rauzy build works on vertex indices: its seeded ``index`` and its
+    word automaton against what the vertices and edges define."""
+
+    def check(self, sft):
+        try:
+            g = build_rauzy(sft)
+        except EmptyLanguage:
+            return
+        step, root = g.word_automaton
+        assert ([list(row.items()) for row in step], root) == sliced_word_automaton(g)
+        index = GraphIndex(g.vertices, g.edges)
+        assert (g.index.succ, g.index.rank, g.index.sccs) == (index.succ, index.rank, index.sccs)
+        vs = g.vertices
+        assert g.index.pred == [[i for i, u in enumerate(vs) if (u, v) in g.edges] for v in vs]
+        assert g == RauzyGraph(g.vertices, g.edges, sft, g.order)
+
+    @DIFFERENTIAL
+    @given(sfts_of_order())
+    @example(Sft1D.from_words("ab", "aa", "bab"))
+    def test_against_definitions(self, sft):
+        self.check(sft)
+
+    def test_run_length_limited(self):
+        for d in range(31):
+            self.check(rll(d, d + 1))
+
+    def test_pruned_graph_renumbers(self):
+        # 4 -> 0 -> 1 -> 2 <-> 3 and a loop on 2: 4 has no predecessor, so 4, 0 and 1 go
+        sft = sft_from_edges("01234", [("0", "1"), ("1", "2"), ("2", "2"), ("2", "3"), ("3", "2"), ("4", "0")])
+        self.check(sft)
+        assert build_rauzy(sft).vertices == (("2",), ("3",))
+
+
 class TestFactorAutomaton:
     @DIFFERENTIAL
     @given(small_sfts(), st.lists(st.text(alphabet=SYMBOLS + FOREIGN, max_size=9), max_size=20))
@@ -414,7 +483,7 @@ class TestFactorAutomaton:
     @example(OVERLAPPING, 5)
     def test_dfs_words_match_product_filter(self, sft, n):
         expect = [w for w in product(sft.alphabet.symbols, repeat=n) if naive_admissible(sft.forbidden, w)]
-        assert _locally_admissible_words(sft, n)[0] == expect
+        assert _word_tuples(_local_words(sft, n)[0], sft.alphabet.symbols) == expect
 
     @DIFFERENTIAL
     @given(small_sfts(), st.integers(0, 1))
@@ -506,7 +575,7 @@ class TestEssentialTrim:
         assert essential_states([[1], [2], []]) == []
         # the order-1 graph 1 -> 0 keeps no vertex, so the SFT is empty
         sft = Sft1D.from_words("01", "00", "01", "11")
-        assert _locally_admissible_words(sft, 1)[0] == [("0",), ("1",)]
+        assert _local_words(sft, 1)[0].tolist() == [[0], [1]]
         with pytest.raises(EmptyLanguage):
             build_rauzy(sft)
 

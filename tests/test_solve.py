@@ -53,7 +53,7 @@ import sftkit.entropy
 import sftkit.solve
 from sftkit.entropy import _spectral_radius
 
-from conftest import brute_strip, closed_walk_count, numpy_radius
+from conftest import brute_strip, closed_walk_count, numpy_radius, rll, sfts_of_order
 
 
 def spelled(strip, H):
@@ -178,6 +178,46 @@ def cycle_instance(rng, k, verdict):
             forbidden.add((syms[x], syms[(x + d1) % k], syms[(x + d1 + d2) % k]))
     H = sft_from_edges(syms, [(syms[i], syms[(i + 1) % k]) for i in range(k)])
     return H, Sft1D(tuple(syms), frozenset(forbidden))
+
+
+class TestHighOrderRows:
+    """With no column rule the rows of a rectangle are independent, so
+    N(w, h) = |L_w(H)|^h; a width up to the order of H counts windows, and
+    the strip joins no more columns than that width."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sfts_of_order(), st.integers(1, 2))
+    def test_free_columns_count_independent_rows(self, H, h):
+        for w in range(1, H.order + 3):
+            assert count_rectangles(H, None, w, h) == language_count(H, w) ** h, (w, h)
+
+    def test_run_length_limited(self):
+        for d, w, h in ((5, 3, 2), (5, 6, 2), (5, 7, 2), (12, 14, 2), (30, 3, 3)):
+            H = rll(d, d + 1)
+            assert count_rectangles(H, None, w, h) == language_count(H, w) ** h, (d, w, h)
+
+    def test_joins_stop_at_the_width(self, monkeypatch):
+        joins = []
+        real = sftkit.solve._join
+        monkeypatch.setattr(sftkit.solve, "_join", lambda rows, *rest: joins.append(len(rows)) or real(rows, *rest))
+        H = rll(5, 6)  # order 6; at height 2 the windows of width k number (k + 1)^2
+        for w in range(1, 7):
+            joins.clear()
+            assert count_rectangles(H, None, w, 2) == language_count(H, w) ** 2
+            assert joins == [k * k for k in range(2, w + 1)], (w, joins)
+        # one width past the order joins every window of width 6, then pairs them
+        joins.clear()
+        assert count_rectangles(H, None, 7, 2) == language_count(H, 7) ** 2
+        assert joins[:5] == [4, 9, 16, 25, 36] and joins[5:] and set(joins[5:]) == {49}, joins
+
+    def test_budget_counts_the_windows_of_the_width(self):
+        # the budget counts the 4 columns twice, then the windows: the 9 of
+        # width 2 fit a budget of 17 and not one of 16
+        H = rll(5, 6)
+        assert count_rectangles(H, None, 2, 2, budget=17) == 9
+        for w, budget in ((2, 16), (3, 17)):
+            with pytest.raises(BudgetExceeded):
+                count_rectangles(H, None, w, 2, budget=budget)
 
 
 class TestCountRectangles:
