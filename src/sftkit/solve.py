@@ -49,7 +49,6 @@ from .core import (
     PreconditionUnmet,
     Sft1D,
     WordAutomaton,
-    _unwind,
     _word_tuples,
     _words,
     build_rauzy,
@@ -92,15 +91,15 @@ class StripAutomaton:
     ``columns`` holds the kept legal columns, one row of H's symbol ranks
     (``core._words``) each, in canonical order.  For a horizontal SFT of
     order m, a state is a window of m of them whose every row is a Rauzy
-    vertex: row i of the (n, m) ``intp`` array ``states`` holds window i's
-    column indices into ``columns``, the windows in lexicographic order of
-    these rows.  A strip keeps no symbol tuple: only ``_shortest_torus``
-    spells out the columns of the cycle it replays.  A transition appends a
-    column that moves every row along a Rauzy edge and drops the window's
-    first column.  ``narrow[k - 1]`` is the number of k-column windows for
-    k < m: windows whose every row is a prefix of a vertex.  The build
-    follows each row through H's ``word_automaton``, whose nodes are these
-    row words.
+    vertex.  Entry i of the ``intp`` array ``states`` is window i's key:
+    the rank of the window of its first m - 1 columns times ``len(columns)``
+    plus its last column, ascending.  A strip keeps no symbol tuple: only
+    ``_shortest_torus`` spells out the columns of the cycle it replays.  A
+    transition appends a column that moves every row along a Rauzy edge and
+    drops the window's first column.  ``narrow[k - 1]`` is the number of
+    k-column windows for k < m: windows whose every row is a prefix of a
+    vertex.  The build follows each row through H's ``word_automaton``,
+    whose nodes are these row words.
 
     With ``cyclic=True`` only the columns that ``_repeats`` accepts are
     kept (a cylinder strip).  Then a closed walk of w edges is exactly a
@@ -113,9 +112,10 @@ class StripAutomaton:
     also lists the windows a column at a time.  A join of fewer than
     ``_DENSE_CELLS`` windows x columns x rows cells, such as those of the
     small cylinder strips of ``decide_with_certificate``, is one dense array
-    test; a larger one walks the columns' trie, built on first use.  ``_shortest_torus`` reads
-    it, on cylinder strips only; counting, ``has_cycle`` and the spectral
-    radius only through their layers, or a spectral radius fallback.
+    test; a larger one walks the columns' trie, built on first use.
+    ``_shortest_torus`` reads it, on cylinder strips only; counting,
+    ``has_cycle`` and the spectral radius only through their layers, or a
+    spectral radius fallback.
     ``budget`` caps what the build keeps: the columns, counted a height at a
     time as they are listed, every window listed and the stored edges (the
     layer edges, or the transitions when the width step follows them); each
@@ -146,7 +146,7 @@ class StripAutomaton:
     def build(cls, H, constraint, h, budget=None, cyclic=False):
         win = _Windows(H, constraint, h, budget, cyclic, H.order)
         table, rows, left, letters = win.automaton[0], win.rows, win.left, win.columns[0]
-        picks, narrow = win.picks, tuple(win.narrow)
+        keys, narrow = win.key, tuple(win.narrow)
         # the first row layer has an edge from each window per successor of
         # its row-0 vertex that starts a window: no shorter list needs layers
         starts = np.zeros(len(table), bool)
@@ -157,16 +157,16 @@ class StripAutomaton:
             built = _row_layers(rows, win.graph.index.succ, left + 1)
             if built is not None:
                 layers, edges = built
-                paths = np.ones(len(picks))  # exact in floats below 2^53
+                paths = np.ones(len(keys))  # exact in floats below 2^53
                 for src, dst, size in layers:
                     paths = np.bincount(dst, paths[src], size)
                 if edges < paths.sum():
-                    return cls(h, letters, picks, narrow, layers, int(paths.sum()), win.pairs)
+                    return cls(h, letters, keys, narrow, layers, int(paths.sum()), win.pairs)
             found = win.pairs(left + 1)
         src, dst = found or _refuse(budget)
         order = dst.argsort(kind="stable")
-        layers = ((src[order], dst[order], len(picks)),)
-        return cls(h, letters, picks, narrow, layers, len(src), lambda cap: found)
+        layers = ((src[order], dst[order], len(keys)),)
+        return cls(h, letters, keys, narrow, layers, len(src), lambda cap: found)
 
     @cached_property
     def successors(self):
@@ -276,9 +276,8 @@ class _Windows:
     window of its columns after the first.  ``narrow`` counts the windows of
     each narrower width, and ``left`` is what the budget leaves: it counts
     the columns, the windows (each column is one) and later the edges kept,
-    and a join refuses them once past it, at once if < 0.  ``picks`` holds
-    the windows' columns, one row of column indices each, read back once
-    from each join's (window, column) pairs after the last join.
+    and a join refuses them once past it, at once if < 0.  No window's
+    columns are kept but the last, ``key % ncols``.
     """
 
     def __init__(self, H, constraint, h, budget, cyclic, width):
@@ -309,17 +308,14 @@ class _Windows:
         self.columns = letters, trie
         left = (inf if budget is None else budget) - 2 * ncols
         rows, key, tail = table[root, letters], np.arange(ncols), np.zeros(ncols, np.intp)
-        levels, self.narrow = [(tail, key)], []
+        self.narrow = []
         for _ in range(1, width):
             src, col = _join(rows, self.automaton, self.columns, left + 1) or _refuse(budget)
             left -= len(src)
             self.narrow.append(len(rows))
             tail, key = np.searchsorted(key, tail[src] * ncols + col), src * ncols + col
             rows = table[rows[src], letters[col]]
-            levels.append((src, col))
         self.rows, self.key, self.tail, self.left = rows, key, tail, left
-        # with no join window i is column i: a view of key, not a copy
-        self.picks = _unwind(levels, len(rows)) if len(levels) > 1 else key[:, None]
 
     def pairs(self, cap):
         """The (window, successor) pairs of one more join, sorted; None from
@@ -651,9 +647,11 @@ def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=(
     """The torus of a shortest cycle of the cylinder strip of height h whose
     rows follow the SFT ``rows`` and whose columns are the cyclic words of
     ``columns``, or None when it has no cycle or ``rows`` no words.  The
-    cycle's columns, the first of each state on it, are the only ones spelled
-    out as symbol tuples; ``read`` makes the pattern from them, and it must
-    pass ``validate_torus(H, constraint, pattern, forbidden2d)``."""
+    cycle's columns, the first of each state on it and so the last (key mod
+    ``len(columns)``) of the state m - 1 steps on, m the order of ``rows``,
+    are the only ones spelled out as symbol tuples; ``read`` makes the
+    pattern from them, and it must pass ``validate_torus(H, constraint,
+    pattern, forbidden2d)``."""
     try:
         strip = StripAutomaton.build(rows, columns, h, budget, cyclic=True)
     except EmptyLanguage:
@@ -661,7 +659,8 @@ def _shortest_torus(rows, columns, h, budget, read, H, constraint, forbidden2d=(
     walk = shortest_cycle(strip.successors)
     if not walk:
         return None
-    pat = read(_word_tuples(strip.columns[strip.states[walk, 0]], rows.alphabet.symbols))
+    last = strip.columns[strip.states[walk] % len(strip.columns)]
+    pat = read(_word_tuples(np.roll(last, rows.order - 1, axis=0), rows.alphabet.symbols))
     if not validate_torus(H, constraint, pat, forbidden2d):
         raise RuntimeError("a cylinder strip cycle gave a torus that fails replay")
     return TorusWitness(pat.width, pat.height, pat)

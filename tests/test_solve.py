@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import random
@@ -39,6 +40,7 @@ from sftkit.cycles import find_cycle_pair
 from sftkit.compiler import VerticalPresentation, compile_wang
 from sftkit.solve import (
     StripAutomaton,
+    _Windows,
     _columns_for,
     _repeats,
     _row_layers,
@@ -56,11 +58,17 @@ from sftkit.entropy import _spectral_radius
 from conftest import brute_strip, closed_walk_count, numpy_radius, rll, sfts_of_order
 
 
-def spelled(strip, H):
+def spelled(strip, H, V, cyclic):
     """Each state of ``strip`` as its columns' cells, column by column, as a
-    tuple of H's symbols."""
-    cells = strip.columns[strip.states].reshape(-1, strip.states.shape[1] * strip.height)
-    return tuple(_word_tuples(cells, H.alphabet.symbols))
+    tuple of H's symbols, spelled from the row words of its window: column j
+    is symbol j of each row's Rauzy vertex.  A state's key must name its
+    window's last column."""
+    vertices = build_rauzy(H).vertices
+    rows = _Windows(H, V, strip.height, None, cyclic, H.order).rows.tolist()
+    windows = [[vertices[v] for v in row] for row in rows]
+    last = strip.columns[strip.states % len(strip.columns)]
+    assert _word_tuples(last, H.alphabet.symbols) == [tuple(v[-1] for v in window) for window in windows]
+    return tuple(tuple(s for column in zip(*window) for s in column) for window in windows)
 
 
 def brute_count(H, V, w, h):
@@ -209,6 +217,14 @@ class TestHighOrderRows:
         joins.clear()
         assert count_rectangles(H, None, 7, 2) == language_count(H, 7) ** 2
         assert joins[:5] == [4, 9, 16, 25, 36] and joins[5:] and set(joins[5:]) == {49}, joins
+
+    def test_a_count_past_the_order_keeps_one_key_per_window(self):
+        # 42 x 3 lists RLL(40, 41)'s 74,088 windows of 41 columns; keeping
+        # each window's 41 column indices peaked at 40 MB
+        H = rll(40, 41)
+        count, peak = traced_peak(lambda: count_rectangles(H, None, 42, 3))
+        assert count == language_count(H, 42) ** 3
+        assert peak < 25 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_budget_counts_the_windows_of_the_width(self):
         # the budget counts the 4 columns twice, then the windows: the 9 of
@@ -529,7 +545,7 @@ class TestStripOracle:
             return
         states, narrow, successors = brute_strip(H, V, h, cyclic)
         assert strip.states.dtype == np.intp
-        assert spelled(strip, H) == states and strip.narrow == narrow
+        assert spelled(strip, H, V, cyclic) == states and strip.narrow == narrow
         if "successors" not in strip.__dict__:  # the strip keeps its row layers
             vec = [1] * len(states)
             for w in range(len(narrow) + 1, len(narrow) + 6):
@@ -552,7 +568,7 @@ class TestStripOracle:
         assert [w for w in words if pres.is_cyclic(w)] == cyclic
         strip = StripAutomaton.build(H, pres, h, cyclic=True)
         assert _word_tuples(strip.columns, H.alphabet.symbols) == cyclic
-        assert strip.states.shape == (kept, 1) and strip.transitions == kept
+        assert len(strip.states) == kept and strip.transitions == kept
 
 
 def order2_decisions():
@@ -626,11 +642,11 @@ class TestStripMemory:
         assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_a_height_6_strip_holds_no_symbol_tuples(self):
-        # 176,411 windows of one column each, a row of column indices, where
-        # spelling every column out as symbol tuples peaked at 55.7 MB
+        # 176,411 windows of one column each, a column index, where spelling
+        # every column out as symbol tuples peaked at 55.7 MB
         H, V = order2_instance()
         strip, peak = traced_peak(lambda: StripAutomaton.build(H, V, 6))
-        assert strip.states.shape == (176411, 1) and strip.transitions == 112284
+        assert len(strip.states) == 176411 and strip.transitions == 112284
         assert peak < 45 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
@@ -892,7 +908,7 @@ class TestRowLayersDifferential:
         g = build_rauzy(H)
         rank = {v: i for i, v in enumerate(g.vertices)}
         # a state lists its cells column by column, so row r is state[r::h]
-        windows = [tuple(rank[state[r::h]] for r in range(h)) for state in spelled(strip, H)]
+        windows = [tuple(rank[state[r::h]] for r in range(h)) for state in spelled(strip, H, V, False)]
         grid = np.array(windows, dtype=np.intp)
         succ = g.index.succ
         want = list_row_layers(windows, succ, h, inf)
@@ -1386,6 +1402,23 @@ class TestDecide:
                 assert not any(
                     col[x : x + 3] == f for f in V.forbidden for x in range(len(col) - 2)
                 )
+
+    def test_benchmark_decisions_are_pinned(self):
+        # SHA-256 of each seed-0 order2-decide decision as sorted-key JSON.
+        # Its strip's rows are V, of order 2, so each witness column is read
+        # from the key of the state one step on: read from the state itself,
+        # the torus is rotated a column, still valid but not this one
+        pins = [
+            (8, "nonempty", 550, "b4e659e0ed5d8c97079b442f566e4fa907a319de4cb9f0a47434c732ebc0ea36"),
+            (8, "empty", 88, "0d9d0faf38c93673b1a71fca870954a94dccbcd23a2fc2842c1d7168ba233c21"),
+            (9, "nonempty", 652, "950acb2379b4fa52afdfa481f8c9cbabf900f68d0755216cc3fd8ab6419b2798"),
+            (9, "empty", 88, "5c0d675c85a790d44fc1688c3755a5f51631032e8fe46389e373e999178cbe21"),
+        ]
+        got = []
+        for k, verdict, H, V in order2_decisions():
+            data = json.dumps(decide_with_certificate(H, V).to_json(), sort_keys=True).encode()
+            got.append((k, verdict, len(data), hashlib.sha256(data).hexdigest()))
+        assert got == pins
 
     def test_budget_counts_what_the_strip_keeps(self):
         # the transposed cylinder strip keeps the 5 cyclic rows of width 5 as
